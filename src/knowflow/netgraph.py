@@ -507,7 +507,10 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("nodes="):
-                node_count = int(body[len("nodes="):])
+                try:
+                    node_count = int(body[len("nodes="):])
+                except ValueError:
+                    raise GraphError(f"{path}: expected an integer node count on line {lineno}, got {line!r}") from None
                 g = WeightedGraph(node_count)
             continue
         if g is None:
@@ -515,7 +518,10 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
         parts = line.split(",")
         if len(parts) != 3:
             raise GraphError(f"{path}: expected 'u,v,weight' on line {lineno}, got {line!r}")
-        u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            raise GraphError(f"{path}: expected 'u,v,weight' numbers on line {lineno}, got {line!r}") from None
         g._insert(u, v, w)
     if g is None:
         raise GraphError(f"{path}: missing '# nodes=N' header")

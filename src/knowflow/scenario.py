@@ -6,6 +6,12 @@ reference run), an optional community plan, and run/output settings. Each
 seed derives one independent random stream per concern, so two variants of
 the same seed share the network, population, and masks, and differ only in
 the intervention under study.
+
+The spec dataclasses are the config schema: each field is one JSON key, its
+default is the key's default, and its ``metadata["read"]`` is the reader that
+parses and bounds it. ``parse_config`` and ``ScenarioConfig.to_dict`` are
+derived from them; only the rules that link keys are written per section, in
+that section's ``_checked``.
 """
 
 from __future__ import annotations
@@ -13,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import re
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace as dc_replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -49,7 +57,6 @@ __all__ = [
     "ExperimentReport",
     "ScenarioConfig",
     "VariantResult",
-    "clear_caches",
     "config_hash",
     "emit_report",
     "export_fixtures",
@@ -70,6 +77,9 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 REFERENCE_TOKEN = "none"
 _STRATEGY_TOKENS = tuple(s.value for s in Strategy)
 _TIE_MODES = ("none", "manual", "algorithm", "random")
+_NAMED_PROBES = {"average_competence": "average", "collector_intake": "collector"}
+# Role-only keys and the role each belongs to.
+_ROLE_KEYS = {"boost_range": "expert", "boost_all": "expert", "weight_factor": "facilitator"}
 
 # One independent random stream per concern, all derived from the master seed.
 _STREAMS = {"topology": 0, "weights": 1, "population": 2, "strategy": 3, "boost": 4, "ties": 5}
@@ -86,231 +96,51 @@ class ConfigError(ValueError):
     """Malformed scenario configuration; the message names the offending key."""
 
 
-# -- config model -------------------------------------------------------------------
+# -- config readers -----------------------------------------------------------------
+# A reader takes a raw JSON value and its key path, and returns the parsed value or
+# raises ConfigError naming the path.
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    nodes: int
-    ring_degree: int = 4
-    rewire_prob: float = 0.1
-    weights: WeightSpec = field(default_factory=lambda: WeightSpec.uniform(0.1, 1.0))
-
-    def to_dict(self) -> dict:
-        if self.weights.kind == "constant":
-            wdict: dict[str, Any] = {"kind": "constant", "value": self.weights.low}
-        else:
-            wdict = {"kind": "uniform", "low": self.weights.low, "high": self.weights.high}
-        return {
-            "nodes": self.nodes,
-            "ring_degree": self.ring_degree,
-            "rewire_prob": self.rewire_prob,
-            "weights": wdict,
-        }
+def _key(read: Callable[..., Any], **options: Any) -> dict:
+    """Field metadata: the key is parsed by ``read`` with these bounds or choices."""
+    return {"read": partial(read, **options)}
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
-    competences: int
-    competence_range: tuple[float, float] = (0.0, 10.0)
-    mask_density: float = 0.5
-    forgetting: float = 0.006
-    cognitive_range: tuple[float, float] = (0.0, 1.0)
-    social_range: tuple[float, float] = (0.0, 1.0)
-
-    def to_dict(self) -> dict:
-        return {
-            "competences": self.competences,
-            "competence_range": list(self.competence_range),
-            "mask_density": self.mask_density,
-            "forgetting": self.forgetting,
-            "cognitive_range": list(self.cognitive_range),
-            "social_range": list(self.social_range),
-        }
+def _is_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
 
 
-@dataclass(frozen=True)
-class RolePlan:
-    role: str
-    strategies: tuple[str, ...]
-    fraction: float | None = None
-    count: int | None = None
-    boost_range: tuple[float, float] | None = None
-    boost_all: bool = False
-    weight_factor: float | None = None
-    step: int = 0
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"role": self.role, "strategies": list(self.strategies), "step": self.step}
-        if self.fraction is not None:
-            out["fraction"] = self.fraction
-        if self.count is not None:
-            out["count"] = self.count
-        if self.boost_range is not None:
-            out["boost_range"] = list(self.boost_range)
-            out["boost_all"] = self.boost_all
-        if self.weight_factor is not None:
-            out["weight_factor"] = self.weight_factor
-        return out
+def _bounded(value: Any, path: str, lo=None, hi=None, gt=None, lt=None) -> Any:
+    for ok, rule, bound in (
+        (lo is None or value >= lo, ">=", lo),
+        (hi is None or value <= hi, "<=", hi),
+        (gt is None or value > gt, ">", gt),
+        (lt is None or value < lt, "<", lt),
+    ):
+        if not ok:
+            raise ConfigError(f"{path}: must be {rule} {bound}, got {value}")
+    return value
 
 
-@dataclass(frozen=True)
-class CommunityFixture:
-    members: tuple[int, ...]
-    core: tuple[int, ...]
-
-    def to_dict(self) -> dict:
-        return {"members": list(self.members), "core": list(self.core)}
-
-
-@dataclass(frozen=True)
-class CommunityPlan:
-    method: str = "fixture"
-    threshold: float = 0.5
-    core_rule: str = "and"
-    core_theta: float = 0.5
-    communities: tuple[CommunityFixture, ...] = ()
-    ties: str = "none"
-    manual_ties: tuple[tuple[int, int], ...] = ()
-    community_index: int = 0
-    budget: int = 1
-    min_efficiency: float | None = None
-    tie_weight: float | None = None
-    division: str = "double"
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "method": self.method,
-            "ties": self.ties,
-            "division": self.division,
-            "budget": self.budget,
-            "community_index": self.community_index,
-        }
-        if self.method == "jaccard":
-            out["threshold"] = self.threshold
-            out["core_rule"] = self.core_rule
-            if self.core_rule == "majority":
-                out["core_theta"] = self.core_theta
-        else:
-            out["communities"] = [c.to_dict() for c in self.communities]
-        if self.ties == "manual":
-            out["manual_ties"] = [list(t) for t in self.manual_ties]
-        if self.min_efficiency is not None:
-            out["min_efficiency"] = self.min_efficiency
-        if self.tie_weight is not None:
-            out["tie_weight"] = self.tie_weight
-        return out
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
-    kind: str  # "average" | "node" | "mask" | "collector"
-    node: int | None = None
-    name: str | None = None
-    competences: tuple[int, ...] = ()
-    members: tuple[int, ...] | None = None
-
-    def to_json(self) -> Any:
-        if self.kind == "average":
-            return "average_competence"
-        if self.kind == "collector":
-            return "collector_intake"
-        if self.kind == "node":
-            return {"node": self.node}
-        body: dict[str, Any] = {"name": self.name, "competences": list(self.competences)}
-        if self.members is not None:
-            body["members"] = list(self.members)
-        return {"mask": body}
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    steps: int
-    seeds: tuple[int, ...]
-    probes: tuple[ProbeSpec, ...]
-
-    def to_dict(self) -> dict:
-        return {"steps": self.steps, "seeds": list(self.seeds), "probes": [p.to_json() for p in self.probes]}
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    directory: str | None = None
-    formats: tuple[str, ...] = ("csv", "json")
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"formats": list(self.formats)}
-        if self.directory is not None:
-            out["directory"] = self.directory
-        return out
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str
-    network: NetworkSpec
-    population: PopulationSpec
-    run: RunSpec
-    role_plan: RolePlan | None = None
-    community_plan: CommunityPlan | None = None
-    cognitive_gain: bool = True
-    output: OutputSpec = field(default_factory=OutputSpec)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "network": self.network.to_dict(),
-            "population": self.population.to_dict(),
-            "run": self.run.to_dict(),
-            "diffusion": {"cognitive_gain": self.cognitive_gain},
-            "output": self.output.to_dict(),
-        }
-        if self.role_plan is not None:
-            out["role_plan"] = self.role_plan.to_dict()
-        if self.community_plan is not None:
-            out["community_plan"] = self.community_plan.to_dict()
-        return out
-
-
-def config_hash(config: ScenarioConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-# -- config parsing -----------------------------------------------------------------
-
-
-def _check_keys(data: Mapping, path: str, required: Sequence[str], optional: Sequence[str] = ()) -> None:
-    if not isinstance(data, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    allowed = set(required) | set(optional)
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for key in required:
-        if key not in data:
-            raise ConfigError(f"{path}.{key}: required key missing")
-
-
-def _as_int(value: Any, path: str, lo: int | None = None, hi: int | None = None) -> int:
+def _as_int(value: Any, path: str, lo: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {value}")
-    return value
+    return _bounded(value, path, lo=lo)
 
 
-def _as_float(value: Any, path: str, lo: float | None = None, hi: float | None = None) -> float:
+_ID = partial(_as_int, lo=0)
+
+
+def _as_float(value: Any, path: str, **bounds: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
-    if lo is not None and value < lo:
-        raise ConfigError(f"{path}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{path}: must be <= {hi}, got {value}")
-    return value
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value}")
+    return _bounded(value, path, **bounds)
 
 
 def _as_bool(value: Any, path: str) -> bool:
@@ -327,379 +157,333 @@ def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:
     return value
 
 
-def _as_pair(value: Any, path: str) -> tuple[float, float]:
-    if not isinstance(value, Sequence) or isinstance(value, str) or len(value) != 2:
+def _as_name(value: Any, path: str) -> str:
+    if not _NAME_RE.match(_as_str(value, path)):
+        raise ConfigError(f"{path}: must match [A-Za-z0-9_.-]+, got {value!r}")
+    return value
+
+
+def _or_null(value: Any, path: str, item: Callable[[Any, str], Any]) -> Any:
+    """``null`` reads as an absent key, for the optional keys whose default is None."""
+    return None if value is None else item(value, path)
+
+
+def _as_pair(value: Any, path: str, **bounds: float) -> tuple[float, float]:
+    if not _is_list(value) or len(value) != 2:
         raise ConfigError(f"{path}: expected a [low, high] pair")
-    lo = _as_float(value[0], f"{path}[0]")
-    hi = _as_float(value[1], f"{path}[1]")
+    lo, hi = (_as_float(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value))
     if hi < lo:
         raise ConfigError(f"{path}: interval is reversed: [{lo}, {hi}]")
     return (lo, hi)
 
 
-def _parse_weights(data: Any, path: str) -> WeightSpec:
-    _check_keys(data, path, required=["kind"], optional=["value", "low", "high"])
-    kind = _as_str(data["kind"], f"{path}.kind", choices=["constant", "uniform"])
-    if kind == "constant":
-        if "value" not in data:
-            raise ConfigError(f"{path}.value: required key missing")
-        if "low" in data or "high" in data:
-            raise ConfigError(f"{path}: constant weights take 'value', not 'low'/'high'")
-        spec = WeightSpec.constant(_as_float(data["value"], f"{path}.value"))
-    else:
-        if "value" in data:
-            raise ConfigError(f"{path}: uniform weights take 'low'/'high', not 'value'")
-        for key in ("low", "high"):
-            if key not in data:
-                raise ConfigError(f"{path}.{key}: required key missing")
-        spec = WeightSpec.uniform(
-            _as_float(data["low"], f"{path}.low"), _as_float(data["high"], f"{path}.high")
-        )
-    if not (spec.low > 0.0):
+def _as_tie(value: Any, path: str) -> tuple[int, int]:
+    if not _is_list(value) or len(value) != 2:
+        raise ConfigError(f"{path}: expected a [u, v] pair")
+    u, v = (_ID(x, f"{path}[{i}]") for i, x in enumerate(value))
+    if u == v:
+        raise ConfigError(f"{path}: endpoints must be distinct")
+    return (u, v)
+
+
+def _as_list(
+    value: Any,
+    path: str,
+    item: Callable[[Any, str], Any],
+    empty: bool = False,
+    unique: str | None = None,
+    then: Callable[[list], tuple] = tuple,
+) -> tuple:
+    """Each entry read by ``item``; ``unique`` names the entries that may not repeat."""
+    if not _is_list(value) or not (value or empty):
+        raise ConfigError(f"{path}: expected a {'' if empty else 'non-empty '}list")
+    items = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if unique is not None:
+        seen: set = set()
+        for i, v in enumerate(items):
+            if v in seen:
+                raise ConfigError(f"{path}[{i}]: duplicate {unique} {v!r}; entries must be unique")
+            seen.add(v)
+    return then(items)
+
+
+def _sorted(items: Any) -> tuple:
+    return tuple(sorted(items))
+
+
+def _expand_formats(formats: list[str]) -> tuple[str, ...]:
+    """``both`` stands for csv and json; a repeated format is kept once, where first named."""
+    return tuple(dict.fromkeys(f for token in formats for f in (("csv", "json") if token == "both" else (token,))))
+
+
+def _as_weights(value: Any, path: str) -> WeightSpec:
+    """``{"kind": "constant", "value": c}`` or ``{"kind": "uniform", "low": a, "high": b}``."""
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path}: expected an object")
+    if "kind" not in value:
+        raise ConfigError(f"{path}.kind: required key missing")
+    kind = _as_str(value["kind"], f"{path}.kind", choices=("constant", "uniform"))
+    keys = ("value",) if kind == "constant" else ("low", "high")
+    for key in value:
+        if key not in ("kind", *keys):
+            raise ConfigError(f"{path}: {kind} weights take {'/'.join(map(repr, keys))}, not {key!r}")
+    for key in keys:
+        if key not in value:
+            raise ConfigError(f"{path}.{key}: required key missing")
+    low, high = (_as_float(value[key], f"{path}.{key}") for key in (keys[0], keys[-1]))
+    if not (low > 0.0):
         raise ConfigError(f"{path}: weights must be strictly positive")
-    if spec.high < spec.low:
-        raise ConfigError(f"{path}: interval is reversed: [{spec.low}, {spec.high}]")
-    return spec
+    if high < low:
+        raise ConfigError(f"{path}: interval is reversed: [{low}, {high}]")
+    return WeightSpec(kind, low, high)
 
 
-def _parse_network(data: Any) -> NetworkSpec:
-    _check_keys(data, "network", required=["nodes"], optional=["ring_degree", "rewire_prob", "weights"])
-    nodes = _as_int(data["nodes"], "network.nodes", lo=3)
-    ring_degree = _as_int(data.get("ring_degree", 4), "network.ring_degree", lo=2)
-    if ring_degree % 2 != 0:
-        raise ConfigError(f"network.ring_degree: must be even, got {ring_degree}")
-    if ring_degree >= nodes:
-        raise ConfigError(f"network.ring_degree: must be smaller than nodes ({nodes}), got {ring_degree}")
-    rewire = _as_float(data.get("rewire_prob", 0.1), "network.rewire_prob", lo=0.0, hi=1.0)
-    weights = (
-        _parse_weights(data["weights"], "network.weights")
-        if "weights" in data
-        else WeightSpec.uniform(0.1, 1.0)
-    )
-    return NetworkSpec(nodes=nodes, ring_degree=ring_degree, rewire_prob=rewire, weights=weights)
-
-
-def _parse_population(data: Any) -> PopulationSpec:
-    _check_keys(
-        data,
-        "population",
-        required=["competences"],
-        optional=["competence_range", "mask_density", "forgetting", "cognitive_range", "social_range"],
-    )
-    competences = _as_int(data["competences"], "population.competences", lo=1)
-    comp_range = _as_pair(data.get("competence_range", [0.0, 10.0]), "population.competence_range")
-    if comp_range[0] < 0.0:
-        raise ConfigError("population.competence_range: must be non-negative")
-    density = _as_float(data.get("mask_density", 0.5), "population.mask_density", lo=0.0, hi=1.0)
-    forgetting = _as_float(data.get("forgetting", 0.006), "population.forgetting", lo=0.0)
-    if forgetting >= 1.0:
-        raise ConfigError(f"population.forgetting: must be < 1, got {forgetting}")
-    cog = _as_pair(data.get("cognitive_range", [0.0, 1.0]), "population.cognitive_range")
-    soc = _as_pair(data.get("social_range", [0.0, 1.0]), "population.social_range")
-    for name, (lo, hi) in (("cognitive_range", cog), ("social_range", soc)):
-        if lo < 0.0 or hi > 1.0:
-            raise ConfigError(f"population.{name}: abilities must lie within [0, 1]")
-    return PopulationSpec(
-        competences=competences,
-        competence_range=comp_range,
-        mask_density=density,
-        forgetting=forgetting,
-        cognitive_range=cog,
-        social_range=soc,
+def _as_probe(value: Any, path: str) -> ProbeSpec:
+    if isinstance(value, str) and value in _NAMED_PROBES:
+        return ProbeSpec(_NAMED_PROBES[value])
+    if isinstance(value, Mapping) and list(value) == ["node"]:
+        return ProbeSpec("node", node=_ID(value["node"], f"{path}.node"))
+    if isinstance(value, Mapping) and list(value) == ["mask"]:
+        return ProbeSpec("mask", mask=_as_spec(value["mask"], f"{path}.mask", MaskProbe))
+    raise ConfigError(
+        f"{path}: unknown probe {value!r}; expected 'average_competence', 'collector_intake', "
+        "a {'node': id} object, or a {'mask': ...} object"
     )
 
 
-def _parse_role_plan(data: Any, network: NetworkSpec) -> RolePlan:
-    _check_keys(
-        data,
-        "role_plan",
-        required=["role", "strategies"],
-        optional=["fraction", "count", "boost_range", "boost_all", "weight_factor", "step"],
+def _as_spec(
+    value: Any,
+    path: str,
+    spec: type,
+    prefix: str | None = None,
+    readers: Mapping[str, Callable[[Any, str], Any]] | None = None,
+) -> Any:
+    """The JSON object for the dataclass ``spec``: one key per field, read by the field's reader.
+
+    Unknown keys are rejected, required keys are fields without a default, and
+    absent keys take the field default. ``readers`` supplies readers for a
+    dataclass declared outside this module. The section's ``_checked`` then
+    applies the rules that link its keys.
+    """
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path}: expected an object")
+    prefix = f"{path}." if prefix is None else prefix
+    declared = {f.name: f for f in fields(spec)}
+    for key in value:
+        if key not in declared:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+    for name, f in declared.items():
+        if name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{prefix}{name}: required key missing")
+    read = {name: f.metadata.get("read") for name, f in declared.items()} | dict(readers or {})
+    parsed = spec(**{key: read[key](v, prefix + key) for key, v in value.items()})
+    checked = getattr(parsed, "_checked", None)
+    return checked(value, path) if checked is not None else parsed
+
+
+# -- config model -------------------------------------------------------------------
+# A key that does not apply under the chosen mode is stored as None.
+
+
+@dataclass(frozen=True)
+class NetworkSpec:
+    nodes: int = field(metadata=_key(_as_int, lo=3))
+    ring_degree: int = field(default=4, metadata=_key(_as_int, lo=2))
+    rewire_prob: float = field(default=0.1, metadata=_key(_as_float, lo=0.0, hi=1.0))
+    weights: WeightSpec = field(default=WeightSpec.uniform(0.1, 1.0), metadata=_key(_as_weights))
+
+    def _checked(self, data: Mapping, path: str) -> NetworkSpec:
+        if self.ring_degree % 2 != 0:
+            raise ConfigError(f"{path}.ring_degree: must be even, got {self.ring_degree}")
+        if self.ring_degree >= self.nodes:
+            raise ConfigError(f"{path}.ring_degree: must be smaller than nodes ({self.nodes}), got {self.ring_degree}")
+        return self
+
+
+@dataclass(frozen=True)
+class PopulationSpec:
+    competences: int = field(metadata=_key(_as_int, lo=1))
+    competence_range: tuple[float, float] = field(default=(0.0, 10.0), metadata=_key(_as_pair, lo=0.0))
+    mask_density: float = field(default=0.5, metadata=_key(_as_float, lo=0.0, hi=1.0))
+    forgetting: float = field(default=0.006, metadata=_key(_as_float, lo=0.0, lt=1.0))
+    cognitive_range: tuple[float, float] = field(default=(0.0, 1.0), metadata=_key(_as_pair, lo=0.0, hi=1.0))
+    social_range: tuple[float, float] = field(default=(0.0, 1.0), metadata=_key(_as_pair, lo=0.0, hi=1.0))
+
+
+@dataclass(frozen=True)
+class RolePlan:
+    role: str = field(metadata=_key(_as_str, choices=ROLES))
+    strategies: tuple[str, ...] = field(
+        metadata=_key(_as_list, item=partial(_as_str, choices=(REFERENCE_TOKEN, *_STRATEGY_TOKENS)), unique="strategy")
     )
-    role = _as_str(data["role"], "role_plan.role", choices=ROLES)
-    raw_strategies = data["strategies"]
-    if not isinstance(raw_strategies, Sequence) or isinstance(raw_strategies, str) or not raw_strategies:
-        raise ConfigError("role_plan.strategies: expected a non-empty list of strategy names")
-    strategies: list[str] = []
-    for i, token in enumerate(raw_strategies):
-        token = _as_str(token, f"role_plan.strategies[{i}]", choices=(REFERENCE_TOKEN, *_STRATEGY_TOKENS))
-        if token in strategies:
-            raise ConfigError(f"role_plan.strategies[{i}]: duplicate strategy {token!r}")
-        strategies.append(token)
+    fraction: float | None = field(default=None, metadata=_key(_as_float, gt=0.0, hi=1.0))
+    count: int | None = field(default=None, metadata=_key(_as_int, lo=1))
+    boost_range: tuple[float, float] | None = field(default=None, metadata=_key(_as_pair, lo=0.0))
+    boost_all: bool | None = field(default=False, metadata=_key(_as_bool))
+    weight_factor: float | None = field(default=None, metadata=_key(_as_float, gt=0.0))
+    step: int = field(default=0, metadata=_key(_as_int, lo=0))
 
-    has_fraction = "fraction" in data
-    has_count = "count" in data
-    if has_fraction == has_count:
-        raise ConfigError("role_plan: exactly one of 'fraction' or 'count' is required")
-    fraction = _as_float(data["fraction"], "role_plan.fraction") if has_fraction else None
-    if fraction is not None and not (0.0 < fraction <= 1.0):
-        raise ConfigError(f"role_plan.fraction: must lie in (0, 1], got {fraction}")
-    count = _as_int(data["count"], "role_plan.count", lo=1) if has_count else None
-    if count is not None and count > network.nodes:
-        raise ConfigError(f"role_plan.count: exceeds network nodes ({network.nodes}), got {count}")
+    def _checked(self, data: Mapping, path: str) -> RolePlan:
+        if (self.fraction is None) == (self.count is None):
+            raise ConfigError(f"{path}: exactly one of 'fraction' or 'count' is required")
+        for key, owner in _ROLE_KEYS.items():
+            if key in data and owner != self.role:
+                raise ConfigError(f"{path}.{key}: only valid for the {owner} role")
+            if owner == self.role and getattr(self, key) is None:
+                raise ConfigError(f"{path}.{key}: required for the {owner} role")
+        return self if self.role == "expert" else dc_replace(self, boost_all=None)
 
-    boost_range = None
-    boost_all = False
-    weight_factor = None
-    if role == "expert":
-        if "boost_range" not in data:
-            raise ConfigError("role_plan.boost_range: required for the expert role")
-        boost_range = _as_pair(data["boost_range"], "role_plan.boost_range")
-        if boost_range[0] < 0.0:
-            raise ConfigError("role_plan.boost_range: must be non-negative")
-        boost_all = _as_bool(data.get("boost_all", False), "role_plan.boost_all")
-        if "weight_factor" in data:
-            raise ConfigError("role_plan.weight_factor: only valid for the facilitator role")
-    elif role == "facilitator":
-        if "weight_factor" not in data:
-            raise ConfigError("role_plan.weight_factor: required for the facilitator role")
-        weight_factor = _as_float(data["weight_factor"], "role_plan.weight_factor")
-        if not (weight_factor > 0.0):
-            raise ConfigError(f"role_plan.weight_factor: must be > 0, got {weight_factor}")
-        for key in ("boost_range", "boost_all"):
-            if key in data:
-                raise ConfigError(f"role_plan.{key}: only valid for the expert role")
-    else:  # collector
-        for key in ("boost_range", "boost_all", "weight_factor"):
-            if key in data:
-                raise ConfigError(f"role_plan.{key}: not valid for the collector role")
 
-    step = _as_int(data.get("step", 0), "role_plan.step", lo=0)
-    return RolePlan(
-        role=role,
-        strategies=tuple(strategies),
-        fraction=fraction,
-        count=count,
-        boost_range=boost_range,
-        boost_all=boost_all,
-        weight_factor=weight_factor,
-        step=step,
+@dataclass(frozen=True)
+class CommunityFixture:
+    members: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, unique="node id", then=_sorted))
+    core: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, empty=True, then=_sorted))
+
+
+@dataclass(frozen=True)
+class CommunityPlan:
+    method: str = field(metadata=_key(_as_str, choices=("fixture", "jaccard")))
+    threshold: float | None = field(default=0.5, metadata=_key(_as_float, gt=0.0, hi=1.0))
+    core_rule: str | None = field(default="and", metadata=_key(_as_str, choices=("and", "majority")))
+    core_theta: float | None = field(default=0.5, metadata=_key(_as_float))
+    communities: tuple[CommunityFixture, ...] | None = field(
+        default=None, metadata=_key(_as_list, item=partial(_as_spec, spec=CommunityFixture))
     )
+    ties: str = field(default="none", metadata=_key(_as_str, choices=_TIE_MODES))
+    manual_ties: tuple[tuple[int, int], ...] | None = field(default=None, metadata=_key(_as_list, item=_as_tie))
+    community_index: int = field(default=0, metadata=_key(_as_int, lo=0))
+    budget: int = field(default=1, metadata=_key(_as_int, lo=0))
+    min_efficiency: float | None = field(default=None, metadata=_key(_or_null, item=partial(_as_float, lo=0.0)))
+    tie_weight: float | None = field(default=None, metadata=_key(_or_null, item=partial(_as_float, gt=0.0)))
+    division: str = field(default="double", metadata=_key(_as_str, choices=("double", "single")))
 
-
-def _parse_community_plan(data: Any, network: NetworkSpec, population: PopulationSpec) -> CommunityPlan:
-    _check_keys(
-        data,
-        "community_plan",
-        required=["method"],
-        optional=[
-            "threshold",
-            "core_rule",
-            "core_theta",
-            "communities",
-            "ties",
-            "manual_ties",
-            "community_index",
-            "budget",
-            "min_efficiency",
-            "tie_weight",
-            "division",
-        ],
-    )
-    method = _as_str(data["method"], "community_plan.method", choices=["fixture", "jaccard"])
-    threshold = _as_float(data.get("threshold", 0.5), "community_plan.threshold")
-    if not (0.0 < threshold <= 1.0):
-        raise ConfigError(f"community_plan.threshold: must lie in (0, 1], got {threshold}")
-    core_rule = _as_str(data.get("core_rule", "and"), "community_plan.core_rule", choices=["and", "majority"])
-    core_theta = _as_float(data.get("core_theta", 0.5), "community_plan.core_theta")
-
-    communities: list[CommunityFixture] = []
-    if method == "fixture":
-        raw = data.get("communities")
-        if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
-            raise ConfigError("community_plan.communities: fixture method needs a non-empty list")
-        for z, entry in enumerate(raw):
-            path = f"community_plan.communities[{z}]"
-            _check_keys(entry, path, required=["members", "core"])
-            members = entry["members"]
-            core = entry["core"]
-            if not isinstance(members, Sequence) or isinstance(members, str) or not members:
-                raise ConfigError(f"{path}.members: expected a non-empty list of node ids")
-            member_ids = tuple(_as_int(v, f"{path}.members[{i}]", lo=0, hi=network.nodes - 1) for i, v in enumerate(members))
-            if len(set(member_ids)) != len(member_ids):
-                raise ConfigError(f"{path}.members: duplicate node id")
-            if not isinstance(core, Sequence) or isinstance(core, str):
-                raise ConfigError(f"{path}.core: expected a list of competence indices")
-            core_ids = tuple(
-                _as_int(c, f"{path}.core[{i}]", lo=0, hi=population.competences - 1) for i, c in enumerate(core)
-            )
-            communities.append(CommunityFixture(members=tuple(sorted(member_ids)), core=tuple(sorted(core_ids))))
-    elif "communities" in data:
-        raise ConfigError("community_plan.communities: only valid with the fixture method")
-
-    ties = _as_str(data.get("ties", "none"), "community_plan.ties", choices=_TIE_MODES)
-    manual_ties: list[tuple[int, int]] = []
-    if ties == "manual":
-        raw_ties = data.get("manual_ties")
-        if not isinstance(raw_ties, Sequence) or isinstance(raw_ties, str) or not raw_ties:
-            raise ConfigError("community_plan.manual_ties: manual ties need a non-empty list of [u, v] pairs")
-        for i, pair in enumerate(raw_ties):
-            path = f"community_plan.manual_ties[{i}]"
-            if not isinstance(pair, Sequence) or isinstance(pair, str) or len(pair) != 2:
-                raise ConfigError(f"{path}: expected a [u, v] pair")
-            u = _as_int(pair[0], f"{path}[0]", lo=0, hi=network.nodes - 1)
-            v = _as_int(pair[1], f"{path}[1]", lo=0, hi=network.nodes - 1)
-            if u == v:
-                raise ConfigError(f"{path}: endpoints must be distinct")
-            manual_ties.append((u, v))
-    elif "manual_ties" in data:
-        raise ConfigError("community_plan.manual_ties: only valid with ties='manual'")
-
-    community_index = _as_int(data.get("community_index", 0), "community_plan.community_index", lo=0)
-    if method == "fixture" and communities and community_index >= len(communities):
-        raise ConfigError(
-            f"community_plan.community_index: only {len(communities)} communities defined, got {community_index}"
-        )
-    budget = _as_int(data.get("budget", 1), "community_plan.budget", lo=0)
-    min_eff = data.get("min_efficiency")
-    if min_eff is not None:
-        min_eff = _as_float(min_eff, "community_plan.min_efficiency", lo=0.0)
-    tie_weight = data.get("tie_weight")
-    if tie_weight is not None:
-        tie_weight = _as_float(tie_weight, "community_plan.tie_weight")
-        if not (tie_weight > 0.0):
-            raise ConfigError(f"community_plan.tie_weight: must be > 0, got {tie_weight}")
-    division = _as_str(data.get("division", "double"), "community_plan.division", choices=["double", "single"])
-
-    return CommunityPlan(
-        method=method,
-        threshold=threshold,
-        core_rule=core_rule,
-        core_theta=core_theta,
-        communities=tuple(communities),
-        ties=ties,
-        manual_ties=tuple(manual_ties),
-        community_index=community_index,
-        budget=budget,
-        min_efficiency=min_eff,
-        tie_weight=tie_weight,
-        division=division,
-    )
-
-
-def _parse_probes(raw: Any, network: NetworkSpec, population: PopulationSpec) -> tuple[ProbeSpec, ...]:
-    if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
-        raise ConfigError("run.probes: expected a non-empty list")
-    probes: list[ProbeSpec] = []
-    for i, entry in enumerate(raw):
-        path = f"run.probes[{i}]"
-        if isinstance(entry, str):
-            if entry == "average_competence":
-                probes.append(ProbeSpec(kind="average"))
-            elif entry == "collector_intake":
-                probes.append(ProbeSpec(kind="collector"))
-            else:
+    def _checked(self, data: Mapping, path: str) -> CommunityPlan:
+        if self.method == "fixture":
+            if self.communities is None:
+                raise ConfigError(f"{path}.communities: fixture method needs a non-empty list")
+            if self.community_index >= len(self.communities):
                 raise ConfigError(
-                    f"{path}: unknown probe {entry!r}; expected 'average_competence', 'collector_intake', "
-                    "a {{'node': id}} object, or a {{'mask': ...}} object"
+                    f"{path}.community_index: only {len(self.communities)} communities defined, got {self.community_index}"
                 )
-        elif isinstance(entry, Mapping):
-            if set(entry) == {"node"}:
-                node = _as_int(entry["node"], f"{path}.node", lo=0, hi=network.nodes - 1)
-                probes.append(ProbeSpec(kind="node", node=node))
-            elif set(entry) == {"mask"}:
-                body = entry["mask"]
-                _check_keys(body, f"{path}.mask", required=["name", "competences"], optional=["members"])
-                name = _as_str(body["name"], f"{path}.mask.name")
-                if not _NAME_RE.match(name):
-                    raise ConfigError(f"{path}.mask.name: must match [A-Za-z0-9_.-]+, got {name!r}")
-                comps = body["competences"]
-                if not isinstance(comps, Sequence) or isinstance(comps, str) or not comps:
-                    raise ConfigError(f"{path}.mask.competences: expected a non-empty list of indices")
-                comp_ids = tuple(
-                    _as_int(c, f"{path}.mask.competences[{j}]", lo=0, hi=population.competences - 1)
-                    for j, c in enumerate(comps)
-                )
-                members = None
-                if "members" in body:
-                    raw_members = body["members"]
-                    if not isinstance(raw_members, Sequence) or isinstance(raw_members, str) or not raw_members:
-                        raise ConfigError(f"{path}.mask.members: expected a non-empty list of node ids")
-                    members = tuple(
-                        _as_int(v, f"{path}.mask.members[{j}]", lo=0, hi=network.nodes - 1)
-                        for j, v in enumerate(raw_members)
-                    )
-                probes.append(
-                    ProbeSpec(kind="mask", name=name, competences=tuple(sorted(set(comp_ids))), members=members)
-                )
-            else:
-                raise ConfigError(f"{path}: expected a 'node' or 'mask' object, got keys {sorted(entry)}")
+            ignored = {"threshold": None, "core_rule": None, "core_theta": None}
         else:
-            raise ConfigError(f"{path}: unsupported probe entry {entry!r}")
-    return tuple(probes)
+            if self.communities is not None:
+                raise ConfigError(f"{path}.communities: only valid with the fixture method")
+            ignored = {} if self.core_rule == "majority" else {"core_theta": None}
+        if self.ties == "manual" and self.manual_ties is None:
+            raise ConfigError(f"{path}.manual_ties: manual ties need a non-empty list of [u, v] pairs")
+        if self.ties != "manual" and self.manual_ties is not None:
+            raise ConfigError(f"{path}.manual_ties: only valid with ties='manual'")
+        return dc_replace(self, **ignored)
 
 
-def _parse_run(data: Any, network: NetworkSpec, population: PopulationSpec) -> RunSpec:
-    _check_keys(data, "run", required=["steps", "seeds"], optional=["probes"])
-    steps = _as_int(data["steps"], "run.steps", lo=0)
-    raw_seeds = data["seeds"]
-    if not isinstance(raw_seeds, Sequence) or isinstance(raw_seeds, str) or not raw_seeds:
-        raise ConfigError("run.seeds: expected a non-empty list of integers")
-    seeds = tuple(_as_int(s, f"run.seeds[{i}]", lo=0) for i, s in enumerate(raw_seeds))
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("run.seeds: seeds must be unique")
-    probes = _parse_probes(data.get("probes", ["average_competence"]), network, population)
-    return RunSpec(steps=steps, seeds=seeds, probes=probes)
+@dataclass(frozen=True)
+class MaskProbe:
+    name: str = field(metadata=_key(_as_name))
+    competences: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, then=lambda ids: _sorted(set(ids))))
+    members: tuple[int, ...] | None = field(default=None, metadata=_key(_as_list, item=_ID))
 
 
-def _parse_output(data: Any) -> OutputSpec:
-    _check_keys(data, "output", required=[], optional=["directory", "formats"])
-    directory = None
-    if "directory" in data:
-        directory = _as_str(data["directory"], "output.directory")
-    formats_raw = data.get("formats", ["csv", "json"])
-    if not isinstance(formats_raw, Sequence) or isinstance(formats_raw, str) or not formats_raw:
-        raise ConfigError("output.formats: expected a non-empty list")
-    formats: list[str] = []
-    for i, fmt in enumerate(formats_raw):
-        fmt = _as_str(fmt, f"output.formats[{i}]", choices=["csv", "json", "both"])
-        if fmt == "both":
-            formats.extend(["csv", "json"])
-        else:
-            formats.append(fmt)
-    return OutputSpec(directory=directory, formats=tuple(dict.fromkeys(formats)))
+@dataclass(frozen=True)
+class ProbeSpec:
+    kind: str  # "average" | "node" | "mask" | "collector"
+    node: int | None = None
+    mask: MaskProbe | None = None
+
+    def to_json(self) -> Any:
+        if self.kind == "node":
+            return {"node": self.node}
+        if self.kind == "mask":
+            return {"mask": _to_json(self.mask)}
+        return next(token for token, kind in _NAMED_PROBES.items() if kind == self.kind)
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    steps: int = field(metadata=_key(_as_int, lo=0))
+    seeds: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, unique="seed"))
+    probes: tuple[ProbeSpec, ...] = field(default=(ProbeSpec("average"),), metadata=_key(_as_list, item=_as_probe))
+
+
+@dataclass(frozen=True)
+class OutputSpec:
+    directory: str | None = field(default=None, metadata=_key(_as_str))
+    formats: tuple[str, ...] = field(
+        default=("csv", "json"),
+        metadata=_key(_as_list, item=partial(_as_str, choices=("csv", "json", "both")), then=_expand_formats),
+    )
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    name: str = field(metadata=_key(_as_name))
+    network: NetworkSpec = field(metadata=_key(_as_spec, spec=NetworkSpec))
+    population: PopulationSpec = field(metadata=_key(_as_spec, spec=PopulationSpec))
+    run: RunSpec = field(metadata=_key(_as_spec, spec=RunSpec))
+    role_plan: RolePlan | None = field(default=None, metadata=_key(_as_spec, spec=RolePlan))
+    community_plan: CommunityPlan | None = field(default=None, metadata=_key(_as_spec, spec=CommunityPlan))
+    diffusion: DiffusionConfig = field(
+        default_factory=DiffusionConfig,
+        metadata=_key(_as_spec, spec=DiffusionConfig, readers={"cognitive_gain": _as_bool}),
+    )
+    output: OutputSpec = field(default_factory=OutputSpec, metadata=_key(_as_spec, spec=OutputSpec))
+
+    def to_dict(self) -> dict:
+        """The config as JSON data, without the keys its modes ignore; ``parse_config`` inverts it."""
+        return _to_json(self)
+
+    def _checked(self, data: Mapping, path: str) -> ScenarioConfig:
+        """Rules across sections: node and competence ids in range, collector probes."""
+        nodes, competences = self.network.nodes, self.population.competences
+        role = self.role_plan
+        if role is not None and role.count is not None and role.count > nodes:
+            raise ConfigError(f"role_plan.count: exceeds network nodes ({nodes}), got {role.count}")
+        ids: list[tuple[str, Sequence[int], int]] = []
+        if self.community_plan is not None:
+            for z, community in enumerate(self.community_plan.communities or ()):
+                ids.append((f"community_plan.communities[{z}].members", community.members, nodes))
+                ids.append((f"community_plan.communities[{z}].core", community.core, competences))
+            for i, tie in enumerate(self.community_plan.manual_ties or ()):
+                ids.append((f"community_plan.manual_ties[{i}]", tie, nodes))
+        for i, probe in enumerate(self.run.probes):
+            if probe.kind == "collector" and (role is None or role.role != "collector"):
+                raise ConfigError(f"run.probes[{i}]: collector_intake requires a collector role plan")
+            if probe.node is not None:
+                ids.append((f"run.probes[{i}].node", (probe.node,), nodes))
+            if probe.mask is not None:
+                ids.append((f"run.probes[{i}].mask.competences", probe.mask.competences, competences))
+                ids.append((f"run.probes[{i}].mask.members", probe.mask.members or (), nodes))
+        for path, values, limit in ids:
+            for value in values:
+                if value >= limit:
+                    raise ConfigError(f"{path}: id {value} is out of range, must be < {limit}")
+        return self
+
+
+def _to_json(value: Any) -> Any:
+    """JSON data for a spec: None fields dropped, tuples as lists, nested specs recursed."""
+    if isinstance(value, WeightSpec):
+        if value.kind == "constant":
+            return {"kind": "constant", "value": value.low}
+        return {"kind": "uniform", "low": value.low, "high": value.high}
+    if isinstance(value, ProbeSpec):
+        return value.to_json()
+    if is_dataclass(value):
+        pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
+        return {name: _to_json(v) for name, v in pairs if v is not None}
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def config_hash(config: ScenarioConfig) -> str:
+    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def parse_config(data: Any, source: str = "config") -> ScenarioConfig:
     """Validate a raw JSON object into a ScenarioConfig; fail fast on any unknown key."""
-    _check_keys(
-        data,
-        source,
-        required=["name", "network", "population", "run"],
-        optional=["role_plan", "community_plan", "diffusion", "output"],
-    )
-    name = _as_str(data["name"], f"{source}.name")
-    if not _NAME_RE.match(name):
-        raise ConfigError(f"{source}.name: must match [A-Za-z0-9_.-]+, got {name!r}")
-    network = _parse_network(data["network"])
-    population = _parse_population(data["population"])
-    role_plan = _parse_role_plan(data["role_plan"], network) if "role_plan" in data else None
-    community_plan = (
-        _parse_community_plan(data["community_plan"], network, population)
-        if "community_plan" in data
-        else None
-    )
-    cognitive_gain = True
-    if "diffusion" in data:
-        _check_keys(data["diffusion"], "diffusion", required=[], optional=["cognitive_gain"])
-        cognitive_gain = _as_bool(data["diffusion"].get("cognitive_gain", True), "diffusion.cognitive_gain")
-    run_spec = _parse_run(data["run"], network, population)
-    output = _parse_output(data["output"]) if "output" in data else OutputSpec()
-
-    for i, probe in enumerate(run_spec.probes):
-        if probe.kind == "collector" and (role_plan is None or role_plan.role != "collector"):
-            raise ConfigError(f"run.probes[{i}]: collector_intake requires a collector role plan")
-
-    return ScenarioConfig(
-        name=name,
-        network=network,
-        population=population,
-        run=run_spec,
-        role_plan=role_plan,
-        community_plan=community_plan,
-        cognitive_gain=cognitive_gain,
-        output=output,
-    )
+    return _as_spec(data, source, ScenarioConfig, prefix="")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -744,25 +528,10 @@ def export_fixtures(out_dir: str | Path) -> list[Path]:
 # -- experiment runner ------------------------------------------------------------------
 
 
-_GRAPH_CACHE: dict[tuple, WeightedGraph] = {}
-_RANK_CACHE: dict[tuple, tuple[int, ...]] = {}
-
-
-def clear_caches() -> None:
-    _GRAPH_CACHE.clear()
-    _RANK_CACHE.clear()
-
-
 def _graph_for(network: NetworkSpec, seed: int) -> WeightedGraph:
-    """Seeded network build, cached; callers must treat the result as frozen."""
-    key = (network, seed)
-    if key not in _GRAPH_CACHE:
-        g = generate_watts_strogatz(
-            network.nodes, network.ring_degree, network.rewire_prob, stream_rng(seed, "topology")
-        )
-        g = assign_weights(g, network.weights, stream_rng(seed, "weights"))
-        _GRAPH_CACHE[key] = g
-    return _GRAPH_CACHE[key]
+    """Seeded network build; the variants of one seed share it, so callers treat it as frozen."""
+    g = generate_watts_strogatz(network.nodes, network.ring_degree, network.rewire_prob, stream_rng(seed, "topology"))
+    return assign_weights(g, network.weights, stream_rng(seed, "weights"))
 
 
 def _population_for(population: PopulationSpec, n_workers: int, seed: int) -> Population:
@@ -776,15 +545,6 @@ def _population_for(population: PopulationSpec, n_workers: int, seed: int) -> Po
         forgetting=population.forgetting,
         rng=stream_rng(seed, "population"),
     )
-
-
-def _ranking_for(network: NetworkSpec, seed: int, strategy: str) -> tuple[int, ...]:
-    key = (network, seed, strategy)
-    if key not in _RANK_CACHE:
-        g = _graph_for(network, seed)
-        rng = stream_rng(seed, "strategy") if strategy == Strategy.RANDOM.value else None
-        _RANK_CACHE[key] = tuple(rank_nodes(g, strategy, rng=rng))
-    return _RANK_CACHE[key]
 
 
 def _communities_for(plan: CommunityPlan, workers: Population) -> list[Community]:
@@ -906,23 +666,21 @@ def _build_probes(config: ScenarioConfig, collector_ids: Sequence[int]) -> list[
         elif spec.kind == "node":
             probes.append(probe_node(int(spec.node)))  # type: ignore[arg-type]
         elif spec.kind == "mask":
-            probes.append(probe_mask(str(spec.name), spec.competences, spec.members))
+            probes.append(probe_mask(spec.mask.name, spec.mask.competences, spec.mask.members))  # type: ignore[union-attr]
         else:
             probes.extend(collector_probes(collector_ids))
     return probes
 
 
-def _single_run(config: ScenarioConfig, variant: str, seed: int) -> _SingleRun:
-    g = _graph_for(config.network, seed)
+def _single_run(config: ScenarioConfig, variant: str, seed: int, g: WeightedGraph) -> _SingleRun:
     pop = _population_for(config.population, config.network.nodes, seed)
-    dconfig = DiffusionConfig(cognitive_gain=config.cognitive_gain)
 
     interventions: dict[int, Callable[[SimulationState], SimulationState]] = {}
     assignment: RoleAssignment | None = None
     selected: tuple[int, ...] = ()
     plan = config.role_plan
     if plan is not None and variant != REFERENCE_TOKEN:
-        ranking = _ranking_for(config.network, seed, variant)
+        ranking = rank_nodes(g, variant, rng=stream_rng(seed, "strategy") if variant == Strategy.RANDOM.value else None)
         portion: int | float = plan.count if plan.count is not None else float(plan.fraction)  # type: ignore[arg-type]
         selected = tuple(select_top(ranking, portion))
         if plan.role == "expert":
@@ -962,7 +720,7 @@ def _single_run(config: ScenarioConfig, variant: str, seed: int) -> _SingleRun:
     collector_ids = selected if (plan is not None and plan.role == "collector") else ()
     probes = _build_probes(config, collector_ids)
     state = SimulationState.initial(g, pop)
-    _, series = run(state, config.run.steps, probes, config=dconfig, interventions=interventions)
+    _, series = run(state, config.run.steps, probes, config=config.diffusion, interventions=interventions)
     return _SingleRun(seed=seed, series=series, ties=ties, assignment=assignment)
 
 
@@ -1014,18 +772,22 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     seed_list = tuple(int(s) for s in (seeds if seeds is not None else config.run.seeds))
     if not seed_list:
         raise ConfigError("run.seeds: need at least one seed")
-    variants: dict[str, VariantResult] = {}
-    for variant in _variant_names(config):
-        runs: dict[int, TimeSeries] = {}
-        ties: dict[int, list[dict]] = {}
-        assignments: dict[int, RoleAssignment | None] = {}
-        for seed in seed_list:
+    names = _variant_names(config)
+    runs: dict[str, list[_SingleRun]] = {variant: [] for variant in names}
+    for seed in seed_list:
+        g = _graph_for(config.network, seed)
+        for variant in names:
             logger.info("running %s variant=%s seed=%d", config.name, variant, seed)
-            single = _single_run(config, variant, seed)
-            runs[seed] = single.series
-            ties[seed] = single.ties
-            assignments[seed] = single.assignment
-        result = VariantResult(name=variant, seeds=seed_list, series=runs, ties=ties, assignments=assignments)
+            runs[variant].append(_single_run(config, variant, seed, g))
+    variants: dict[str, VariantResult] = {}
+    for variant, singles in runs.items():
+        result = VariantResult(
+            name=variant,
+            seeds=seed_list,
+            series={r.seed: r.series for r in singles},
+            ties={r.seed: r.ties for r in singles},
+            assignments={r.seed: r.assignment for r in singles},
+        )
         _aggregate(result)
         variants[variant] = result
     return ExperimentReport(

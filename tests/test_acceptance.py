@@ -21,7 +21,6 @@ from knowflow import (
     WeightSpec,
     add_edge,
     assign_weights,
-    clear_caches,
     coauthor_utility,
     emit_report,
     generate_watts_strogatz,
@@ -339,7 +338,6 @@ def test_criterion_8_acceleration_beats_random_ties():
 
 def test_criterion_9_byte_identical_reports(tmp_path):
     def produce(target):
-        clear_caches()
         report = run_experiment(load_fixture("fig6"), seeds=[1, 2])
         return {p.name: p.read_bytes() for p in emit_report(report, target, formats=["csv", "json"])}
 

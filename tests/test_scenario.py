@@ -8,7 +8,6 @@ import pytest
 
 from knowflow import (
     ConfigError,
-    clear_caches,
     config_hash,
     emit_report,
     fixture_names,
@@ -53,7 +52,7 @@ def test_minimal_config_fills_defaults():
     assert cfg.population.forgetting == 0.006
     assert cfg.population.competence_range == (0.0, 10.0)
     assert cfg.output.formats == ("csv", "json")
-    assert cfg.cognitive_gain is True
+    assert cfg.diffusion.cognitive_gain is True
     assert [p.kind for p in cfg.run.probes] == ["average"]
 
 
@@ -96,6 +95,25 @@ def test_scalar_validation_messages_name_the_path():
         parse_config(data)
     with pytest.raises(ConfigError, match="name"):
         parse_config(tiny_config(name="no spaces allowed"))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("population", "forgetting", float("nan")),
+        ("network", "rewire_prob", float("nan")),
+        ("population", "competence_range", [0.0, float("inf")]),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, section, key, value):
+    data = tiny_config()
+    data[section][key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}.*finite"):
+        parse_config(data)
+    cfg_path = tmp_path / "tiny.json"
+    cfg_path.write_text(json.dumps(data))  # NaN and Infinity as JSON extensions
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
 
 
 def test_weight_spec_validation():
@@ -211,17 +229,88 @@ def test_load_config_errors(tmp_path):
 # -- round trips and fixtures -----------------------------------------------------
 
 
+COMMUNITY = [{"members": [0, 1, 2, 6, 7], "core": [0, 1]}]
+
+# Each case sets keys that to_dict emits only in some modes; the hashes were
+# computed before the config schema moved onto the spec dataclasses.
+ROUND_TRIP_CASES = {
+    "expert-no-cognitive-gain": (
+        dict(role_plan={"role": "expert", "strategies": ["none", "degree"], "fraction": 0.25,
+                        "boost_range": [10, 50]},
+             diffusion={"cognitive_gain": False}),
+        "4a9e7da568fe4177fed409f9f4c49e3411343e09576c2524d611408e373e9bc1",
+    ),
+    "expert-boost-all": (
+        dict(role_plan={"role": "expert", "strategies": ["closeness"], "count": 2,
+                        "boost_range": [5, 6], "boost_all": True, "step": 3}),
+        "be1e019e879eb0017237554b6f168093b0f26d1568129616524e3b4878413e98",
+    ),
+    "facilitator": (
+        dict(role_plan={"role": "facilitator", "strategies": ["none", "degree"], "count": 3,
+                        "weight_factor": 1.5}),
+        "02d525acbc02f1a2885c2bd7543c9b6da381848311ef285d1a4449f7a60149a2",
+    ),
+    "collector-and-probes": (
+        dict(role_plan={"role": "collector", "strategies": ["random"], "fraction": 0.25},
+             run={"steps": 15, "seeds": [1, 2], "probes": [
+                 "average_competence", "collector_intake", {"node": 3},
+                 {"mask": {"name": "core", "competences": [2, 0, 2], "members": [5, 1]}},
+                 {"mask": {"name": "all.c1", "competences": [1]}}]}),
+        "0c34106b561757d18c4a69a45d9a3494e5e8c548d59a718950b3c27fc0670780",
+    ),
+    "jaccard-majority": (
+        dict(community_plan={"method": "jaccard", "threshold": 0.4, "core_rule": "majority",
+                             "core_theta": 0.6, "ties": "algorithm", "budget": 2}),
+        "ae6b40b8de092cce2eb3946ccdfe82b30527c2b7aeee61a55ef6e8bdf79ea993",
+    ),
+    # keys the chosen mode ignores: to_dict leaves them out, so they must not
+    # survive parsing either
+    "jaccard-and-ignores-core-theta": (
+        dict(community_plan={"method": "jaccard", "core_rule": "and", "core_theta": 0.7}),
+        "6396c4b24813819563004c687936c0b2327e23b7188f28ebd845ff1a709b417e",
+    ),
+    "fixture-ignores-threshold": (
+        dict(community_plan={"method": "fixture", "communities": COMMUNITY, "threshold": 0.3}),
+        "9ad90fefaf94a161204fe769589a5dba8c014bb5146c37103c5966a96029143f",
+    ),
+    "manual-ties": (
+        dict(community_plan={"method": "fixture", "communities": COMMUNITY, "ties": "manual",
+                             "manual_ties": [[0, 6], [7, 1]], "division": "single"}),
+        "bf2a12e29b054ae12c71e79112783bf2302ed6e8249571e532801b27cfa9df8b",
+    ),
+    "algorithm-limits": (
+        dict(community_plan={"method": "fixture", "communities": COMMUNITY, "ties": "algorithm",
+                             "min_efficiency": 0.001, "tie_weight": 0.2}),
+        "7ad03e5f0076bcab8a8234bf3b97d2f9721ac147aed472f0575bc96d66613710",
+    ),
+    "constant-weights": (
+        dict(network={"nodes": 12, "weights": {"kind": "constant", "value": 0.3}}),
+        "01d69fa1f3703856049619060d23e3d95502ff7a4fa335f59ab2f6135e2c48f0",
+    ),
+    "output-directory": (
+        dict(output={"directory": "reports", "formats": ["json", "both"]}),
+        "08fa2a6e3eb4382d1e1f0fbe16f80063f51dcb4cf4f748ff1220ced1f73aa174",
+    ),
+}
+
+
 def test_config_round_trip_is_idempotent():
-    cfg = parse_config(
-        tiny_config(
-            role_plan={"role": "expert", "strategies": ["none", "degree"], "fraction": 0.25,
-                       "boost_range": [10, 50]},
-            diffusion={"cognitive_gain": False},
-        )
-    )
-    again = parse_config(cfg.to_dict())
-    assert again == cfg
-    assert config_hash(again) == config_hash(cfg)
+    for case, (overrides, expected_hash) in ROUND_TRIP_CASES.items():
+        cfg = parse_config(tiny_config(**overrides))
+        again = parse_config(cfg.to_dict())
+        assert again == cfg, case
+        assert config_hash(again) == config_hash(cfg) == expected_hash, case
+
+
+FIXTURE_HASHES = {
+    "fig2": "fedcfd9638fe75a83ecbe62aef7023693c003a3752e72fd74e7caacf895324e3",
+    "fig3": "d2a5a3fbaae0c9c548300dd68c39f4b9ba60901033966438f9f67c14ba627d83",
+    "fig4": "cdb676e0250139a5d6ca9e934f7d4b148341753c128e7543376e543bbd09a3ad",
+    "fig6": "3f4ce2c3362377fe5a80b38ec8c9c1cbc69e5d645b0134ebb45c98d8aafd5613",
+    "fig7": "8628dd9649752172a32e153e926d0d2e4c210dcbcde30711b0082a0a6b894710",
+    "fig8": "341220ac22256233c64900bef57f0be74fc8caf46866381d094660121db835b1",
+    "fig9": "45d4d0535871103376681fe84d4e31779ceb4976952080aeb1032ef3bfd4f77c",
+}
 
 
 def test_all_fixtures_load_and_round_trip():
@@ -230,6 +319,7 @@ def test_all_fixtures_load_and_round_trip():
     for name in names:
         cfg = load_fixture(name)
         assert parse_config(cfg.to_dict()) == cfg
+        assert config_hash(cfg) == FIXTURE_HASHES[name]
     with pytest.raises(ConfigError, match="unknown fixture"):
         load_fixture("fig1")
 
@@ -415,8 +505,7 @@ def test_emit_report_writes_deterministic_files(tmp_path):
         report.variants["default"].series[1].column("average_competence")[-1]
     )
 
-    # a cold rebuild of the same config must reproduce every byte
-    clear_caches()
+    # a second, independent run of the same config must reproduce every byte
     second = tmp_path / "b"
     emit_report(run_experiment(parse_config(tiny_config(output={"formats": ["both"]}))), second)
     for name in names:
@@ -486,6 +575,15 @@ def test_cli_rank_orders_nodes(tmp_path, capsys):
     assert main(["rank", str(graph), "--strategy", "nonsense"]) == 3
     assert main(["rank", str(graph), "--strategy", "degree", "--top", "x"]) == 2
     assert main(["rank", str(tmp_path / "missing.txt"), "--strategy", "degree"]) == 3
+
+
+@pytest.mark.parametrize("text, line", [("# nodes=abc\n0,1,1.0\n", 1), ("# nodes=3\n0,1,1.0\n1,2,heavy\n", 3)])
+def test_cli_rank_malformed_edge_list_is_a_runtime_error(tmp_path, capsys, text, line):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text)
+    assert main(["rank", str(graph), "--strategy", "degree"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(graph) in err and f"line {line}" in err
 
 
 def test_cli_rank_random_is_seeded(tmp_path, capsys):
