@@ -9,181 +9,16 @@ reproducible experiment configs with CSV/JSON reporting, and cli exposes it
 on the command line.
 """
 
-from .community import (
-    Community,
-    CommunityError,
-    TieProposal,
-    accelerate,
-    accelerate_loop,
-    detect_communities,
-    edge_efficiency,
-    energy_ranking,
-    jaccard_similarity,
-    knowledge_energy,
-    transfer_efficiency,
-)
-from .diffusion import (
-    DiffusionConfig,
-    DiffusionError,
-    KnowledgeResource,
-    Probe,
-    SimulationState,
-    TimeSeries,
-    assimilate,
-    collector_probes,
-    create_resource,
-    probe_average,
-    probe_mask,
-    probe_node,
-    reference_step,
-    run,
-    step,
-    transmit,
-)
-from .netgraph import (
-    GraphError,
-    PathResult,
-    WeightedGraph,
-    WeightSpec,
-    add_edge,
-    assign_weights,
-    average_edge_weight,
-    coauthor_utility,
-    generate_watts_strogatz,
-    read_edge_list,
-    scale_incident_weights,
-    shortest_hop_path,
-    weighted_betweenness,
-    weighted_betweenness_all,
-    weighted_closeness,
-    weighted_closeness_all,
-    write_edge_list,
-)
-from .roles import (
-    ROLES,
-    RoleAssignment,
-    RoleError,
-    Strategy,
-    apply_collector,
-    apply_expert,
-    apply_facilitator,
-    rank_nodes,
-    select_top,
-)
-from .scenario import (
-    ConfigError,
-    ExperimentReport,
-    ScenarioConfig,
-    VariantResult,
-    config_hash,
-    emit_report,
-    export_fixtures,
-    fixture_names,
-    load_config,
-    load_fixture,
-    parse_config,
-    propose_ties,
-    run_experiment,
-    stabilization_step,
-    stream_rng,
-)
-from .workforce import (
-    KnowledgeWorker,
-    OrganizationProfile,
-    Population,
-    WorkforceError,
-    average_competence,
-    competence_bank,
-    init_workers,
-    read_roster,
-    write_roster,
-)
+from . import community, diffusion, netgraph, roles, scenario, workforce
+from .community import *  # noqa: F401,F403
+from .diffusion import *  # noqa: F401,F403
+from .netgraph import *  # noqa: F401,F403
+from .roles import *  # noqa: F401,F403
+from .scenario import *  # noqa: F401,F403
+from .workforce import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # netgraph
-    "GraphError",
-    "PathResult",
-    "WeightedGraph",
-    "WeightSpec",
-    "add_edge",
-    "assign_weights",
-    "average_edge_weight",
-    "coauthor_utility",
-    "generate_watts_strogatz",
-    "read_edge_list",
-    "scale_incident_weights",
-    "shortest_hop_path",
-    "weighted_betweenness",
-    "weighted_betweenness_all",
-    "weighted_closeness",
-    "weighted_closeness_all",
-    "write_edge_list",
-    # workforce
-    "KnowledgeWorker",
-    "OrganizationProfile",
-    "Population",
-    "WorkforceError",
-    "average_competence",
-    "competence_bank",
-    "init_workers",
-    "read_roster",
-    "write_roster",
-    # diffusion
-    "DiffusionConfig",
-    "DiffusionError",
-    "KnowledgeResource",
-    "Probe",
-    "SimulationState",
-    "TimeSeries",
-    "assimilate",
-    "collector_probes",
-    "create_resource",
-    "probe_average",
-    "probe_mask",
-    "probe_node",
-    "reference_step",
-    "run",
-    "step",
-    "transmit",
-    # roles
-    "ROLES",
-    "RoleAssignment",
-    "RoleError",
-    "Strategy",
-    "apply_collector",
-    "apply_expert",
-    "apply_facilitator",
-    "rank_nodes",
-    "select_top",
-    # community
-    "Community",
-    "CommunityError",
-    "TieProposal",
-    "accelerate",
-    "accelerate_loop",
-    "detect_communities",
-    "edge_efficiency",
-    "energy_ranking",
-    "jaccard_similarity",
-    "knowledge_energy",
-    "transfer_efficiency",
-    # scenario
-    "ConfigError",
-    "ExperimentReport",
-    "ScenarioConfig",
-    "VariantResult",
-    "config_hash",
-    "emit_report",
-    "export_fixtures",
-    "fixture_names",
-    "load_config",
-    "load_fixture",
-    "parse_config",
-    "propose_ties",
-    "run_experiment",
-    "stabilization_step",
-    "stream_rng",
+__all__ = ["__version__"] + [
+    name for module in (netgraph, workforce, diffusion, roles, community, scenario) for name in module.__all__
 ]

@@ -9,7 +9,8 @@ a new tie at the network's average tie strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
@@ -148,13 +149,6 @@ def edge_efficiency(g: WeightedGraph, workers: Population, u: int, v: int) -> fl
     return float(workers.social[u] * g.weight(u, v) * workers.cognitive[v])
 
 
-def _transfer_edge_score(g: WeightedGraph, workers: Population) -> Callable[[int, int], float]:
-    def score(a: int, b: int) -> float:
-        return float(workers.social[a] * g.weight(a, b) * workers.cognitive[b])
-
-    return score
-
-
 def transfer_efficiency(
     g: WeightedGraph,
     workers: Population,
@@ -168,7 +162,7 @@ def transfer_efficiency(
     the edge count twice (default) or once (``single_division``). Adjacent
     pairs reduce to the plain edge efficiency. None when v is unreachable.
     """
-    score = _transfer_edge_score(g, workers)
+    score = partial(edge_efficiency, g, workers)
     path = shortest_hop_path(g, u, v, edge_score=score)
     if path is None:
         return None

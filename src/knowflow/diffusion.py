@@ -15,25 +15,20 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .netgraph import WeightedGraph
-from .workforce import KnowledgeWorker, Population
+from .workforce import Population
 
 __all__ = [
     "DiffusionConfig",
     "DiffusionError",
-    "KnowledgeResource",
     "Probe",
     "SimulationState",
     "TimeSeries",
-    "assimilate",
     "collector_probes",
-    "create_resource",
     "probe_average",
     "probe_mask",
     "probe_node",
-    "reference_step",
     "run",
     "step",
-    "transmit",
 ]
 
 
@@ -54,14 +49,6 @@ class DiffusionConfig:
 
 
 DEFAULT_CONFIG = DiffusionConfig()
-
-
-@dataclass(frozen=True)
-class KnowledgeResource:
-    """A broadcast payload: one value per competence, zero outside the mask."""
-
-    sender: int
-    payload: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -88,47 +75,6 @@ class SimulationState:
             collectors=frozenset(),
             collector_ledger=np.zeros(len(population)),
         )
-
-
-# -- per-worker operations (reference semantics) ---------------------------------
-
-
-def create_resource(worker: KnowledgeWorker) -> KnowledgeResource:
-    """Broadcast payload: social ability times masked competences."""
-    payload = worker.social * worker.competences * worker.mask
-    return KnowledgeResource(sender=worker.id, payload=payload)
-
-
-def transmit(
-    resource: KnowledgeResource, graph: WeightedGraph, sender: int
-) -> dict[int, KnowledgeResource]:
-    """Deliver the resource to every neighbor, attenuated by tie strength."""
-    out: dict[int, KnowledgeResource] = {}
-    for receiver in graph.neighbors(sender):
-        w = graph.weight(sender, receiver)
-        out[receiver] = KnowledgeResource(sender=resource.sender, payload=resource.payload * w)
-    return out
-
-
-def assimilate(
-    worker: KnowledgeWorker,
-    inbox: Sequence[tuple[KnowledgeResource, np.ndarray]],
-    config: DiffusionConfig = DEFAULT_CONFIG,
-) -> np.ndarray:
-    """Next competence vector for a worker holding its step-start values.
-
-    ``inbox`` pairs each received resource with the sender's step-start
-    competence snapshot. A payload element counts only where the sender's
-    snapshot strictly exceeds the receiver's; qualifying elements from all
-    senders add up. Forgetting applies in both branches.
-    """
-    current = worker.competences
-    gain = np.zeros_like(current)
-    for resource, sender_snapshot in inbox:
-        qualifies = sender_snapshot > current
-        gain += np.where(qualifies, resource.payload, 0.0)
-    absorb = worker.cognitive if config.cognitive_gain else 1.0
-    return (1.0 - worker.forgetting) * current + absorb * worker.mask * gain
 
 
 # -- engine -----------------------------------------------------------------------
@@ -171,46 +117,6 @@ def step(state: SimulationState, config: DiffusionConfig = DEFAULT_CONFIG) -> Si
         step=state.step + 1,
         collector_ledger=ledger,
         gating_violations=state.gating_violations + violations,
-    )
-
-
-def reference_step(
-    state: SimulationState,
-    config: DiffusionConfig = DEFAULT_CONFIG,
-    node_order: Sequence[int] | None = None,
-) -> SimulationState:
-    """Literal per-worker composition of create/transmit/assimilate.
-
-    Exists as the executable contract for the vectorized ``step``; inboxes are
-    canonicalized by sender id, so any ``node_order`` yields identical states.
-    """
-    pop = state.population
-    n = len(pop)
-    order = list(node_order) if node_order is not None else list(range(n))
-    if sorted(order) != list(range(n)):
-        raise DiffusionError("node_order must be a permutation of all worker ids")
-
-    snapshot = pop.competences.copy()
-    inboxes: dict[int, list[tuple[KnowledgeResource, np.ndarray]]] = {i: [] for i in range(n)}
-    for sender in order:
-        resource = create_resource(pop.worker(sender))
-        for receiver, delivered in transmit(resource, state.graph, sender).items():
-            inboxes[receiver].append((delivered, snapshot[sender]))
-
-    new_competences = np.zeros_like(snapshot)
-    ledger = state.collector_ledger.copy()
-    for i in order:
-        inbox = sorted(inboxes[i], key=lambda item: item[0].sender)
-        new_competences[i] = assimilate(pop.worker(i), inbox, config)
-        if i in state.collectors:
-            ledger[i] += sum(float(res.payload.sum()) for res, _ in inbox)
-
-    new_pop = Population(new_competences, pop.masks, pop.cognitive, pop.social, pop.forgetting)
-    return replace(
-        state,
-        population=new_pop,
-        step=state.step + 1,
-        collector_ledger=ledger,
     )
 
 

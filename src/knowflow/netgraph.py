@@ -25,11 +25,8 @@ __all__ = [
     "coauthor_utility",
     "generate_watts_strogatz",
     "read_edge_list",
-    "scale_incident_weights",
     "shortest_hop_path",
-    "weighted_betweenness",
     "weighted_betweenness_all",
-    "weighted_closeness",
     "weighted_closeness_all",
     "write_edge_list",
 ]
@@ -94,7 +91,7 @@ class PathResult:
 
 
 class WeightedGraph:
-    """Undirected, self-loop-free graph with non-negative edge weights.
+    """Undirected, self-loop-free graph with finite, non-negative edge weights.
 
     Query methods never mutate. Mutators (``set_weight`` and the module-level
     functional operations) are meant to run between simulation steps only;
@@ -188,11 +185,7 @@ class WeightedGraph:
         u, v = self._check_node(u), self._check_node(v)
         if v not in self._adj[u]:
             raise GraphError(f"edge ({u}, {v}) does not exist")
-        if weight < 0.0:
-            raise GraphError(f"edge weight must be >= 0, got {weight}")
-        self._adj[u][v] = float(weight)
-        self._adj[v][u] = float(weight)
-        self._directed_cache = None
+        self._store(u, v, weight)
 
     def _insert(self, u: int, v: int, weight: float) -> None:
         u, v = self._check_node(u), self._check_node(v)
@@ -200,8 +193,11 @@ class WeightedGraph:
             raise GraphError(f"self-loop ({u}, {u}) rejected")
         if v in self._adj[u]:
             raise GraphError(f"edge ({u}, {v}) already exists")
-        if weight < 0.0:
-            raise GraphError(f"edge weight must be >= 0, got {weight}")
+        self._store(u, v, weight)
+
+    def _store(self, u: int, v: int, weight: float) -> None:
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise GraphError(f"edge weight must be finite and >= 0, got {weight}")
         self._adj[u][v] = float(weight)
         self._adj[v][u] = float(weight)
         self._directed_cache = None
@@ -277,17 +273,6 @@ def add_edge(g: WeightedGraph, u: int, v: int, weight: float) -> WeightedGraph:
     return out
 
 
-def scale_incident_weights(g: WeightedGraph, v: int, factor: float) -> WeightedGraph:
-    """Return a copy of g with every edge at v scaled by factor (> 0)."""
-    if not (factor > 0.0):
-        raise GraphError(f"scale factor must be > 0, got {factor}")
-    v = g._check_node(v)
-    out = g.copy()
-    for u in g.neighbors(v):
-        out.set_weight(v, u, g.weight(v, u) * factor)
-    return out
-
-
 def average_edge_weight(g: WeightedGraph) -> float:
     """Mean tie strength over all edges. Undefined (error) on edgeless graphs."""
     total = 0.0
@@ -303,54 +288,69 @@ def average_edge_weight(g: WeightedGraph) -> float:
 # -- distances and centralities ----------------------------------------------
 
 
-def _shortest_distances(g: WeightedGraph, source: int) -> list[float]:
-    """Single-source shortest distances minimizing the sum of 1/weight.
+def _inverse_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
+    """Per node, ``(neighbor, 1/weight)`` in ascending neighbor order.
 
-    Zero-weight edges carry no tie strength and are ignored for distances.
+    Zero-weight edges carry no tie strength and are left out.
     """
-    n = g.node_count
+    return [[(u, 1.0 / row[u]) for u in sorted(row) if row[u] > 0.0] for row in g._adj]
+
+
+def _dijkstra(
+    adj: list[list[tuple[int, float]]], source: int
+) -> tuple[list[float], list[float], list[list[int]], list[int]]:
+    """Single-source stage of Brandes' algorithm over inverse-weight distances.
+
+    Returns the distances, the shortest-path counts, each node's predecessors
+    on shortest paths and the nodes in the order they were settled.
+    """
+    n = len(adj)
     dist = [math.inf] * n
+    sigma = [0.0] * n
+    preds: list[list[int]] = [[] for _ in range(n)]
     dist[source] = 0.0
-    heap: list[tuple[float, int]] = [(0.0, source)]
+    sigma[source] = 1.0
     done = [False] * n
-    adj = g._adj
+    order: list[int] = []
+    heap: list[tuple[float, int]] = [(0.0, source)]
     while heap:
         d, v = heapq.heappop(heap)
         if done[v]:
             continue
         done[v] = True
-        for u in sorted(adj[v]):
-            w = adj[v][u]
-            if w <= 0.0:
-                continue
-            nd = d + 1.0 / w
+        order.append(v)
+        for u, inverse in adj[v]:
+            nd = d + inverse
             if nd < dist[u]:
                 dist[u] = nd
+                sigma[u] = sigma[v]
+                preds[u] = [v]
                 heapq.heappush(heap, (nd, u))
-    return dist
-
-
-def weighted_closeness(g: WeightedGraph, v: int) -> float:
-    """Closeness over inverse-weight distances: (n-1) / sum of distances.
-
-    On graphs where some node is unreachable from v the classic form
-    degenerates, so the harmonic variant (sum of inverse distances,
-    unreachable terms contributing zero) is used instead.
-    """
-    v = g._check_node(v)
-    n = g.node_count
-    if n <= 1:
-        return 0.0
-    dist = _shortest_distances(g, v)
-    others = [dist[u] for u in range(n) if u != v]
-    if all(math.isfinite(d) for d in others):
-        total = sum(others)
-        return (n - 1) / total if total > 0.0 else 0.0
-    return sum(1.0 / d for d in others if math.isfinite(d) and d > 0.0)
+            elif nd == dist[u]:
+                sigma[u] += sigma[v]
+                preds[u].append(v)
+    return dist, sigma, preds, order
 
 
 def weighted_closeness_all(g: WeightedGraph) -> np.ndarray:
-    return np.array([weighted_closeness(g, v) for v in g.nodes()], dtype=float)
+    """Closeness over inverse-weight distances for every node: (n-1) / sum of distances.
+
+    For a node that cannot reach some other node the classic form
+    degenerates, so the harmonic variant (sum of inverse distances,
+    unreachable terms contributing zero) is used instead.
+    """
+    n = g.node_count
+    out = np.zeros(n, dtype=float)
+    adj = _inverse_adjacency(g)
+    for v in range(n):
+        dist = _dijkstra(adj, v)[0]
+        others = [dist[u] for u in range(n) if u != v]
+        if all(math.isfinite(d) for d in others):
+            total = sum(others)
+            out[v] = (n - 1) / total if total > 0.0 else 0.0
+        else:
+            out[v] = sum(1.0 / d for d in others if math.isfinite(d) and d > 0.0)
+    return out
 
 
 def weighted_betweenness_all(g: WeightedGraph) -> np.ndarray:
@@ -361,35 +361,9 @@ def weighted_betweenness_all(g: WeightedGraph) -> np.ndarray:
     """
     n = g.node_count
     bc = np.zeros(n, dtype=float)
-    adj = g._adj
+    adj = _inverse_adjacency(g)
     for s in range(n):
-        dist = [math.inf] * n
-        sigma = [0.0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0.0
-        sigma[s] = 1.0
-        done = [False] * n
-        order: list[int] = []
-        heap: list[tuple[float, int]] = [(0.0, s)]
-        while heap:
-            d, v = heapq.heappop(heap)
-            if done[v]:
-                continue
-            done[v] = True
-            order.append(v)
-            for u in sorted(adj[v]):
-                w = adj[v][u]
-                if w <= 0.0:
-                    continue
-                nd = d + 1.0 / w
-                if nd < dist[u]:
-                    dist[u] = nd
-                    sigma[u] = sigma[v]
-                    preds[u] = [v]
-                    heapq.heappush(heap, (nd, u))
-                elif nd == dist[u]:
-                    sigma[u] += sigma[v]
-                    preds[u].append(v)
+        _, sigma, preds, order = _dijkstra(adj, s)
         delta = [0.0] * n
         for v in reversed(order):
             for pred in preds[v]:
@@ -397,11 +371,6 @@ def weighted_betweenness_all(g: WeightedGraph) -> np.ndarray:
             if v != s:
                 bc[v] += delta[v]
     return bc / 2.0
-
-
-def weighted_betweenness(g: WeightedGraph, v: int) -> float:
-    v = g._check_node(v)
-    return float(weighted_betweenness_all(g)[v])
 
 
 def coauthor_utility(g: WeightedGraph, v: int) -> float:
@@ -522,7 +491,10 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
             u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise GraphError(f"{path}: expected 'u,v,weight' numbers on line {lineno}, got {line!r}") from None
-        g._insert(u, v, w)
+        try:
+            g._insert(u, v, w)
+        except GraphError as exc:
+            raise GraphError(f"{path}: rejected edge on line {lineno}: {exc}") from None
     if g is None:
         raise GraphError(f"{path}: missing '# nodes=N' header")
     return g

@@ -132,12 +132,14 @@ def apply_expert(
     """Re-draw the selected workers' masked competences uniformly in boost_range.
 
     Values are replaced, not added. ``boost_all`` ignores the mask and
-    refreshes the whole vector. Mutates ``workers`` in place and returns it.
+    refreshes the whole vector. Returns a new population; ``workers`` is left
+    untouched.
     """
     lo, hi = float(boost_range[0]), float(boost_range[1])
     if lo < 0.0 or hi < lo:
         raise RoleError(f"boost range must satisfy 0 <= low <= high, got [{lo}, {hi}]")
     n = len(workers)
+    competences = workers.competences.copy()
     for v in nodes:
         if not (0 <= v < n):
             raise RoleError(f"unknown worker id {v}")
@@ -146,8 +148,8 @@ def apply_expert(
         else:
             idx = np.flatnonzero(workers.masks[v] == 1.0)
         if idx.size:
-            workers.competences[v, idx] = rng.uniform(lo, hi, size=idx.size)
-    return workers
+            competences[v, idx] = rng.uniform(lo, hi, size=idx.size)
+    return Population(competences, workers.masks, workers.cognitive, workers.social, workers.forgetting)
 
 
 def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> WeightedGraph:

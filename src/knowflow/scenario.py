@@ -369,7 +369,11 @@ class CommunityPlan:
         else:
             if self.communities is not None:
                 raise ConfigError(f"{path}.communities: only valid with the fixture method")
-            ignored = {} if self.core_rule == "majority" else {"core_theta": None}
+            if self.core_rule == "majority":
+                _bounded(self.core_theta, f"{path}.core_theta", gt=0.0, hi=1.0)
+                ignored = {}
+            else:
+                ignored = {"core_theta": None}
         if self.ties == "manual" and self.manual_ties is None:
             raise ConfigError(f"{path}.manual_ties: manual ties need a non-empty list of [u, v] pairs")
         if self.ties != "manual" and self.manual_ties is not None:
@@ -688,8 +692,8 @@ def _single_run(config: ScenarioConfig, variant: str, seed: int, g: WeightedGrap
             boost_range = plan.boost_range
 
             def intervene(state: SimulationState) -> SimulationState:
-                apply_expert(state.population, selected, boost_range, boost_rng, plan.boost_all)  # type: ignore[arg-type]
-                return state
+                boosted = apply_expert(state.population, selected, boost_range, boost_rng, plan.boost_all)  # type: ignore[arg-type]
+                return dc_replace(state, population=boosted)
 
             params: tuple[tuple[str, object], ...] = (
                 ("strategy", variant),

@@ -1,28 +1,22 @@
-"""Knowledge workers: competence vectors, interest masks, abilities, rosters."""
+"""Knowledge workers: competence vectors, interest masks, abilities."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "KnowledgeWorker",
-    "OrganizationProfile",
     "Population",
     "WorkforceError",
-    "average_competence",
-    "competence_bank",
     "init_workers",
-    "read_roster",
-    "write_roster",
 ]
 
 
 class WorkforceError(ValueError):
-    """Invalid worker parameter or malformed roster."""
+    """Invalid worker parameter."""
 
 
 @dataclass
@@ -159,120 +153,3 @@ def init_workers(
     social = rng.uniform(social_range[0], social_range[1], size=n_workers)
     forgetting_vec = np.full(n_workers, float(forgetting))
     return Population(competences, masks, cognitive, social, forgetting_vec)
-
-
-@dataclass(frozen=True, eq=False)
-class OrganizationProfile:
-    """Element-wise maximum competence across the workforce plus core indices."""
-
-    bank: np.ndarray
-    core: tuple[int, ...]
-
-
-def _competence_matrix(workers: Population | Iterable[KnowledgeWorker]) -> np.ndarray:
-    if isinstance(workers, Population):
-        return workers.competences
-    rows = [w.competences for w in workers]
-    if not rows:
-        raise WorkforceError("need at least one worker")
-    return np.vstack(rows)
-
-
-def competence_bank(
-    workers: Population | Iterable[KnowledgeWorker],
-    core: Iterable[int] = (),
-) -> OrganizationProfile:
-    """Element-wise maximum over all workers' competence vectors."""
-    matrix = _competence_matrix(workers)
-    core_idx = tuple(sorted(int(i) for i in core))
-    for i in core_idx:
-        if not (0 <= i < matrix.shape[1]):
-            raise WorkforceError(f"core index {i} outside competence vector of length {matrix.shape[1]}")
-    return OrganizationProfile(bank=matrix.max(axis=0), core=core_idx)
-
-
-def average_competence(
-    workers: Population | Iterable[KnowledgeWorker],
-    mask: np.ndarray | Sequence[float] | None = None,
-) -> float:
-    """Mean over all (worker, competence) pairs, optionally restricted by a mask.
-
-    The mask is a 0/1 vector over competence positions applied to every worker.
-    """
-    matrix = _competence_matrix(workers)
-    if mask is None:
-        return float(matrix.mean())
-    mask_arr = np.asarray(mask, dtype=float)
-    if mask_arr.shape != (matrix.shape[1],):
-        raise WorkforceError(
-            f"mask length {mask_arr.shape} does not match competence vector length {matrix.shape[1]}"
-        )
-    if not np.all((mask_arr == 0.0) | (mask_arr == 1.0)):
-        raise WorkforceError("mask entries must be 0 or 1")
-    selected = matrix[:, mask_arr == 1.0]
-    if selected.size == 0:
-        raise WorkforceError("mask selects no competence positions")
-    return float(selected.mean())
-
-
-# -- roster interchange ---------------------------------------------------------
-
-
-def write_roster(workers: Population, path: str | Path) -> None:
-    """One line per worker: id, forgetting, cognitive, social, competences, mask bits."""
-    n, m = workers.competences.shape
-    lines = [f"# workers={n} competences={m}"]
-    for i in range(n):
-        cells = [
-            str(i),
-            repr(float(workers.forgetting[i])),
-            repr(float(workers.cognitive[i])),
-            repr(float(workers.social[i])),
-        ]
-        cells.extend(repr(float(c)) for c in workers.competences[i])
-        cells.extend(str(int(b)) for b in workers.masks[i])
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_roster(path: str | Path) -> Population:
-    text = Path(path).read_text()
-    n_workers: int | None = None
-    n_comp: int | None = None
-    rows: list[list[str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].strip().split():
-                if token.startswith("workers="):
-                    n_workers = int(token[len("workers="):])
-                elif token.startswith("competences="):
-                    n_comp = int(token[len("competences="):])
-            continue
-        rows.append(line.split(","))
-    if n_workers is None or n_comp is None:
-        raise WorkforceError(f"{path}: missing '# workers=N competences=M' header")
-    if len(rows) != n_workers:
-        raise WorkforceError(f"{path}: header announces {n_workers} workers, found {len(rows)} rows")
-    competences = np.zeros((n_workers, n_comp))
-    masks = np.zeros((n_workers, n_comp))
-    cognitive = np.zeros(n_workers)
-    social = np.zeros(n_workers)
-    forgetting = np.zeros(n_workers)
-    expected = 4 + 2 * n_comp
-    seen: set[int] = set()
-    for cells in rows:
-        if len(cells) != expected:
-            raise WorkforceError(f"{path}: expected {expected} cells per row, got {len(cells)}")
-        i = int(cells[0])
-        if not (0 <= i < n_workers) or i in seen:
-            raise WorkforceError(f"{path}: worker ids must be unique and dense in [0, {n_workers})")
-        seen.add(i)
-        forgetting[i] = float(cells[1])
-        cognitive[i] = float(cells[2])
-        social[i] = float(cells[3])
-        competences[i] = [float(c) for c in cells[4:4 + n_comp]]
-        masks[i] = [float(c) for c in cells[4 + n_comp:]]
-    return Population(competences, masks, cognitive, social, forgetting)

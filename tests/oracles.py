@@ -1,9 +1,13 @@
-"""Brute-force reference implementations used to cross-check the graph metrics.
+"""Reference implementations used to cross-check the package under test.
 
-Everything here works by exhaustive enumeration over simple paths or edge
-subsets and deliberately imports nothing from the package under test. Path
-costs accumulate left to right, matching how a relaxation-based shortest-path
-search composes the same sums.
+The graph metrics work by exhaustive enumeration over simple paths or edge
+subsets. Path costs accumulate left to right, matching how a relaxation-based
+shortest-path search composes the same sums. The diffusion reference is the
+literal per-worker composition of broadcast, transmission and assimilation
+that the vectorized engine must reproduce.
+
+Nothing here imports from the package under test: the diffusion reference
+reads graphs, populations and states through their public attributes only.
 """
 
 from __future__ import annotations
@@ -11,6 +15,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from dataclasses import dataclass
+
+import numpy as np
 
 
 def is_connected(n: int, edges) -> bool:
@@ -172,3 +179,75 @@ def oracle_hop_path(n: int, adj: dict, s: int, t: int, score=None):
         if sc > best_score or (sc == best_score and p < best):
             best, best_score = p, sc
     return best
+
+
+# -- per-worker diffusion reference ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KnowledgeResource:
+    """A broadcast payload: one value per competence, zero outside the mask."""
+
+    sender: int
+    payload: np.ndarray
+
+
+def create_resource(worker) -> KnowledgeResource:
+    """Broadcast payload: social ability times masked competences."""
+    payload = worker.social * worker.competences * worker.mask
+    return KnowledgeResource(sender=worker.id, payload=payload)
+
+
+def transmit(resource: KnowledgeResource, graph, sender: int) -> dict:
+    """Deliver the resource to every neighbor, attenuated by tie strength."""
+    out = {}
+    for receiver in graph.neighbors(sender):
+        w = graph.weight(sender, receiver)
+        out[receiver] = KnowledgeResource(sender=resource.sender, payload=resource.payload * w)
+    return out
+
+
+def assimilate(worker, inbox, cognitive_gain: bool = True) -> np.ndarray:
+    """Next competence vector for a worker holding its step-start values.
+
+    ``inbox`` pairs each received resource with the sender's step-start
+    competence snapshot. A payload element counts only where the sender's
+    snapshot strictly exceeds the receiver's; qualifying elements from all
+    senders add up. Forgetting applies in both branches.
+    """
+    current = worker.competences
+    gain = np.zeros_like(current)
+    for resource, sender_snapshot in inbox:
+        qualifies = sender_snapshot > current
+        gain += np.where(qualifies, resource.payload, 0.0)
+    absorb = worker.cognitive if cognitive_gain else 1.0
+    return (1.0 - worker.forgetting) * current + absorb * worker.mask * gain
+
+
+def reference_step(state, cognitive_gain: bool = True, node_order=None) -> tuple[np.ndarray, np.ndarray]:
+    """Next competence matrix and collector ledger of one synchronous step.
+
+    Inboxes are canonicalized by sender id, so any ``node_order`` yields
+    identical results.
+    """
+    pop = state.population
+    n = len(pop)
+    order = list(node_order) if node_order is not None else list(range(n))
+    if sorted(order) != list(range(n)):
+        raise ValueError("node_order must be a permutation of all worker ids")
+
+    snapshot = pop.competences.copy()
+    inboxes = {i: [] for i in range(n)}
+    for sender in order:
+        resource = create_resource(pop.worker(sender))
+        for receiver, delivered in transmit(resource, state.graph, sender).items():
+            inboxes[receiver].append((delivered, snapshot[sender]))
+
+    new_competences = np.zeros_like(snapshot)
+    ledger = state.collector_ledger.copy()
+    for i in order:
+        inbox = sorted(inboxes[i], key=lambda item: item[0].sender)
+        new_competences[i] = assimilate(pop.worker(i), inbox, cognitive_gain)
+        if i in state.collectors:
+            ledger[i] += sum(float(res.payload.sum()) for res, _ in inbox)
+    return new_competences, ledger

@@ -9,26 +9,22 @@ from hypothesis import strategies as st
 from knowflow import (
     DiffusionConfig,
     DiffusionError,
-    KnowledgeResource,
     Population,
     SimulationState,
     TimeSeries,
     WeightedGraph,
     add_edge,
     apply_collector,
-    assimilate,
     collector_probes,
-    create_resource,
     generate_watts_strogatz,
     init_workers,
     probe_average,
     probe_mask,
     probe_node,
-    reference_step,
     run,
     step,
-    transmit,
 )
+from oracles import KnowledgeResource, assimilate, create_resource, reference_step, transmit
 
 
 def pair_state(c_a, c_b, *, weight=0.5, social=(0.5, 0.5), cognitive=(1.0, 1.0),
@@ -114,7 +110,7 @@ def test_assimilate_respects_receiver_mask_and_cognitive():
     out = assimilate(worker, inbox)
     assert out[0] == pytest.approx(0.4)  # cognitive ability scales the gain
     assert out[1] == 0.0  # masked-out slot ignores incoming knowledge
-    flat = assimilate(worker, inbox, DiffusionConfig(cognitive_gain=False))
+    flat = assimilate(worker, inbox, cognitive_gain=False)
     assert flat[0] == pytest.approx(1.0)
 
 
@@ -161,22 +157,21 @@ def test_step_is_immutable_on_inputs():
 def test_vectorized_step_equals_reference():
     for seed in (0, 1, 2):
         state = random_state(seed)
-        a, b = state, state
         for _ in range(5):
-            a = step(a)
-            b = reference_step(b)
-            assert np.array_equal(a.population.competences, b.population.competences)
+            expected, _ = reference_step(state)
+            state = step(state)
+            assert np.array_equal(state.population.competences, expected)
 
 
 def test_reference_step_order_independent():
     state = random_state(3)
     rng = np.random.default_rng(99)
-    base = reference_step(state)
+    base, _ = reference_step(state)
     for _ in range(3):
         order = list(rng.permutation(len(state.population)))
-        shuffled = reference_step(state, node_order=order)
-        assert np.array_equal(base.population.competences, shuffled.population.competences)
-    with pytest.raises(DiffusionError):
+        shuffled, _ = reference_step(state, node_order=order)
+        assert np.array_equal(base, shuffled)
+    with pytest.raises(ValueError):
         reference_step(state, node_order=[0, 0, 2])
 
 
@@ -221,8 +216,8 @@ def test_collector_flags_do_not_alter_dynamics():
 def test_collector_matches_reference_ledger():
     state = apply_collector(random_state(13), [2, 4])
     a = step(state)
-    b = reference_step(state)
-    assert np.allclose(a.collector_ledger, b.collector_ledger, rtol=1e-12)
+    _, ledger = reference_step(state)
+    assert np.allclose(a.collector_ledger, ledger, rtol=1e-12)
 
 
 # -- probes and series -------------------------------------------------------------
@@ -322,5 +317,5 @@ def test_reference_agreement_holds_for_both_gain_modes(seed, gain):
     config = DiffusionConfig(cognitive_gain=gain)
     state = random_state(seed, n=15)
     a = step(state, config)
-    b = reference_step(state, config)
-    assert np.array_equal(a.population.competences, b.population.competences)
+    expected, _ = reference_step(state, gain)
+    assert np.array_equal(a.population.competences, expected)

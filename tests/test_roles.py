@@ -138,18 +138,18 @@ def test_apply_expert_redraws_masked_slots_only():
     pop.masks[2] = np.array([1.0, 0.0, 1.0, 0.0])
     before = pop.competences.copy()
     out = apply_expert(pop, [2], (10.0, 50.0), np.random.default_rng(1))
-    assert out is pop  # in-place contract
-    assert np.all((pop.competences[2, [0, 2]] >= 10.0) & (pop.competences[2, [0, 2]] <= 50.0))
-    assert np.array_equal(pop.competences[2, [1, 3]], before[2, [1, 3]])
+    assert np.array_equal(pop.competences, before)  # the input is untouched
+    assert np.all((out.competences[2, [0, 2]] >= 10.0) & (out.competences[2, [0, 2]] <= 50.0))
+    assert np.array_equal(out.competences[2, [1, 3]], before[2, [1, 3]])
     others = [i for i in range(len(pop)) if i != 2]
-    assert np.array_equal(pop.competences[others], before[others])
+    assert np.array_equal(out.competences[others], before[others])
 
 
 def test_apply_expert_boost_all_and_degenerate_range():
     pop = small_population(seed=3)
-    apply_expert(pop, [0, 4], (25.0, 25.0), np.random.default_rng(0), boost_all=True)
-    assert np.all(pop.competences[0] == 25.0)
-    assert np.all(pop.competences[4] == 25.0)
+    out = apply_expert(pop, [0, 4], (25.0, 25.0), np.random.default_rng(0), boost_all=True)
+    assert np.all(out.competences[0] == 25.0)
+    assert np.all(out.competences[4] == 25.0)
 
 
 def test_apply_expert_validation():

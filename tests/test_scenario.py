@@ -163,7 +163,7 @@ def test_role_plan_validation():
         parse_config(tiny_config(role_plan=coll))
 
 
-def test_community_plan_validation():
+def test_community_plan_validation(tmp_path, capsys):
     plan = {
         "method": "fixture",
         "communities": [{"members": [0, 1, 2], "core": [0]}],
@@ -195,6 +195,14 @@ def test_community_plan_validation():
     jac = {"method": "jaccard", "communities": [{"members": [0], "core": [0]}]}
     with pytest.raises(ConfigError, match="only valid with the fixture method"):
         parse_config(tiny_config(community_plan=jac))
+    majority = {"method": "jaccard", "core_rule": "majority", "core_theta": 2.0}
+    with pytest.raises(ConfigError, match="community_plan.core_theta"):
+        parse_config(tiny_config(community_plan=majority))
+    parse_config(tiny_config(community_plan={"method": "jaccard", "core_rule": "and", "core_theta": 2.0}))
+    cfg_path = tmp_path / "majority.json"
+    cfg_path.write_text(json.dumps(tiny_config(community_plan=majority)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "community_plan.core_theta" in capsys.readouterr().err
 
 
 def test_probe_validation():
@@ -577,7 +585,10 @@ def test_cli_rank_orders_nodes(tmp_path, capsys):
     assert main(["rank", str(tmp_path / "missing.txt"), "--strategy", "degree"]) == 3
 
 
-@pytest.mark.parametrize("text, line", [("# nodes=abc\n0,1,1.0\n", 1), ("# nodes=3\n0,1,1.0\n1,2,heavy\n", 3)])
+@pytest.mark.parametrize(
+    "text, line",
+    [("# nodes=abc\n0,1,1.0\n", 1), ("# nodes=3\n0,1,1.0\n1,2,heavy\n", 3), ("# nodes=3\n0,1,nan\n1,2,1.0\n", 2)],
+)
 def test_cli_rank_malformed_edge_list_is_a_runtime_error(tmp_path, capsys, text, line):
     graph = tmp_path / "g.txt"
     graph.write_text(text)

@@ -1,4 +1,4 @@
-"""Worker population: initialization, invariants, aggregates, roster files."""
+"""Worker population: initialization and invariants."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from knowflow import (
     Population,
     WorkforceError,
-    average_competence,
-    competence_bank,
     init_workers,
-    read_roster,
-    write_roster,
 )
 
 
@@ -107,55 +103,6 @@ def test_copy_detaches_storage():
     dup = pop.copy()
     dup.competences[0, 0] += 1.0
     assert pop.competences[0, 0] != dup.competences[0, 0]
-
-
-def test_competence_bank_is_elementwise_max():
-    pop = make_population(n=12, m=5)
-    profile = competence_bank(pop, core=[1, 3])
-    assert np.array_equal(profile.bank, pop.competences.max(axis=0))
-    assert profile.core == (1, 3)
-    with pytest.raises(WorkforceError):
-        competence_bank(pop, core=[5])
-
-
-def test_average_competence_full_and_masked():
-    pop = make_population(n=10, m=4)
-    assert average_competence(pop) == pytest.approx(pop.competences.mean())
-    mask = np.array([1.0, 0.0, 0.0, 1.0])
-    assert average_competence(pop, mask) == pytest.approx(pop.competences[:, [0, 3]].mean())
-    with pytest.raises(WorkforceError):
-        average_competence(pop, np.array([1.0, 0.0]))
-    with pytest.raises(WorkforceError):
-        average_competence(pop, np.array([0.5, 0, 0, 1]))
-    with pytest.raises(WorkforceError):
-        average_competence(pop, np.zeros(4))
-
-
-def test_average_competence_accepts_worker_iterables():
-    pop = make_population(n=5)
-    assert average_competence(list(pop)) == pytest.approx(average_competence(pop))
-
-
-def test_roster_round_trip(tmp_path):
-    pop = make_population(n=9, m=6, seed=4)
-    p = tmp_path / "roster.txt"
-    write_roster(pop, p)
-    back = read_roster(p)
-    assert np.array_equal(back.competences, pop.competences)
-    assert np.array_equal(back.masks, pop.masks)
-    assert np.array_equal(back.cognitive, pop.cognitive)
-    assert np.array_equal(back.social, pop.social)
-    assert np.array_equal(back.forgetting, pop.forgetting)
-
-
-def test_roster_diagnostics(tmp_path):
-    p = tmp_path / "r.txt"
-    p.write_text("0,0.0,0.5,0.5,1.0,1\n")
-    with pytest.raises(WorkforceError, match="header"):
-        read_roster(p)
-    p.write_text("# workers=2 competences=1\n0,0.0,0.5,0.5,1.0,1\n")
-    with pytest.raises(WorkforceError, match="2 workers"):
-        read_roster(p)
 
 
 @settings(max_examples=25, deadline=None)
