@@ -53,7 +53,11 @@ DEFAULT_CONFIG = DiffusionConfig()
 
 @dataclass(frozen=True)
 class SimulationState:
-    """Immutable snapshot between steps: graph, population, collector ledger."""
+    """Snapshot between steps: graph, population, collector ledger.
+
+    The dataclass is frozen and the graph is an immutable value: an
+    intervention on the network puts a new graph into a new state.
+    """
 
     graph: WeightedGraph
     population: Population

@@ -10,7 +10,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -93,19 +93,31 @@ class PathResult:
 class WeightedGraph:
     """Undirected, self-loop-free graph with finite, non-negative edge weights.
 
-    Query methods never mutate. Mutators (``set_weight`` and the module-level
-    functional operations) are meant to run between simulation steps only;
-    the diffusion engine treats a graph as frozen while stepping.
+    An immutable value: the constructor validates every edge and builds all
+    of the state. Both orientations of every edge are kept as read-only arrays
+    in receiver-major (CSR) order, next to a neighbor -> weight dict per node
+    for the scalar queries; both list neighbors in ascending id.
     """
 
-    __slots__ = ("_n", "_adj", "_directed_cache")
+    __slots__ = ("_n", "_senders", "_receivers", "_weights", "_rows")
 
-    def __init__(self, node_count: int):
+    def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]] = ()):
         if node_count < 0:
             raise GraphError(f"node count must be >= 0, got {node_count}")
-        self._n = int(node_count)
-        self._adj: list[dict[int, float]] = [{} for _ in range(self._n)]
-        self._directed_cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        n = self._n = int(node_count)
+        u, v, w = _checked_edges(n, list(edges))
+        receivers, senders, weights = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
+        order = np.lexsort((senders, receivers))
+        self._senders, self._receivers, self._weights = senders[order], receivers[order], weights[order]
+        for a in (self._senders, self._receivers, self._weights):
+            a.flags.writeable = False
+        # Filled in ascending (min, max) edge order, each row lists its
+        # neighbors in ascending id. Rows share one int object per node and
+        # one float per edge, which keeps a large graph's footprint down.
+        rows = self._rows = [{} for _ in range(n)]
+        ids = list(range(n))
+        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
+            rows[a][ids[b]] = rows[b][ids[a]] = x
 
     # -- structure queries ------------------------------------------------
 
@@ -116,98 +128,78 @@ class WeightedGraph:
     def nodes(self) -> range:
         return range(self._n)
 
-    def _check_node(self, v: int) -> int:
-        if not (0 <= v < self._n):
-            raise GraphError(f"unknown node {v} (graph has {self._n} nodes)")
-        return int(v)
-
     def has_edge(self, u: int, v: int) -> bool:
-        u, v = self._check_node(u), self._check_node(v)
-        return v in self._adj[u]
+        return _check_node(self._n, v) in self._rows[_check_node(self._n, u)]
 
     def weight(self, u: int, v: int) -> float:
         """Tie strength of (u, v); 0.0 when no edge exists."""
-        u, v = self._check_node(u), self._check_node(v)
-        return self._adj[u].get(v, 0.0)
+        return self._rows[_check_node(self._n, u)].get(_check_node(self._n, v), 0.0)
 
     def neighbors(self, v: int) -> list[int]:
-        v = self._check_node(v)
-        return sorted(self._adj[v])
+        return list(self._rows[_check_node(self._n, v)])
 
     def degree(self, v: int) -> int:
-        v = self._check_node(v)
-        return len(self._adj[v])
+        return len(self._rows[_check_node(self._n, v)])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (u, v, weight) with u < v, in ascending (u, v) order."""
-        for u in range(self._n):
-            row = self._adj[u]
-            for v in sorted(row):
-                if v > u:
-                    yield u, v, row[v]
+        upper = self._senders > self._receivers
+        return zip(self._receivers[upper].tolist(), self._senders[upper].tolist(), self._weights[upper].tolist())
 
     @property
     def edge_count(self) -> int:
-        return sum(len(row) for row in self._adj) // 2
-
-    def copy(self) -> "WeightedGraph":
-        g = WeightedGraph(self._n)
-        g._adj = [dict(row) for row in self._adj]
-        return g
+        return self._senders.size // 2
 
     def directed_edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both orientations of every edge as (senders, receivers, weights).
+        """Both orientations of every edge as read-only (senders, receivers, weights).
 
-        Cached; any mutation invalidates the cache.
+        Sorted by receiver, then by sender, so each receiver's incoming edges
+        arrive in ascending sender order.
         """
-        if self._directed_cache is None:
-            us: list[int] = []
-            vs: list[int] = []
-            ws: list[float] = []
-            for u, v, w in self.edges():
-                us.append(u)
-                vs.append(v)
-                ws.append(w)
-                us.append(v)
-                vs.append(u)
-                ws.append(w)
-            self._directed_cache = (
-                np.asarray(us, dtype=np.intp),
-                np.asarray(vs, dtype=np.intp),
-                np.asarray(ws, dtype=float),
-            )
-        return self._directed_cache
+        return self._senders, self._receivers, self._weights
 
-    # -- mutation ----------------------------------------------------------
 
-    def set_weight(self, u: int, v: int, weight: float) -> None:
-        """Reassign the weight of an existing edge (apply between steps only)."""
-        u, v = self._check_node(u), self._check_node(v)
-        if v not in self._adj[u]:
-            raise GraphError(f"edge ({u}, {v}) does not exist")
-        self._store(u, v, weight)
+class _EdgeError(GraphError):
+    """A rejected edge; ``index`` is its position in the constructor's input."""
 
-    def _insert(self, u: int, v: int, weight: float) -> None:
-        u, v = self._check_node(u), self._check_node(v)
-        if u == v:
-            raise GraphError(f"self-loop ({u}, {u}) rejected")
-        if v in self._adj[u]:
-            raise GraphError(f"edge ({u}, {v}) already exists")
-        self._store(u, v, weight)
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
-    def _store(self, u: int, v: int, weight: float) -> None:
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise GraphError(f"edge weight must be finite and >= 0, got {weight}")
-        self._adj[u][v] = float(weight)
-        self._adj[v][u] = float(weight)
-        self._directed_cache = None
 
-    def _remove(self, u: int, v: int) -> None:
-        if v not in self._adj[u]:
-            raise GraphError(f"edge ({u}, {v}) does not exist")
-        del self._adj[u][v]
-        del self._adj[v][u]
-        self._directed_cache = None
+def _check_node(n: int, v: int) -> int:
+    if not (0 <= v < n):
+        raise GraphError(f"unknown node {v} (graph has {n} nodes)")
+    return int(v)
+
+
+def _checked_edges(n: int, edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Endpoint and weight arrays of the edges in ascending (min, max) order.
+
+    Raises ``_EdgeError`` naming the first bad edge of the input.
+    """
+    us, vs, ws = zip(*edges) if edges else ((), (), ())
+    try:
+        u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
+    except OverflowError:  # such an id is unknown anyway: clamp it just out of range
+        u, v = (np.array([min(max(x, -1), n) for x in ids], dtype=np.intp) for ids in (us, vs))
+    w = np.array(ws, dtype=float)
+    # Two edges share a key only if they repeat each other or one has an
+    # unknown endpoint, which is reported first.
+    first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]
+    repeat = np.bincount(first, minlength=len(edges)) == 0
+    checks = {  # in order of precedence
+        f"unknown node (graph has {n} nodes)": (u < 0) | (u >= n) | (v < 0) | (v >= n),
+        "self-loop": u == v,
+        "edge already exists": repeat,
+        "edge weight must be finite and >= 0": ~(np.isfinite(w) & (w >= 0.0)),
+    }
+    bad = np.logical_or.reduce(list(checks.values()))
+    if bad.any():
+        i = int(np.argmax(bad))
+        reason = next(text for text, mask in checks.items() if mask[i])
+        raise _EdgeError(i, f"edge {edges[i]} rejected: {reason}")
+    return u[first], v[first], w[first]
 
 
 # -- construction -----------------------------------------------------------
@@ -228,61 +220,57 @@ def generate_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) 
     if not (0.0 <= p <= 1.0):
         raise GraphError(f"rewiring probability must be in [0, 1], got {p}")
 
-    g = WeightedGraph(n)
     half = k // 2
+    adj: list[set[int]] = [set() for _ in range(n)]
     for j in range(1, half + 1):
         for u in range(n):
-            g._insert(u, (u + j) % n, 1.0)
+            adj[u].add((u + j) % n)
+            adj[(u + j) % n].add(u)
 
     for j in range(1, half + 1):
         for u in range(n):
             if rng.random() >= p:
                 continue
             v = (u + j) % n
-            if g.degree(u) >= n - 1:
+            if len(adj[u]) >= n - 1:
                 continue  # saturated: no legal target, keep the lattice edge
-            if not g.has_edge(u, v):
+            if v not in adj[u]:
                 continue  # already rewired away by an earlier pass
             w = int(rng.integers(n))
-            while w == u or g.has_edge(u, w):
+            while w == u or w in adj[u]:
                 w = int(rng.integers(n))
-            g._remove(u, v)
-            g._insert(u, w, 1.0)
-    return g
+            adj[u].remove(v)
+            adj[v].remove(u)
+            adj[u].add(w)
+            adj[w].add(u)
+    edges = [(u, v, 1.0) for u in range(n) for v in adj[u] if v > u]
+    del adj  # the graph can then reuse the adjacency's memory
+    return WeightedGraph(n, edges)
 
 
 def assign_weights(g: WeightedGraph, spec: WeightSpec, rng: np.random.Generator) -> WeightedGraph:
-    """Return a copy of g with i.i.d. weights drawn for every edge.
+    """Return g's topology with i.i.d. weights drawn for every edge.
 
     Edges are weighted in canonical (u, v) order, so the same seed always
     produces the same weight for the same edge.
     """
-    spec.validate()
-    out = g.copy()
-    edges = list(g.edges())
-    draws = spec.draw(len(edges), rng)
-    for (u, v, _), w in zip(edges, draws):
-        out.set_weight(u, v, float(w))
-    return out
+    draws = spec.draw(g.edge_count, rng).tolist()
+    return WeightedGraph(g.node_count, ((u, v, w) for (u, v, _), w in zip(g.edges(), draws)))
 
 
 def add_edge(g: WeightedGraph, u: int, v: int, weight: float) -> WeightedGraph:
-    """Return a copy of g with the new edge (u, v). Existing edges are rejected."""
-    out = g.copy()
-    out._insert(u, v, weight)
-    return out
+    """Return g plus the new edge (u, v). Existing edges are rejected."""
+    return WeightedGraph(g.node_count, [*g.edges(), (u, v, weight)])
 
 
 def average_edge_weight(g: WeightedGraph) -> float:
     """Mean tie strength over all edges. Undefined (error) on edgeless graphs."""
+    if g.edge_count == 0:
+        raise GraphError("average edge weight is undefined on a graph with no edges")
     total = 0.0
-    count = 0
     for _, _, w in g.edges():
         total += w
-        count += 1
-    if count == 0:
-        raise GraphError("average edge weight is undefined on a graph with no edges")
-    return total / count
+    return total / g.edge_count
 
 
 # -- distances and centralities ----------------------------------------------
@@ -293,7 +281,11 @@ def _inverse_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
 
     Zero-weight edges carry no tie strength and are left out.
     """
-    return [[(u, 1.0 / row[u]) for u in sorted(row) if row[u] > 0.0] for row in g._adj]
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
+    for u, v, w in zip(*(a.tolist() for a in g.directed_edge_arrays())):
+        if w > 0.0:
+            adj[v].append((u, 1.0 / w))
+    return adj
 
 
 def _dijkstra(
@@ -379,7 +371,6 @@ def coauthor_utility(g: WeightedGraph, v: int) -> float:
     Each neighbor j of v contributes 1/deg(v) + 1/deg(j) + 1/(deg(v)*deg(j)).
     Edge weights are ignored; an isolated node has utility 0.
     """
-    v = g._check_node(v)
     deg_v = g.degree(v)
     if deg_v == 0:
         return 0.0
@@ -405,52 +396,32 @@ def shortest_hop_path(
     (default: edge weight) wins; remaining ties go to the lexicographically
     smallest node sequence. Returns None when target is unreachable.
     """
-    source, target = g._check_node(source), g._check_node(target)
+    source, target = _check_node(g.node_count, source), _check_node(g.node_count, target)
     if source == target:
         raise GraphError("path endpoints must be distinct")
     score = edge_score if edge_score is not None else g.weight
 
-    n = g.node_count
-    layer = [-1] * n
-    layer[source] = 0
-    frontier = [source]
-    depth = 0
-    while frontier and layer[target] == -1:
-        depth += 1
-        nxt: list[int] = []
-        for v in frontier:
-            for u in g._adj[v]:
-                if layer[u] == -1:
-                    layer[u] = depth
-                    nxt.append(u)
-        frontier = nxt
-    if layer[target] == -1:
+    depth = {source: 0}
+    layers = [[source]]
+    while layers[-1] and target not in depth:
+        layers.append([])
+        for v in layers[-2]:
+            for u in g.neighbors(v):
+                if u not in depth:
+                    depth[u] = len(layers) - 1
+                    layers[-1].append(u)
+    if target not in depth:
         return None
 
-    goal = layer[target]
     # Layer-by-layer DP: per node keep (best score sum, lexicographically
     # smallest path achieving it); optimal substructure holds for this order.
-    best: dict[int, tuple[float, tuple[int, ...]]] = {source: (0.0, (source,))}
-    by_layer: list[list[int]] = [[] for _ in range(goal + 1)]
-    for v in range(n):
-        if 0 <= layer[v] <= goal:
-            by_layer[layer[v]].append(v)
-    for lev in range(1, goal + 1):
-        for v in by_layer[lev]:
-            chosen: tuple[float, tuple[int, ...]] | None = None
-            for pred in g.neighbors(v):
-                if layer[pred] != lev - 1 or pred not in best:
-                    continue
-                base_score, base_path = best[pred]
-                cand = (base_score + score(pred, v), base_path + (v,))
-                if (
-                    chosen is None
-                    or cand[0] > chosen[0]
-                    or (cand[0] == chosen[0] and cand[1] < chosen[1])
-                ):
-                    chosen = cand
-            if chosen is not None:
-                best[v] = chosen
+    best = {source: (0.0, (source,))}
+    for lev in range(1, len(layers)):
+        for v in layers[lev]:
+            candidates = [
+                (best[p][0] + score(p, v), best[p][1] + (v,)) for p in g.neighbors(v) if depth.get(p) == lev - 1
+            ]
+            best[v] = min(candidates, key=lambda c: (-c[0], c[1]))
     return PathResult(best[target][1])
 
 
@@ -466,9 +437,14 @@ def write_edge_list(g: WeightedGraph, path: str | Path) -> None:
 
 
 def read_edge_list(path: str | Path) -> WeightedGraph:
-    text = Path(path).read_text()
+    """Parse the ``write_edge_list`` format; every rejection names the file and line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     node_count: int | None = None
-    g: WeightedGraph | None = None
+    edges: list[tuple[int, int, float]] = []
+    lines: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -476,25 +452,28 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("nodes="):
+                if node_count is not None:
+                    raise GraphError(f"{path}: second '# nodes=N' header on line {lineno}")
                 try:
                     node_count = int(body[len("nodes="):])
                 except ValueError:
                     raise GraphError(f"{path}: expected an integer node count on line {lineno}, got {line!r}") from None
-                g = WeightedGraph(node_count)
             continue
-        if g is None:
+        if node_count is None:
             raise GraphError(f"{path}: edge line before '# nodes=N' header (line {lineno})")
         parts = line.split(",")
         if len(parts) != 3:
             raise GraphError(f"{path}: expected 'u,v,weight' on line {lineno}, got {line!r}")
         try:
-            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError:
             raise GraphError(f"{path}: expected 'u,v,weight' numbers on line {lineno}, got {line!r}") from None
-        try:
-            g._insert(u, v, w)
-        except GraphError as exc:
-            raise GraphError(f"{path}: rejected edge on line {lineno}: {exc}") from None
-    if g is None:
+        lines.append(lineno)
+    if node_count is None:
         raise GraphError(f"{path}: missing '# nodes=N' header")
-    return g
+    try:
+        return WeightedGraph(node_count, edges)
+    except _EdgeError as exc:
+        raise GraphError(f"{path}: line {lines[exc.index]}: {exc}") from None
+    except GraphError as exc:
+        raise GraphError(f"{path}: {exc}") from None

@@ -160,18 +160,17 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
     """
     if not (factor > 0.0):
         raise RoleError(f"facilitator weight factor must be > 0, got {factor}")
-    selected = set()
+    selected = np.zeros(g.node_count, dtype=bool)
     for v in nodes:
         if not (0 <= v < g.node_count):
             raise RoleError(f"unknown node {v}")
-        selected.add(int(v))
-    out = g.copy()
-    for v in sorted(selected):
-        for u in g.neighbors(v):
-            if u in selected and u < v:
-                continue  # already scaled from u's side
-            out.set_weight(v, u, g.weight(v, u) * factor)
-    return out
+        selected[v] = True
+    senders, receivers, weights = g.directed_edge_arrays()
+    scaled = np.where(selected[senders] | selected[receivers], weights * factor, weights)
+    upper = senders > receivers
+    return WeightedGraph(
+        g.node_count, zip(receivers[upper].tolist(), senders[upper].tolist(), scaled[upper].tolist())
+    )
 
 
 def apply_collector(state: SimulationState, nodes: Sequence[int]) -> SimulationState:

@@ -493,11 +493,15 @@ def parse_config(data: Any, source: str = "config") -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"{path}: config file not found") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nested too deeply") from None
     return parse_config(data, source=path.name)
 
 
@@ -533,7 +537,7 @@ def export_fixtures(out_dir: str | Path) -> list[Path]:
 
 
 def _graph_for(network: NetworkSpec, seed: int) -> WeightedGraph:
-    """Seeded network build; the variants of one seed share it, so callers treat it as frozen."""
+    """Seeded network build; the variants of one seed share it, which is safe because graphs are immutable."""
     g = generate_watts_strogatz(network.nodes, network.ring_degree, network.rewire_prob, stream_rng(seed, "topology"))
     return assign_weights(g, network.weights, stream_rng(seed, "weights"))
 
@@ -761,7 +765,7 @@ def _aggregate(result: VariantResult) -> None:
     common = [
         col
         for col in first.columns
-        if all(col in result.series[s]._data for s in result.seeds)  # noqa: SLF001
+        if all(col in result.series[s].columns for s in result.seeds)
     ]
     result.steps = list(first.steps)
     for col in common:

@@ -64,15 +64,16 @@ class Population(Sequence[KnowledgeWorker]):
         for name, arr in (("cognitive", self.cognitive), ("social", self.social), ("forgetting", self.forgetting)):
             if arr.shape != (n,):
                 raise WorkforceError(f"{name} must be a length-{n} vector")
-        if np.any(self.competences < 0.0):
+        # Each check states what it accepts, so NaN (which fails every comparison) is rejected.
+        if not np.all(self.competences >= 0.0):
             raise WorkforceError("competences must be >= 0")
         if not np.all((self.masks == 0.0) | (self.masks == 1.0)):
             raise WorkforceError("mask entries must be 0 or 1")
-        if np.any((self.cognitive < 0.0) | (self.cognitive > 1.0)):
+        if not np.all((self.cognitive >= 0.0) & (self.cognitive <= 1.0)):
             raise WorkforceError("cognitive ability must lie in [0, 1]")
-        if np.any((self.social < 0.0) | (self.social > 1.0)):
+        if not np.all((self.social >= 0.0) & (self.social <= 1.0)):
             raise WorkforceError("social ability must lie in [0, 1]")
-        if np.any((self.forgetting < 0.0) | (self.forgetting >= 1.0)):
+        if not np.all((self.forgetting >= 0.0) & (self.forgetting < 1.0)):
             raise WorkforceError("forgetting rate must lie in [0, 1)")
 
     @property

@@ -44,9 +44,8 @@ def pair_state(c_a, c_b, *, weight=0.5, social=(0.5, 0.5), cognitive=(1.0, 1.0),
 
 def random_state(seed, n=30, k=4, p=0.3, density=0.6, forgetting=0.006):
     rng = np.random.default_rng(seed)
-    g = generate_watts_strogatz(n, k, p, rng)
-    for u, v, _ in list(g.edges()):
-        g.set_weight(u, v, float(rng.uniform(0.1, 1.0)))
+    lattice = generate_watts_strogatz(n, k, p, rng)
+    g = WeightedGraph(n, [(u, v, float(rng.uniform(0.1, 1.0))) for u, v, _ in lattice.edges()])
     pop = init_workers(n, 8, (0.0, 10.0), density, (0.2, 0.9), (0.2, 0.9), forgetting, rng)
     return SimulationState.initial(g, pop)
 

@@ -14,6 +14,7 @@ from knowflow import (
     WeightSpec,
     WeightedGraph,
     add_edge,
+    apply_facilitator,
     assign_weights,
     average_edge_weight,
     coauthor_utility,
@@ -66,23 +67,32 @@ def test_graph_rejects_self_loops_and_duplicates():
         add_edge(g, 0, 5, 1.0)
 
 
-def test_set_weight_requires_existing_edge():
+def test_edge_weights_must_be_finite_and_non_negative():
     g = build(3, {(0, 1): 1.0})
-    g.set_weight(1, 0, 0.25)
-    assert g.weight(0, 1) == 0.25
-    with pytest.raises(GraphError):
-        g.set_weight(0, 2, 1.0)
-    with pytest.raises(GraphError):
-        g.set_weight(0, 1, -0.1)
+    assert add_edge(g, 2, 1, 0.0).weight(1, 2) == 0.0
     with pytest.raises(GraphError, match="finite"):
-        g.set_weight(0, 1, float("nan"))
+        add_edge(g, 1, 2, -0.1)
+    with pytest.raises(GraphError, match="finite"):
+        add_edge(g, 1, 2, float("nan"))
+    with pytest.raises(GraphError, match="finite"):
+        WeightedGraph(3, [(0, 1, math.inf)])
 
 
-def test_copy_is_independent():
-    g = build(3, {(0, 1): 1.0})
-    h = g.copy()
-    h.set_weight(0, 1, 9.0)
-    assert g.weight(0, 1) == 1.0
+def test_graphs_are_immutable_values():
+    g = assign_weights(generate_watts_strogatz(12, 4, 0.3, np.random.default_rng(2)),
+                       WeightSpec.uniform(0.1, 1.0), np.random.default_rng(3))
+    before = list(g.edges())
+    for array in g.directed_edge_arrays():
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    derived = [
+        add_edge(g, *next((u, v) for u in range(12) for v in range(u + 1, 12) if not g.has_edge(u, v)), 0.5),
+        assign_weights(g, WeightSpec.constant(2.0), np.random.default_rng(4)),
+        apply_facilitator(g, [0, 5], 1.5),
+    ]
+    assert list(g.edges()) == before
+    assert all(list(h.edges()) != before for h in derived)
 
 
 def test_directed_edge_arrays_lists_both_orientations():
@@ -331,6 +341,20 @@ def test_edge_list_diagnostics(tmp_path):
         p.write_text(f"# nodes=3\n0,1,{weight}\n")
         with pytest.raises(GraphError, match="line 2.*finite and >= 0"):
             read_edge_list(p)
+    # the first rejected edge in file order is the one named
+    for body, message in [
+        ("0,1,1.0\n2,2,1.0\n1,0,2.0\n", r"line 3: edge \(2, 2, 1.0\) rejected: self-loop"),
+        ("0,1,1.0\n1,0,1.0\n0,1,1.0\n1,0,1.0\n", r"line 3: edge \(1, 0, 1.0\) rejected: edge already exists"),
+        ("0,1,1.0\n1,2,1.0\n1,0,2.0\n0,7,1.0\n", r"line 4: edge \(1, 0, 2.0\) rejected: edge already exists"),
+        (f"0,1,1.0\n0,{10**30},1.0\n", rf"line 3: edge \(0, {10**30}, 1.0\) rejected: unknown node"),
+        ("0,1,1.0\n-1,2,1.0\n0,2,1.0\n", r"line 3: edge \(-1, 2, 1.0\) rejected: unknown node"),
+    ]:
+        p.write_text("# nodes=3\n" + body)
+        with pytest.raises(GraphError, match=f"bad.txt: {message}"):
+            read_edge_list(p)
+    p.write_text("# nodes=-1\n")
+    with pytest.raises(GraphError, match="bad.txt: node count must be >= 0"):
+        read_edge_list(p)
 
 
 def test_isolated_nodes_survive_round_trip(tmp_path):

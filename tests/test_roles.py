@@ -97,9 +97,7 @@ def test_rankings_ignore_global_weight_scale(seed, factor):
     mercy of float rounding, so they are excluded)."""
     rng = np.random.default_rng(seed)
     g = assign_weights(generate_watts_strogatz(14, 4, 0.3, rng), WeightSpec.uniform(0.1, 1.0), rng)
-    scaled = g.copy()
-    for u, v, w in g.edges():
-        scaled.set_weight(u, v, w * factor)
+    scaled = WeightedGraph(14, [(u, v, w * factor) for u, v, w in g.edges()])
     for score_all in (weighted_closeness_all, weighted_betweenness_all):
         base = score_all(g)
         moved = score_all(scaled)
@@ -161,8 +159,7 @@ def test_apply_expert_validation():
 
 
 def test_apply_facilitator_scales_each_incident_edge_once():
-    g = path3()
-    g.set_weight(0, 1, 0.5)
+    g = WeightedGraph(3, [(0, 1, 0.5), (1, 2, 1.0)])
     boosted = apply_facilitator(g, [0, 1], 1.2)
     # both endpoints selected, still a single application: 0.5 -> 0.6
     assert boosted.weight(0, 1) == pytest.approx(0.6)

@@ -232,6 +232,14 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.json: not UTF-8"):
+        load_config(latin1)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(ConfigError, match="deep.json: invalid JSON: nested too deeply"):
+        load_config(deep)
 
 
 # -- round trips and fixtures -----------------------------------------------------
@@ -571,6 +579,13 @@ def test_cli_run_rejects_bad_configs(tmp_path, capsys):
     assert main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "nowhere.json")]) == 2
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["run", str(latin1)]) == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main(["run", str(deep)]) == 2
+    assert capsys.readouterr().err.count("config error") == 3
 
 
 def test_cli_rank_orders_nodes(tmp_path, capsys):
@@ -587,14 +602,24 @@ def test_cli_rank_orders_nodes(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text, line",
-    [("# nodes=abc\n0,1,1.0\n", 1), ("# nodes=3\n0,1,1.0\n1,2,heavy\n", 3), ("# nodes=3\n0,1,nan\n1,2,1.0\n", 2)],
+    [
+        ("# nodes=abc\n0,1,1.0\n", 1),
+        ("# nodes=3\n0,1,1.0\n1,2,heavy\n", 3),
+        ("# nodes=3\n0,1,nan\n1,2,1.0\n", 2),
+        ("# nodes=3\n0,1,1.0\n# nodes=3\n1,2,1.0\n", 3),
+        (b"# nodes=3\n0,1,1.0\n# caf\xe9\n", None),
+    ],
 )
 def test_cli_rank_malformed_edge_list_is_a_runtime_error(tmp_path, capsys, text, line):
     graph = tmp_path / "g.txt"
-    graph.write_text(text)
+    if isinstance(text, bytes):
+        graph.write_bytes(text)
+    else:
+        graph.write_text(text)
     assert main(["rank", str(graph), "--strategy", "degree"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(graph) in err and f"line {line}" in err
+    assert err.startswith("error:") and str(graph) in err
+    assert f"line {line}" in err if line is not None else "not UTF-8" in err
 
 
 def test_cli_rank_random_is_seeded(tmp_path, capsys):

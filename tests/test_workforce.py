@@ -80,6 +80,15 @@ def test_population_invariants_enforced():
         Population(ones, ones, half * 3, half, half)
     with pytest.raises(WorkforceError):
         Population(ones, np.ones((3, 3)), half, half, half)
+    nan = np.array([0.5, np.nan])
+    for args in [
+        (ones * np.nan, ones, half, half, half),
+        (ones, ones, nan, half, half),
+        (ones, ones, half, nan, half),
+        (ones, ones, half, half, nan),
+    ]:
+        with pytest.raises(WorkforceError):
+            Population(*args)
 
 
 def test_worker_rows_are_views():
