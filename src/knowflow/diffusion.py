@@ -9,7 +9,7 @@ a fixed fraction each step, whether or not anything arrives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -56,7 +56,8 @@ class SimulationState:
     """Snapshot between steps: graph, population, collector ledger.
 
     The dataclass is frozen and the graph is an immutable value: an
-    intervention on the network puts a new graph into a new state.
+    intervention on the network puts a new graph into a new state. Every step
+    returns a state whose competence matrix is a fresh array.
     """
 
     graph: WeightedGraph
@@ -64,7 +65,6 @@ class SimulationState:
     step: int = 0
     collectors: frozenset[int] = frozenset()
     collector_ledger: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    gating_violations: int = 0
 
     @classmethod
     def initial(cls, graph: WeightedGraph, population: Population) -> "SimulationState":
@@ -84,44 +84,82 @@ class SimulationState:
 # -- engine -----------------------------------------------------------------------
 
 
-def step(state: SimulationState, config: DiffusionConfig = DEFAULT_CONFIG) -> SimulationState:
+class _RunPlan:
+    """What every step of a run shares until the next intervention.
+
+    Holds the directed edges, the step invariants ``social * mask``,
+    ``cognitive * mask`` (``mask`` without cognitive gain) and ``1 - f``, the
+    collector ids, and work buffers that each step overwrites. Building it
+    validates the population, so a run checks its state at its boundaries
+    instead of on every step. No buffer is ever handed out in a state.
+    """
+
+    def __init__(self, state: SimulationState, config: DiffusionConfig):
+        pop = state.population
+        pop._validate()
+        n, m = pop.competences.shape
+        self.senders, self.receivers, weights = state.graph.directed_edge_arrays()
+        self.weights = weights[:, None]
+        # Each bin of the flat index receiver * m + competence collects its
+        # edges in edge order, which is ascending sender within each receiver.
+        self.receiver_base = (self.receivers * m)[:, None]
+        self.competence_ids = np.arange(m)
+        # Masks are 0/1, so multiplying them in before the competences
+        # changes no bit of any product.
+        self.social_mask = pop.social[:, None] * pop.masks
+        self.absorb_mask = pop.cognitive[:, None] * pop.masks if config.cognitive_gain else pop.masks
+        self.keep = (1.0 - pop.forgetting)[:, None]
+        self.collectors = np.fromiter(state.collectors, dtype=np.intp)
+        e = self.senders.size
+        self.payload = np.empty((n, m))
+        self.delivered = np.empty((e, m))
+        self.sender_c = np.empty((e, m))
+        self.receiver_c = np.empty((e, m))
+        self.gate = np.empty((e, m), dtype=bool)
+
+
+def step(
+    state: SimulationState,
+    config: DiffusionConfig = DEFAULT_CONFIG,
+    *,
+    _plan: _RunPlan | None = None,
+) -> SimulationState:
     """One synchronous update of the whole population.
 
     All gating decisions use the step-start competence matrix, so the result
-    does not depend on any processing order.
+    does not depend on any processing order. ``run`` passes its plan; a bare
+    call builds one for this step alone.
     """
+    plan = _RunPlan(state, config) if _plan is None else _plan
     pop = state.population
-    snapshot = pop.competences  # never mutated below; arrays are rebuilt
-    masks = pop.masks
-    senders, receivers, weights = state.graph.directed_edge_arrays()
+    snapshot = pop.competences
+    senders, receivers = plan.senders, plan.receivers
 
-    gains = np.zeros_like(snapshot)
-    violations = 0
+    # mode="clip" lets take write straight into ``out`` ("raise" copies through
+    # a temporary); the indices come from a validated graph.
+    np.multiply(plan.social_mask, snapshot, out=plan.payload)
+    delivered = plan.payload.take(senders, axis=0, out=plan.delivered, mode="clip")
+    np.multiply(delivered, plan.weights, out=delivered)
     ledger = state.collector_ledger
-    if senders.size:
-        payload = pop.social[:, None] * snapshot * masks
-        delivered = payload[senders] * weights[:, None]
-        gate = snapshot[senders] > snapshot[receivers]
-        contrib = delivered * gate
-        np.add.at(gains, receivers, contrib)
-        violations = int(np.count_nonzero((contrib != 0.0) & ~gate))
-        if state.collectors:
-            inflow = np.zeros(len(pop))
-            np.add.at(inflow, receivers, delivered.sum(axis=1))
-            ledger = ledger.copy()
-            idx = np.fromiter(state.collectors, dtype=np.intp)
-            ledger[idx] += inflow[idx]
+    if plan.collectors.size:
+        inflow = np.bincount(receivers, weights=delivered.sum(axis=1), minlength=len(pop))
+        ledger = ledger.copy()
+        ledger[plan.collectors] += inflow[plan.collectors]
+    sender_c = snapshot.take(senders, axis=0, out=plan.sender_c, mode="clip")
+    receiver_c = snapshot.take(receivers, axis=0, out=plan.receiver_c, mode="clip")
+    np.greater(sender_c, receiver_c, out=plan.gate)
+    contrib = np.multiply(delivered, plan.gate, out=delivered)
+    # The receiver gather is dead now; its bytes hold the flat scatter index.
+    flat = np.add(plan.receiver_base, plan.competence_ids, out=receiver_c.view(np.int64))
+    # astype: with no edges at all, bincount returns integer zeros.
+    gains = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=snapshot.size).astype(float, copy=False)
+    competences = gains.reshape(snapshot.shape)
+    np.multiply(plan.absorb_mask, competences, out=competences)
+    # The payload is dead too; it takes the decayed competences.
+    np.add(np.multiply(plan.keep, snapshot, out=plan.payload), competences, out=competences)
 
-    absorb = pop.cognitive[:, None] if config.cognitive_gain else 1.0
-    new_competences = (1.0 - pop.forgetting)[:, None] * snapshot + absorb * masks * gains
-    new_pop = Population(new_competences, masks, pop.cognitive, pop.social, pop.forgetting)
-    return replace(
-        state,
-        population=new_pop,
-        step=state.step + 1,
-        collector_ledger=ledger,
-        gating_violations=state.gating_violations + violations,
-    )
+    new_pop = Population._trusted(competences, pop.masks, pop.cognitive, pop.social, pop.forgetting)
+    return SimulationState(state.graph, new_pop, state.step + 1, state.collectors, ledger)
 
 
 # -- probes and time series ---------------------------------------------------------
@@ -231,20 +269,28 @@ def run(
     every step (a zero-step run yields a length-1 series).
 
     ``interventions`` maps a step index to a state transform applied after the
-    probe record at that index, i.e. between steps.
+    probe record at that index, i.e. between steps. The run validates its
+    state and builds the plan its steps share once, and again right after
+    each intervention.
     """
     if steps < 0:
         raise DiffusionError(f"step count must be >= 0, got {steps}")
-    plan = dict(interventions) if interventions else {}
+    actions = dict(interventions) if interventions else {}
     series = TimeSeries([(p.metric, p.scope) for p in probes])
 
     def snapshot_values(st: SimulationState) -> dict[tuple[str, str], float]:
         return {(p.metric, p.scope): float(p.measure(st)) for p in probes}
 
     series.record(state.step, snapshot_values(state))
+    plan = None
     for _ in range(steps):
-        if state.step in plan:
-            state = plan[state.step](state)
-        state = step(state, config)
+        if state.step in actions:
+            # A facilitator changes the graph, an expert the competences and
+            # a collector the collector set: the plan no longer holds.
+            state = actions[state.step](state)
+            plan = None
+        if plan is None:
+            plan = _RunPlan(state, config)
+        state = step(state, config, _plan=plan)
         series.record(state.step, snapshot_values(state))
     return state, series

@@ -34,8 +34,8 @@ class KnowledgeWorker:
 class Population(Sequence[KnowledgeWorker]):
     """Column-oriented store for a workforce of equal-length competence vectors.
 
-    Invariants: competences >= 0, mask entries in {0, 1}, abilities in [0, 1],
-    forgetting rate in [0, 1).
+    Invariants: competences finite and >= 0, mask entries in {0, 1}, abilities
+    in [0, 1], forgetting rate in [0, 1).
     """
 
     def __init__(
@@ -53,6 +53,21 @@ class Population(Sequence[KnowledgeWorker]):
         self.forgetting = np.asarray(forgetting, dtype=float)
         self._validate()
 
+    @classmethod
+    def _trusted(
+        cls,
+        competences: np.ndarray,
+        masks: np.ndarray,
+        cognitive: np.ndarray,
+        social: np.ndarray,
+        forgetting: np.ndarray,
+    ) -> "Population":
+        """A population from float arrays that already satisfy the invariants; no checks."""
+        pop = cls.__new__(cls)
+        pop.competences, pop.masks = competences, masks
+        pop.cognitive, pop.social, pop.forgetting = cognitive, social, forgetting
+        return pop
+
     def _validate(self) -> None:
         if self.competences.ndim != 2:
             raise WorkforceError("competences must be a 2-d array (workers x competences)")
@@ -65,8 +80,8 @@ class Population(Sequence[KnowledgeWorker]):
             if arr.shape != (n,):
                 raise WorkforceError(f"{name} must be a length-{n} vector")
         # Each check states what it accepts, so NaN (which fails every comparison) is rejected.
-        if not np.all(self.competences >= 0.0):
-            raise WorkforceError("competences must be >= 0")
+        if not np.all(np.isfinite(self.competences) & (self.competences >= 0.0)):
+            raise WorkforceError("competences must be finite and >= 0")
         if not np.all((self.masks == 0.0) | (self.masks == 1.0)):
             raise WorkforceError("mask entries must be 0 or 1")
         if not np.all((self.cognitive >= 0.0) & (self.cognitive <= 1.0)):

@@ -81,7 +81,7 @@ def test_criterion_1_decay_closed_form():
 
 
 def test_criterion_2_gating_never_admits_weaker_senders():
-    """Beyond the engine's own counter, re-derive gating from observed state:
+    """Re-derive gating from observed state, independently of the engine:
     any competence gain above pure decay must coincide with some neighbor whose
     step-start value strictly exceeded the receiver's."""
     checked = 0
@@ -110,8 +110,7 @@ def test_criterion_2_gating_never_admits_weaker_senders():
                     f"at workers {np.flatnonzero(bad).tolist()} competence {n}"
                 )
                 checked += int(gained.sum())
-        assert state.gating_violations == 0
-    verdict(2, "gating", True, f"3 runs x 200 steps, {checked} gain events all justified, counter 0")
+    verdict(2, "gating", True, f"3 runs x 200 steps, {checked} gain events all justified")
 
 
 # -- 3: brute-force oracle equivalence ----------------------------------------------

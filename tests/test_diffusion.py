@@ -1,6 +1,8 @@
 """Diffusion engine: broadcast/attenuate/gate kernels, the synchronous step,
 collector accounting, probes, and the time series container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,14 @@ from knowflow import (
     DiffusionConfig,
     DiffusionError,
     Population,
+    Probe,
     SimulationState,
     TimeSeries,
     WeightedGraph,
     add_edge,
     apply_collector,
+    apply_expert,
+    apply_facilitator,
     collector_probes,
     generate_watts_strogatz,
     init_workers,
@@ -123,7 +128,6 @@ def test_step_matches_hand_computation():
     assert nxt.population.competences[1, 0] == pytest.approx(2.0)
     assert nxt.population.competences[0, 0] == pytest.approx(4.0)  # nothing qualifies upstream
     assert nxt.step == 1
-    assert nxt.gating_violations == 0
 
 
 def test_step_no_flow_between_equals():
@@ -174,11 +178,25 @@ def test_reference_step_order_independent():
         reference_step(state, node_order=[0, 0, 2])
 
 
-def test_gating_violations_counter_stays_zero():
-    state = random_state(7)
-    for _ in range(50):
-        state = step(state)
-    assert state.gating_violations == 0
+def _kept(st_: SimulationState) -> tuple[SimulationState, np.ndarray, np.ndarray]:
+    return st_, st_.population.competences.copy(), st_.collector_ledger.copy()
+
+
+def test_states_stay_unchanged_after_later_steps():
+    # Later steps reuse work buffers; no state handed out may change or share them.
+    start = apply_collector(random_state(7), [2, 7])
+    stepped = [_kept(start)]
+    for _ in range(4):
+        stepped.append(_kept(step(stepped[-1][0])))
+    probed = []
+    run(start, 4, [Probe("average_competence", "all", lambda st_: probed.append(_kept(st_)) or 0.0)])
+    for kept in (stepped, probed):
+        assert len(kept) == 5
+        for i, (st_, competences, ledger) in enumerate(kept):
+            assert np.array_equal(st_.population.competences, competences)
+            assert np.array_equal(st_.collector_ledger, ledger)
+            for later, _, _ in kept[i + 1:]:
+                assert not np.shares_memory(st_.population.competences, later.population.competences)
 
 
 # -- collectors --------------------------------------------------------------------
@@ -289,6 +307,31 @@ def test_run_applies_interventions_between_records():
     assert curve[0] == 2.0  # recorded before the intervention kicks in
     assert curve[1] == 7.0
     assert curve[2] == 7.0
+
+
+@pytest.mark.parametrize("role", ["facilitator", "expert", "collector"])
+def test_run_matches_bare_steps_across_a_mid_run_intervention(role):
+    # The run's plan must be rebuilt when an intervention changes the graph,
+    # the competences or the collector set.
+    nodes = [1, 4, 9]
+
+    def intervene(st_: SimulationState) -> SimulationState:
+        if role == "facilitator":
+            return replace(st_, graph=apply_facilitator(st_.graph, nodes, 1.5))
+        if role == "expert":
+            boosted = apply_expert(st_.population, nodes, (10.0, 50.0), np.random.default_rng(5))
+            return replace(st_, population=boosted)
+        return apply_collector(st_, nodes)
+
+    start = random_state(23)
+    final, _ = run(start, 12, [probe_average()], interventions={5: intervene})
+    state = start
+    for _ in range(12):
+        if state.step == 5:
+            state = intervene(state)
+        state = step(state)
+    assert np.array_equal(final.population.competences, state.population.competences)
+    assert np.array_equal(final.collector_ledger, state.collector_ledger)
 
 
 def test_state_initial_validates_sizes():

@@ -1,6 +1,7 @@
 """Scenario layer: config validation, fixtures, the experiment runner, report
 files, and the command line interface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -445,6 +446,30 @@ def test_collector_variants_share_competence_dynamics():
     assert not np.array_equal(
         a.series[1].column("collector_intake"), b.series[1].column("collector_intake")
     )
+
+
+# sha256 of the joined csv_lines() of seed 1, recorded from the np.add.at
+# kernel that the bincount scatter replaced: a diffusion kernel that drifts by
+# one ulp anywhere in 100 steps changes them.
+SERIES_SHA256 = {
+    ("fig3", "none"): "d1e0091b394b432bdc7df658dc2ca45f70dcc888b8a39f39cf4f345caa088ccf",
+    ("fig3", "degree"): "2d5c57ef2de917f8f54a09e45014028c7494d47e0dac9499fb53906f04ba58d2",
+    ("fig4", "none"): "16130f5174eef63cb20f9fa6c40f0fae762a5d102e02ac586ae8404739ff1db2",
+    ("fig4", "degree"): "e6cfb522bd4fb516b4f3043b74a31cea1909714c793bf93b998c12b794984a7b",
+}
+
+
+@pytest.mark.parametrize("fixture", ["fig3", "fig4"])
+def test_series_bytes_are_pinned(fixture):
+    raw = load_fixture(fixture).to_dict()
+    raw["role_plan"]["strategies"] = ["none", "degree"]
+    raw["run"]["steps"] = 100
+    report = run_experiment(parse_config(raw), seeds=[1])
+    digests = {
+        (fixture, name): hashlib.sha256("\n".join(var.series[1].csv_lines()).encode()).hexdigest()
+        for name, var in report.variants.items()
+    }
+    assert digests == {key: h for key, h in SERIES_SHA256.items() if key[0] == fixture}
 
 
 def test_manual_ties_are_inserted_and_logged():

@@ -83,6 +83,7 @@ def test_population_invariants_enforced():
     nan = np.array([0.5, np.nan])
     for args in [
         (ones * np.nan, ones, half, half, half),
+        (ones * np.inf, ones, half, half, half),
         (ones, ones, nan, half, half),
         (ones, ones, half, nan, half),
         (ones, ones, half, half, nan),
