@@ -174,11 +174,16 @@ class Probe:
     measure: Callable[[SimulationState], float]
 
 
+def _mean(x: np.ndarray) -> float:
+    """``x.mean()`` without its dispatch overhead: the same pairwise sum, in memory order."""
+    return float(np.add.reduce(x, axis=None) / x.size)
+
+
 def probe_average() -> Probe:
     return Probe(
         metric="average_competence",
         scope="all",
-        measure=lambda st: float(st.population.competences.mean()),
+        measure=lambda st: _mean(st.population.competences),
     )
 
 
@@ -186,7 +191,7 @@ def probe_node(node: int) -> Probe:
     return Probe(
         metric="average_competence",
         scope=f"node:{node}",
-        measure=lambda st: float(st.population.competences[node].mean()),
+        measure=lambda st: _mean(st.population.competences[node]),
     )
 
 
@@ -194,12 +199,16 @@ def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | N
     """Mean competence over chosen competence positions and (optionally) members."""
     comp_idx = np.asarray(sorted(int(c) for c in competences), dtype=np.intp)
     member_idx = None if members is None else np.asarray(sorted(int(m) for m in members), dtype=np.intp)
+    flat: dict[tuple[int, ...], np.ndarray] = {}  # matrix shape -> flat index of the selection
 
     def measure(st: SimulationState) -> float:
         matrix = st.population.competences
-        if member_idx is not None:
-            matrix = matrix[member_idx]
-        return float(matrix[:, comp_idx].mean())
+        if matrix.shape not in flat:
+            rows = np.arange(matrix.shape[0]) if member_idx is None else member_idx
+            # Competence-major, the memory order of ``matrix[rows][:, comp_idx]``,
+            # so the pairwise sum adds the same values in the same order.
+            flat[matrix.shape] = np.ravel_multi_index((rows[None, :], comp_idx[:, None]), matrix.shape)
+        return _mean(matrix.take(flat[matrix.shape]))
 
     return Probe(metric="average_competence", scope=f"mask:{name}", measure=measure)
 

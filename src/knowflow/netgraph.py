@@ -96,10 +96,11 @@ class WeightedGraph:
     An immutable value: the constructor validates every edge and builds all
     of the state. Both orientations of every edge are kept as read-only arrays
     in receiver-major (CSR) order, next to a neighbor -> weight dict per node
-    for the scalar queries; both list neighbors in ascending id.
+    for the scalar queries; both list neighbors in ascending id. Closeness
+    and betweenness are computed together on first request and kept.
     """
 
-    __slots__ = ("_n", "_senders", "_receivers", "_weights", "_rows")
+    __slots__ = ("_n", "_senders", "_receivers", "_weights", "_rows", "_centralities")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]] = ()):
         if node_count < 0:
@@ -118,6 +119,7 @@ class WeightedGraph:
         ids = list(range(n))
         for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
             rows[a][ids[b]] = rows[b][ids[a]] = x
+        self._centralities: tuple[np.ndarray, np.ndarray] | None = None  # see _memoised_centralities
 
     # -- structure queries ------------------------------------------------
 
@@ -288,40 +290,67 @@ def _inverse_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
     return adj
 
 
-def _dijkstra(
-    adj: list[list[tuple[int, float]]], source: int
-) -> tuple[list[float], list[float], list[list[int]], list[int]]:
-    """Single-source stage of Brandes' algorithm over inverse-weight distances.
+def _centralities(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Closeness and betweenness of every node from one sweep of Brandes' algorithm (2001).
 
-    Returns the distances, the shortest-path counts, each node's predecessors
-    on shortest paths and the nodes in the order they were settled.
+    Per source, the single-source stage's distances give the source's
+    closeness, and its dependency accumulation adds to every betweenness.
     """
-    n = len(adj)
-    dist = [math.inf] * n
-    sigma = [0.0] * n
-    preds: list[list[int]] = [[] for _ in range(n)]
-    dist[source] = 0.0
-    sigma[source] = 1.0
-    done = [False] * n
-    order: list[int] = []
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        order.append(v)
-        for u, inverse in adj[v]:
-            nd = d + inverse
-            if nd < dist[u]:
-                dist[u] = nd
-                sigma[u] = sigma[v]
-                preds[u] = [v]
-                heapq.heappush(heap, (nd, u))
-            elif nd == dist[u]:
-                sigma[u] += sigma[v]
-                preds[u].append(v)
-    return dist, sigma, preds, order
+    n = g.node_count
+    adj = _inverse_adjacency(g)
+    closeness = np.zeros(n, dtype=float)
+    bc = [0.0] * n
+    for s in range(n):
+        dist = [math.inf] * n
+        sigma = [0.0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0.0
+        sigma[s] = 1.0
+        done = [False] * n
+        order: list[int] = []
+        heap: list[tuple[float, int]] = [(0.0, s)]
+        while heap:
+            d, v = heapq.heappop(heap)
+            if done[v]:
+                continue
+            done[v] = True
+            order.append(v)
+            for u, inverse in adj[v]:
+                nd = d + inverse
+                if nd < dist[u]:
+                    dist[u] = nd
+                    sigma[u] = sigma[v]
+                    preds[u] = [v]
+                    heapq.heappush(heap, (nd, u))
+                elif nd == dist[u]:
+                    sigma[u] += sigma[v]
+                    preds[u].append(v)
+        # Closeness: (n-1) / sum of distances. A source that cannot reach
+        # every node takes the harmonic form instead (sum of inverse
+        # distances, unreachable terms contributing zero). dist[s] is the
+        # only zero, so summing it adds nothing.
+        if math.inf in dist:
+            closeness[s] = sum(1.0 / x for x in dist if 0.0 < x < math.inf)
+        else:
+            total = sum(dist)
+            closeness[s] = (n - 1) / total if total > 0.0 else 0.0
+        delta = [0.0] * n
+        for v in reversed(order):
+            for p in preds[v]:
+                delta[p] += sigma[p] / sigma[v] * (1.0 + delta[v])
+            if v != s:
+                bc[v] += delta[v]
+    return closeness, np.array(bc) / 2.0
+
+
+def _memoised_centralities(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``_centralities(g)``, computed on first use and kept on the graph, which never changes.
+
+    Callers get copies, so the kept arrays cannot be altered from outside.
+    """
+    if g._centralities is None:
+        g._centralities = _centralities(g)
+    return g._centralities
 
 
 def weighted_closeness_all(g: WeightedGraph) -> np.ndarray:
@@ -331,18 +360,7 @@ def weighted_closeness_all(g: WeightedGraph) -> np.ndarray:
     degenerates, so the harmonic variant (sum of inverse distances,
     unreachable terms contributing zero) is used instead.
     """
-    n = g.node_count
-    out = np.zeros(n, dtype=float)
-    adj = _inverse_adjacency(g)
-    for v in range(n):
-        dist = _dijkstra(adj, v)[0]
-        others = [dist[u] for u in range(n) if u != v]
-        if all(math.isfinite(d) for d in others):
-            total = sum(others)
-            out[v] = (n - 1) / total if total > 0.0 else 0.0
-        else:
-            out[v] = sum(1.0 / d for d in others if math.isfinite(d) and d > 0.0)
-    return out
+    return _memoised_centralities(g)[0].copy()
 
 
 def weighted_betweenness_all(g: WeightedGraph) -> np.ndarray:
@@ -351,18 +369,7 @@ def weighted_betweenness_all(g: WeightedGraph) -> np.ndarray:
     For each unordered pair (s, t) a node v strictly between them accumulates
     the fraction of shortest s-t paths passing through v.
     """
-    n = g.node_count
-    bc = np.zeros(n, dtype=float)
-    adj = _inverse_adjacency(g)
-    for s in range(n):
-        _, sigma, preds, order = _dijkstra(adj, s)
-        delta = [0.0] * n
-        for v in reversed(order):
-            for pred in preds[v]:
-                delta[pred] += sigma[pred] / sigma[v] * (1.0 + delta[v])
-            if v != s:
-                bc[v] += delta[v]
-    return bc / 2.0
+    return _memoised_centralities(g)[1].copy()
 
 
 def coauthor_utility(g: WeightedGraph, v: int) -> float:

@@ -85,7 +85,7 @@ def rank_nodes(
             raise RoleError("random strategy needs a seeded random generator")
         return [int(v) for v in rng.permutation(g.node_count)]
     if strategy is Strategy.DEGREE:
-        scores = [float(g.degree(v)) for v in nodes]
+        scores = np.bincount(g.directed_edge_arrays()[1], minlength=g.node_count).tolist()
     elif strategy is Strategy.CLOSENESS:
         scores = list(weighted_closeness_all(g))
     elif strategy is Strategy.BETWEENNESS:

@@ -2,9 +2,10 @@
 
 The graph metrics work by exhaustive enumeration over simple paths or edge
 subsets. Path costs accumulate left to right, matching how a relaxation-based
-shortest-path search composes the same sums. The diffusion reference is the
-literal per-worker composition of broadcast, transmission and assimilation
-that the vectorized engine must reproduce.
+shortest-path search composes the same sums. The two-sweep centralities are
+the package's former implementation, kept as its bit-exact reference. The
+diffusion reference is the literal per-worker composition of broadcast,
+transmission and assimilation that the vectorized engine must reproduce.
 
 Nothing here imports from the package under test: the diffusion reference
 reads graphs, populations and states through their public attributes only.
@@ -12,6 +13,7 @@ reads graphs, populations and states through their public attributes only.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -179,6 +181,81 @@ def oracle_hop_path(n: int, adj: dict, s: int, t: int, score=None):
         if sc > best_score or (sc == best_score and p < best):
             best, best_score = p, sc
     return best
+
+
+# -- two-sweep centrality reference -------------------------------------------------
+# One Dijkstra per source for closeness and another for betweenness: the
+# package's single sweep must reproduce both arrays bit for bit.
+
+
+def _inverse_adjacency(g) -> list:
+    """Per node, ``(neighbor, 1/weight)`` in ascending neighbor order; zero weights left out."""
+    adj = [[] for _ in range(g.node_count)]
+    for u, v, w in zip(*(a.tolist() for a in g.directed_edge_arrays())):
+        if w > 0.0:
+            adj[v].append((u, 1.0 / w))
+    return adj
+
+
+def _dijkstra(adj: list, source: int):
+    """Single-source stage of Brandes' algorithm: distances, path counts,
+    predecessors and settle order."""
+    n = len(adj)
+    dist = [math.inf] * n
+    sigma = [0.0] * n
+    preds = [[] for _ in range(n)]
+    dist[source] = 0.0
+    sigma[source] = 1.0
+    done = [False] * n
+    order = []
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        order.append(v)
+        for u, inverse in adj[v]:
+            nd = d + inverse
+            if nd < dist[u]:
+                dist[u] = nd
+                sigma[u] = sigma[v]
+                preds[u] = [v]
+                heapq.heappush(heap, (nd, u))
+            elif nd == dist[u]:
+                sigma[u] += sigma[v]
+                preds[u].append(v)
+    return dist, sigma, preds, order
+
+
+def two_sweep_closeness_all(g) -> np.ndarray:
+    n = g.node_count
+    out = np.zeros(n, dtype=float)
+    adj = _inverse_adjacency(g)
+    for v in range(n):
+        dist = _dijkstra(adj, v)[0]
+        others = [dist[u] for u in range(n) if u != v]
+        if all(math.isfinite(d) for d in others):
+            total = sum(others)
+            out[v] = (n - 1) / total if total > 0.0 else 0.0
+        else:
+            out[v] = sum(1.0 / d for d in others if math.isfinite(d) and d > 0.0)
+    return out
+
+
+def two_sweep_betweenness_all(g) -> np.ndarray:
+    n = g.node_count
+    bc = np.zeros(n, dtype=float)
+    adj = _inverse_adjacency(g)
+    for s in range(n):
+        _, sigma, preds, order = _dijkstra(adj, s)
+        delta = [0.0] * n
+        for v in reversed(order):
+            for pred in preds[v]:
+                delta[pred] += sigma[pred] / sigma[v] * (1.0 + delta[v])
+            if v != s:
+                bc[v] += delta[v]
+    return bc / 2.0
 
 
 # -- per-worker diffusion reference ------------------------------------------------

@@ -250,6 +250,23 @@ def test_probe_values():
     assert p.measure(state) == pytest.approx(pop.competences[[0, 2, 6]][:, [1, 4]].mean())
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 60), st.integers(1, 30), st.booleans())
+def test_probes_equal_ndarray_mean_bit_for_bit(seed, n, m, all_members):
+    # The probes sum in the memory order of the selections below, so their
+    # pairwise sums, and the report values, are those of ndarray.mean.
+    rng = np.random.default_rng(seed)
+    pop = init_workers(n, m, (0.0, 10.0), 0.6, (0.2, 0.9), (0.2, 0.9), 0.006, rng)
+    state = SimulationState.initial(WeightedGraph(n), pop)
+    c = pop.competences
+    comps = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+    members = None if all_members else sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+    expected = c[:, comps].mean() if members is None else c[members][:, comps].mean()
+    assert probe_mask("x", comps, members).measure(state) == float(expected)
+    assert probe_average().measure(state) == float(c.mean())
+    assert probe_node(n - 1).measure(state) == float(c[n - 1].mean())
+
+
 def test_collector_probes_total_is_sum_of_parts():
     state = apply_collector(random_state(17), [1, 3, 8])
     for _ in range(10):

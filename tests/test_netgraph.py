@@ -2,13 +2,17 @@
 brute-force oracles for small instances."""
 
 import hashlib
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from knowflow import netgraph
 from knowflow import (
     GraphError,
     WeightSpec,
@@ -220,6 +224,87 @@ def test_centralities_are_pinned_bit_for_bit_on_the_fig2_graph():
         "e5277c6c57c1cc65de528483417460b15b0cd73bb6838947040b102d763102d2",
         "a917eff9c6cedff62064ea2c0949ad28d5abdd41b9fe30beccde81c03f30f1bb",
     ]
+
+
+@pytest.mark.parametrize(
+    "graph, digests",
+    [
+        (
+            lambda: _graph_for(load_fixture("fig2").network, 2),
+            [
+                "95640ada5cb9228a1a1b3a6dc05403f3c8fd8097f0a0298619733cc185a284be",
+                "1be30c0c7fcc40467747f628f1605f45a4508c4bc4fca96ee2694fdffb20d3bc",
+            ],
+        ),
+        (
+            lambda: _graph_for(load_fixture("fig2").network, 3),
+            [
+                "181124968b3936677ea9bf0071420b7e1660317b5b61f56d212b0bfc6e3e6a39",
+                "431a261d73ae5ba71ebacfb413c2dc6d5c04089c7b59e368aeceae5f17a92232",
+            ],
+        ),
+        (  # every weight 1.0, so equal-length paths and tied scores abound
+            lambda: generate_watts_strogatz(120, 4, 0.2, np.random.default_rng(3)),
+            [
+                "64e7024bfe2a97622c21fb9e64deb1ec1e498123b175902755821f358f4120c8",
+                "9346bf644cf8d24d562973374a0a83a964622d7a852f7f071442de781df28846",
+            ],
+        ),
+    ],
+    ids=["fig2-seed2", "fig2-seed3", "constant-weights"],
+)
+def test_centralities_are_pinned_bit_for_bit_on_more_graphs(graph, digests):
+    g = graph()
+    assert [hashlib.sha256(f(g).tobytes()).hexdigest() for f in (weighted_closeness_all, weighted_betweenness_all)] == digests
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    # Weights from a small set make equal-length paths, so the tie branch of
+    # the relaxation (and with it the order of sigma and preds) is exercised.
+    weight = st.sampled_from([0.5, 1.0, 2.0]) if draw(st.booleans()) else st.floats(0.01, 10.0)
+    return WeightedGraph(n, [(u, v, draw(weight)) for (u, v), k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+@example(WeightedGraph(5))  # edgeless
+@example(WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (4, 5, 1.0), (3, 5, 1.0)]))  # two components
+@example(WeightedGraph(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0), (0, 3, 2.0)]))  # a zero-weight edge
+def test_one_sweep_matches_the_two_sweep_reference_bit_for_bit(g):
+    assert np.array_equal(weighted_closeness_all(g), oracles.two_sweep_closeness_all(g))
+    assert np.array_equal(weighted_betweenness_all(g), oracles.two_sweep_betweenness_all(g))
+
+
+def test_one_sweep_per_graph_serves_both_centralities(monkeypatch):
+    sweeps = []
+    sweep = netgraph._centralities
+    monkeypatch.setattr(netgraph, "_centralities", lambda g: sweeps.append(g) or sweep(g))
+    g = build(4, {(0, 1): 1.0, (1, 2): 0.5, (2, 3): 2.0})
+    closeness, betweenness = weighted_closeness_all(g), weighted_betweenness_all(g)
+    assert sweeps == [g]
+    assert np.array_equal(weighted_closeness_all(g), closeness) and sweeps == [g]
+    # Graphs derived from g are new values and sweep for themselves.
+    for derived in (add_edge(g, 0, 3, 1.0), apply_facilitator(g, [1], 2.0)):
+        weighted_betweenness_all(derived)
+        weighted_closeness_all(derived)
+        assert sweeps[-1] is derived
+    assert len(sweeps) == 3
+    assert not np.array_equal(weighted_betweenness_all(sweeps[1]), betweenness)
+    assert not np.array_equal(weighted_closeness_all(sweeps[2]), closeness)
+
+
+def test_returned_centralities_are_copies():
+    g = path3(1.0, 0.5)
+    closeness, betweenness = weighted_closeness_all(g), weighted_betweenness_all(g)
+    kept = closeness.copy(), betweenness.copy()
+    closeness[:] = -1.0
+    betweenness[:] = -1.0
+    assert np.array_equal(weighted_closeness_all(g), kept[0])
+    assert np.array_equal(weighted_betweenness_all(g), kept[1])
 
 
 def test_coauthor_utility_hand_values():

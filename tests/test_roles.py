@@ -57,6 +57,12 @@ def test_degree_ranking_puts_hub_first():
     assert rank_nodes(star(5), Strategy.DEGREE) == [0, 1, 2, 3, 4]
 
 
+def test_degree_ranking_counts_every_edge():
+    # A zero-weight edge still counts toward degree; an isolated node scores 0.
+    g = WeightedGraph(6, [(0, 1, 0.0), (0, 4, 0.0), (1, 2, 1.0), (2, 3, 2.0)])
+    assert rank_nodes(g, Strategy.DEGREE) == sorted(g.nodes(), key=lambda v: (-g.degree(v), v)) == [0, 1, 2, 3, 4, 5]
+
+
 def test_centrality_rankings_on_a_path():
     assert rank_nodes(path3(), Strategy.BETWEENNESS) == [1, 0, 2]
     assert rank_nodes(path3(), Strategy.CLOSENESS) == [1, 0, 2]
