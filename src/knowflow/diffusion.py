@@ -87,35 +87,49 @@ class SimulationState:
 class _RunPlan:
     """What every step of a run shares until the next intervention.
 
-    Holds the directed edges, the step invariants ``social * mask``,
-    ``cognitive * mask`` (``mask`` without cognitive gain) and ``1 - f``, the
-    collector ids, and work buffers that each step overwrites. Building it
-    validates the population, so a run checks its state at its boundaries
-    instead of on every step. No buffer is ever handed out in a state.
+    A (directed edge, competence) pair can change a competence only if the
+    sender broadcasts it and the receiver absorbs it, that is, only if both
+    masks hold it. The plan lists these live pairs once, in (edge,
+    competence) order: flat sender and receiver indices ``node * m + k``,
+    the sender's social ability and the edge weight. It also holds the step
+    invariants ``cognitive * mask`` (``mask`` without cognitive gain) and
+    ``1 - f``, the collectors' incoming edges, and work buffers that each
+    step overwrites. Building it validates the population, so a run checks
+    its state at its boundaries instead of on every step. No buffer is ever
+    handed out in a state.
     """
 
     def __init__(self, state: SimulationState, config: DiffusionConfig):
         pop = state.population
         pop._validate()
         n, m = pop.competences.shape
-        self.senders, self.receivers, weights = state.graph.directed_edge_arrays()
-        self.weights = weights[:, None]
-        # Each bin of the flat index receiver * m + competence collects its
-        # edges in edge order, which is ascending sender within each receiver.
-        self.receiver_base = (self.receivers * m)[:, None]
-        self.competence_ids = np.arange(m)
-        # Masks are 0/1, so multiplying them in before the competences
-        # changes no bit of any product.
-        self.social_mask = pop.social[:, None] * pop.masks
+        senders, receivers, weights = state.graph.directed_edge_arrays()
+        held = pop.masks != 0.0
+        live = held.take(senders, axis=0) & held.take(receivers, axis=0)
+        # Row-major order keeps edge order, which is ascending sender within
+        # each receiver, so every scatter bin adds its pairs in that order.
+        edge, comp = np.divmod(np.flatnonzero(live), m)
+        live_senders = senders[edge]
+        self.sender_flat = live_senders * m + comp
+        self.receiver_flat = receivers[edge] * m + comp
+        # A live sender's mask is 1, so social * c is its social * mask * c.
+        self.sender_social = pop.social[live_senders]
+        self.live_weights = weights[edge]
         self.absorb_mask = pop.cognitive[:, None] * pop.masks if config.cognitive_gain else pop.masks
-        self.keep = (1.0 - pop.forgetting)[:, None]
+        # Full rows: a (n, 1) factor makes the ufunc loop once per row of m.
+        self.keep = np.repeat((1.0 - pop.forgetting)[:, None], m, axis=1)
         self.collectors = np.fromiter(state.collectors, dtype=np.intp)
-        e = self.senders.size
-        self.payload = np.empty((n, m))
-        self.delivered = np.empty((e, m))
-        self.sender_c = np.empty((e, m))
-        self.receiver_c = np.empty((e, m))
-        self.gate = np.empty((e, m), dtype=bool)
+        # A collector's intake counts every raw delivery, live or not, so it
+        # keeps whole payload rows of its incoming edges.
+        into = np.isin(receivers, self.collectors)
+        self.into_senders, self.into_receivers = senders[into], receivers[into]
+        self.into_social_mask = pop.social[self.into_senders, None] * pop.masks[self.into_senders]
+        self.into_weights = weights[into][:, None]
+        self.delivered = np.empty(edge.size)
+        self.sender_c = np.empty(edge.size)
+        self.receiver_c = np.empty(edge.size)
+        self.gate = np.empty(edge.size, dtype=bool)
+        self.decayed = np.empty((n, m))
 
 
 def step(
@@ -127,36 +141,36 @@ def step(
     """One synchronous update of the whole population.
 
     All gating decisions use the step-start competence matrix, so the result
-    does not depend on any processing order. ``run`` passes its plan; a bare
-    call builds one for this step alone.
+    does not depend on any processing order. Only the plan's live pairs are
+    gathered, gated and scattered: a pair outside the sender's mask would add
+    exactly ``+0.0`` to its bin, and a bin outside the receiver's mask is
+    multiplied by 0, so the result is bit-identical to streaming all E x m
+    pairs. ``run`` passes its plan; a bare call builds one for this step
+    alone.
     """
     plan = _RunPlan(state, config) if _plan is None else _plan
     pop = state.population
     snapshot = pop.competences
-    senders, receivers = plan.senders, plan.receivers
 
-    # mode="clip" lets take write straight into ``out`` ("raise" copies through
-    # a temporary); the indices come from a validated graph.
-    np.multiply(plan.social_mask, snapshot, out=plan.payload)
-    delivered = plan.payload.take(senders, axis=0, out=plan.delivered, mode="clip")
-    np.multiply(delivered, plan.weights, out=delivered)
     ledger = state.collector_ledger
     if plan.collectors.size:
-        inflow = np.bincount(receivers, weights=delivered.sum(axis=1), minlength=len(pop))
+        payload = plan.into_social_mask * snapshot.take(plan.into_senders, axis=0)
+        intake = (payload * plan.into_weights).sum(axis=1)
+        inflow = np.bincount(plan.into_receivers, weights=intake, minlength=len(pop))
         ledger = ledger.copy()
         ledger[plan.collectors] += inflow[plan.collectors]
-    sender_c = snapshot.take(senders, axis=0, out=plan.sender_c, mode="clip")
-    receiver_c = snapshot.take(receivers, axis=0, out=plan.receiver_c, mode="clip")
-    np.greater(sender_c, receiver_c, out=plan.gate)
-    contrib = np.multiply(delivered, plan.gate, out=delivered)
-    # The receiver gather is dead now; its bytes hold the flat scatter index.
-    flat = np.add(plan.receiver_base, plan.competence_ids, out=receiver_c.view(np.int64))
-    # astype: with no edges at all, bincount returns integer zeros.
-    gains = np.bincount(flat.ravel(), weights=contrib.ravel(), minlength=snapshot.size).astype(float, copy=False)
+    # mode="clip" lets take write straight into ``out`` ("raise" copies through
+    # a temporary); the indices come from a validated graph.
+    sender_c = snapshot.ravel().take(plan.sender_flat, out=plan.sender_c, mode="clip")
+    receiver_c = snapshot.ravel().take(plan.receiver_flat, out=plan.receiver_c, mode="clip")
+    delivered = np.multiply(plan.sender_social, sender_c, out=plan.delivered)
+    np.multiply(delivered, plan.live_weights, out=delivered)
+    np.multiply(delivered, np.greater(sender_c, receiver_c, out=plan.gate), out=delivered)
+    # astype: with no live pairs at all, bincount returns integer zeros.
+    gains = np.bincount(plan.receiver_flat, weights=delivered, minlength=snapshot.size).astype(float, copy=False)
     competences = gains.reshape(snapshot.shape)
     np.multiply(plan.absorb_mask, competences, out=competences)
-    # The payload is dead too; it takes the decayed competences.
-    np.add(np.multiply(plan.keep, snapshot, out=plan.payload), competences, out=competences)
+    np.add(np.multiply(plan.keep, snapshot, out=plan.decayed), competences, out=competences)
 
     new_pop = Population._trusted(competences, pop.masks, pop.cognitive, pop.social, pop.forgetting)
     return SimulationState(state.graph, new_pop, state.step + 1, state.collectors, ledger)
@@ -187,24 +201,43 @@ def probe_average() -> Probe:
     )
 
 
+def _nonnegative(kind: str, ids: Iterable[int]) -> None:
+    for i in ids:
+        if i < 0:
+            raise DiffusionError(f"probe {kind} id {i} is negative")
+
+
 def probe_node(node: int) -> Probe:
-    return Probe(
-        metric="average_competence",
-        scope=f"node:{node}",
-        measure=lambda st: _mean(st.population.competences[node]),
-    )
+    """Mean competence of one worker; an id beyond the population fails on first measure."""
+    _nonnegative("node", [node])
+
+    def measure(st: SimulationState) -> float:
+        try:
+            row = st.population.competences[node]
+        except IndexError:
+            raise DiffusionError(f"probe node id {node} is out of range for {len(st.population)} workers") from None
+        return _mean(row)
+
+    return Probe(metric="average_competence", scope=f"node:{node}", measure=measure)
 
 
 def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | None = None) -> Probe:
     """Mean competence over chosen competence positions and (optionally) members."""
     comp_idx = np.asarray(sorted(int(c) for c in competences), dtype=np.intp)
     member_idx = None if members is None else np.asarray(sorted(int(m) for m in members), dtype=np.intp)
+    _nonnegative("competence", comp_idx)
+    _nonnegative("node", () if member_idx is None else member_idx)
     flat: dict[tuple[int, ...], np.ndarray] = {}  # matrix shape -> flat index of the selection
 
     def measure(st: SimulationState) -> float:
         matrix = st.population.competences
         if matrix.shape not in flat:
-            rows = np.arange(matrix.shape[0]) if member_idx is None else member_idx
+            n, m = matrix.shape
+            if comp_idx.size and comp_idx[-1] >= m:
+                raise DiffusionError(f"probe competence id {comp_idx[-1]} is out of range for {m} competences")
+            if member_idx is not None and member_idx.size and member_idx[-1] >= n:
+                raise DiffusionError(f"probe node id {member_idx[-1]} is out of range for {n} workers")
+            rows = np.arange(n) if member_idx is None else member_idx
             # Competence-major, the memory order of ``matrix[rows][:, comp_idx]``,
             # so the pairwise sum adds the same values in the same order.
             flat[matrix.shape] = np.ravel_multi_index((rows[None, :], comp_idx[:, None]), matrix.shape)

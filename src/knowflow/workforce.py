@@ -107,15 +107,6 @@ class Population(Sequence[KnowledgeWorker]):
             forgetting=float(self.forgetting[i]),
         )
 
-    def copy(self) -> "Population":
-        return Population(
-            self.competences.copy(),
-            self.masks.copy(),
-            self.cognitive.copy(),
-            self.social.copy(),
-            self.forgetting.copy(),
-        )
-
     def __len__(self) -> int:
         return self.competences.shape[0]
 

@@ -1,6 +1,7 @@
 """Diffusion engine: broadcast/attenuate/gate kernels, the synchronous step,
 collector accounting, probes, and the time series container."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,16 @@ def test_collector_matches_reference_ledger():
     assert np.allclose(a.collector_ledger, ledger, rtol=1e-12)
 
 
+def test_collector_ledger_bytes_are_pinned():
+    # Recorded from the kernel that streamed all E x m pairs; the live-pair
+    # kernel sums each collector's incoming rows in the same order.
+    state = apply_collector(random_state(13), [2, 4])
+    for _ in range(20):
+        state = step(state)
+    digest = hashlib.sha256(state.collector_ledger.tobytes()).hexdigest()
+    assert digest == "883516126206886b2c177b650a35d094e115efa4389a1262ff45e457d5d2b016"
+
+
 # -- probes and series -------------------------------------------------------------
 
 
@@ -265,6 +276,23 @@ def test_probes_equal_ndarray_mean_bit_for_bit(seed, n, m, all_members):
     assert probe_mask("x", comps, members).measure(state) == float(expected)
     assert probe_average().measure(state) == float(c.mean())
     assert probe_node(n - 1).measure(state) == float(c[n - 1].mean())
+
+
+def test_probes_reject_out_of_range_ids():
+    state = random_state(5, n=6)
+    with pytest.raises(DiffusionError, match="node id -1"):
+        probe_node(-1)
+    with pytest.raises(DiffusionError, match="node id 9 .* 6 workers"):
+        probe_node(9).measure(state)
+    with pytest.raises(DiffusionError, match="competence id -2"):
+        probe_mask("x", [-2, 1])
+    with pytest.raises(DiffusionError, match="node id -1"):
+        probe_mask("x", [1], members=[0, -1])
+    with pytest.raises(DiffusionError, match="competence id 8 .* 8 competences"):
+        probe_mask("x", [1, 8]).measure(state)
+    with pytest.raises(DiffusionError, match="node id 6 .* 6 workers"):
+        probe_mask("x", [1], members=[2, 6]).measure(state)
+    assert probe_node(5).measure(state) == float(state.population.competences[5].mean())
 
 
 def test_collector_probes_total_is_sum_of_parts():
@@ -378,3 +406,36 @@ def test_reference_agreement_holds_for_both_gain_modes(seed, gain):
     a = step(state, config)
     expected, _ = reference_step(state, gain)
     assert np.array_equal(a.population.competences, expected)
+
+
+@st.composite
+def edge_case_states(draw):
+    """Small states with empty, sparse or full masks, zero-weight edges and
+    zero social or cognitive abilities, the cases the live-pair plan skips."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = [p for p in pairs if rng.random() < 0.5]
+    weights = rng.choice([0.0, 0.25, 1.0, float(rng.uniform(0.1, 1.0))], size=len(chosen))
+    graph = WeightedGraph(n, [(u, v, float(w)) for (u, v), w in zip(chosen, weights)])
+    # Half the entries from a small set, so that sender and receiver often tie.
+    competences = np.where(rng.random((n, m)) < 0.5, rng.choice([0.0, 2.5, 7.0], (n, m)), rng.uniform(0.0, 10.0, (n, m)))
+    masks = (rng.random((n, m)) < density).astype(float)
+    cognitive, social = np.where(rng.random((2, n)) < 0.3, 0.0, rng.uniform(0.2, 1.0, (2, n)))
+    forgetting = rng.choice([0.0, 0.006, 0.1], size=n)
+    pop = Population(competences, masks, cognitive, social, forgetting)
+    collectors = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
+    return apply_collector(SimulationState.initial(graph, pop), collectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_case_states(), st.booleans())
+def test_live_pair_step_matches_reference_bit_for_bit(state, gain):
+    config = DiffusionConfig(cognitive_gain=gain)
+    for _ in range(4):
+        expected, ledger = reference_step(state, gain)
+        state = step(state, config)
+        assert np.array_equal(state.population.competences, expected)
+        assert np.array_equal(state.collector_ledger, ledger)

@@ -449,20 +449,27 @@ def test_collector_variants_share_competence_dynamics():
 
 
 # sha256 of the joined csv_lines() of seed 1, recorded from the np.add.at
-# kernel that the bincount scatter replaced: a diffusion kernel that drifts by
-# one ulp anywhere in 100 steps changes them.
+# kernel that the bincount scatter replaced (fig3, fig4) and from the kernel
+# that streamed all E x m pairs (fig2, fig9): a diffusion kernel that drifts
+# by one ulp anywhere in 100 steps changes them. fig2's degree variant places
+# its experts at step 0; fig9 has no role plan, and its mask probes run on
+# the graph after tie acceleration.
 SERIES_SHA256 = {
+    ("fig2", "none"): "d1e0091b394b432bdc7df658dc2ca45f70dcc888b8a39f39cf4f345caa088ccf",
+    ("fig2", "degree"): "bc4021d373bf2febc4c741ce90eb0308c1cae0f2aaf69d241c482a89fadc7dce",
     ("fig3", "none"): "d1e0091b394b432bdc7df658dc2ca45f70dcc888b8a39f39cf4f345caa088ccf",
     ("fig3", "degree"): "2d5c57ef2de917f8f54a09e45014028c7494d47e0dac9499fb53906f04ba58d2",
     ("fig4", "none"): "16130f5174eef63cb20f9fa6c40f0fae762a5d102e02ac586ae8404739ff1db2",
     ("fig4", "degree"): "e6cfb522bd4fb516b4f3043b74a31cea1909714c793bf93b998c12b794984a7b",
+    ("fig9", "default"): "1c11ceca4158e309e4ae0253a3cc6a3a17a5d252d6892d49b645f8ae90e30fc2",
 }
 
 
-@pytest.mark.parametrize("fixture", ["fig3", "fig4"])
+@pytest.mark.parametrize("fixture", ["fig2", "fig3", "fig4", "fig9"])
 def test_series_bytes_are_pinned(fixture):
     raw = load_fixture(fixture).to_dict()
-    raw["role_plan"]["strategies"] = ["none", "degree"]
+    if raw.get("role_plan") is not None:
+        raw["role_plan"]["strategies"] = ["none", "degree"]
     raw["run"]["steps"] = 100
     report = run_experiment(parse_config(raw), seeds=[1])
     digests = {

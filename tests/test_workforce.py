@@ -108,13 +108,6 @@ def test_population_sequence_protocol():
     assert pop[3].id == 3
 
 
-def test_copy_detaches_storage():
-    pop = make_population()
-    dup = pop.copy()
-    dup.competences[0, 0] += 1.0
-    assert pop.competences[0, 0] != dup.competences[0, 0]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
 def test_mask_density_is_respected_on_average(seed, density):
