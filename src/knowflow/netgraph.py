@@ -40,8 +40,8 @@ class GraphError(ValueError):
 class WeightSpec:
     """Edge weight distribution: ``constant(c)`` or ``uniform(low, high)``.
 
-    Weights must be strictly positive; a zero weight would silence the edge.
-    A degenerate interval (low == high) is allowed.
+    Weights must be strictly positive and finite; a zero weight would
+    silence the edge. A degenerate interval (low == high) is allowed.
     """
 
     kind: str
@@ -63,6 +63,8 @@ class WeightSpec:
             raise GraphError(f"weight spec low bound must be > 0, got {self.low}")
         if self.high < self.low:
             raise GraphError(f"weight spec interval is reversed: [{self.low}, {self.high}]")
+        if not math.isfinite(self.high):
+            raise GraphError(f"weight spec high bound must be finite, got {self.high}")
 
     def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
         self.validate()
@@ -105,19 +107,24 @@ class WeightedGraph:
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]] = ()):
         if node_count < 0:
             raise GraphError(f"node count must be >= 0, got {node_count}")
-        n = self._n = int(node_count)
+        n = int(node_count)
         u, v, w = _checked_edges(n, list(edges))
         receivers, senders, weights = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
         order = np.lexsort((senders, receivers))
-        self._senders, self._receivers, self._weights = senders[order], receivers[order], weights[order]
-        for a in (self._senders, self._receivers, self._weights):
+        self._freeze(n, senders[order], receivers[order], weights[order])
+
+    def _freeze(self, n: int, senders: np.ndarray, receivers: np.ndarray, weights: np.ndarray) -> None:
+        """Set all of the state from valid directed-edge arrays in receiver-major order."""
+        self._n = n
+        self._senders, self._receivers, self._weights = senders, receivers, weights
+        for a in (senders, receivers, weights):
             a.flags.writeable = False
         # Filled in ascending (min, max) edge order, each row lists its
         # neighbors in ascending id. Rows share one int object per node and
         # one float per edge, which keeps a large graph's footprint down.
         rows = self._rows = [{} for _ in range(n)]
         ids = list(range(n))
-        for a, b, x in zip(u.tolist(), v.tolist(), w.tolist()):
+        for a, b, x in self.edges():
             rows[a][ids[b]] = rows[b][ids[a]] = x
         self._centralities: tuple[np.ndarray, np.ndarray] | None = None  # see _memoised_centralities
 
@@ -256,8 +263,14 @@ def assign_weights(g: WeightedGraph, spec: WeightSpec, rng: np.random.Generator)
     Edges are weighted in canonical (u, v) order, so the same seed always
     produces the same weight for the same edge.
     """
-    draws = spec.draw(g.edge_count, rng).tolist()
-    return WeightedGraph(g.node_count, ((u, v, w) for (u, v, _), w in zip(g.edges(), draws)))
+    draws = spec.draw(g.edge_count, rng)  # finite and > 0: the spec validates itself
+    senders, receivers, _ = g.directed_edge_arrays()
+    # Both orientations of an edge share its (min, max) key; the canonical
+    # (u < v) orientations list the keys in ascending order.
+    key = np.minimum(senders, receivers) * g.node_count + np.maximum(senders, receivers)
+    weighted = WeightedGraph.__new__(WeightedGraph)
+    weighted._freeze(g.node_count, senders, receivers, draws[np.searchsorted(key[senders > receivers], key)])
+    return weighted
 
 
 def add_edge(g: WeightedGraph, u: int, v: int, weight: float) -> WeightedGraph:
@@ -278,27 +291,179 @@ def average_edge_weight(g: WeightedGraph) -> float:
 # -- distances and centralities ----------------------------------------------
 
 
-def _inverse_adjacency(g: WeightedGraph) -> list[list[tuple[int, float]]]:
-    """Per node, ``(neighbor, 1/weight)`` in ascending neighbor order.
-
-    Zero-weight edges carry no tie strength and are left out.
-    """
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.node_count)]
-    for u, v, w in zip(*(a.tolist() for a in g.directed_edge_arrays())):
-        if w > 0.0:
-            adj[v].append((u, 1.0 / w))
-    return adj
+# Entries of one block's (sources x nodes) matrices. The sweep keeps three
+# float matrices of this size and about as many shortest-path edges, so it
+# bounds the sweep's working memory.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _centralities(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Closeness and betweenness of every node from one sweep of Brandes' algorithm (2001).
 
-    Per source, the single-source stage's distances give the source's
-    closeness, and its dependency accumulation adds to every betweenness.
+    Sources are swept a block at a time (``_BlockSweep``). Each source's
+    distances give its closeness, and its dependencies add into betweenness
+    in ascending source order. The result is bit-identical to one
+    heap-ordered Dijkstra per source, which remains the path for the rare
+    graph whose distances absorb an edge (``_heap_sweep``).
     """
     n = g.node_count
-    adj = _inverse_adjacency(g)
-    closeness = np.zeros(n, dtype=float)
+    closeness = np.empty(n)
+    betweenness = np.zeros(n)
+    # Overflows to inf, and inf / inf, pass silently, as they do in the heap
+    # loop's Python floats; 1/w overflows for a weight below about 5.6e-309.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sweep = _BlockSweep(g, max(1, min(n, _BLOCK_ELEMENTS // max(n, 1))))
+        for first in range(0, n, sweep.rows):
+            sources = np.arange(first, min(first + sweep.rows, n))
+            if not sweep.settle(sources):
+                return _heap_sweep(g)
+            closeness[sources] = sweep.closeness()
+            for row in sweep.dependencies():
+                betweenness += row
+    return closeness, betweenness / 2.0
+
+
+class _BlockSweep:
+    """Brandes' single-source stage for a block of sources at once, in buffers reused from block to block.
+
+    The buffers hold one row per source: flat id ``row * n + node``.
+    Distances settle in bucket rounds (Dinitz; Meyer & Sanders 2003). A
+    round settles every tentative distance strictly below ``fl(low + step)``,
+    ``low`` being the least unsettled one and ``step`` the least
+    ``1/weight``: as IEEE addition is monotone, no later relaxation can
+    undercut them, and as a minimum does not depend on order, they equal the
+    heap's. Each settled node pulls its path count from its predecessors,
+    the ``q`` with ``fl(d[q] + 1/w) == d[u]``, in ascending (distance, id)
+    order, which is the heap's settle order. Dependencies are passed back
+    round by round in reverse, each node adding its successors' shares in
+    descending (distance, id) order. Both orders are the heap's only while
+    no settled distance absorbs ``step`` (``fl(d + step) == d``). A round's
+    distances lie in ``[low, fl(low + step))``, which holds no such distance
+    unless ``low`` is one, and then the round cannot settle anything:
+    ``settle`` returns False.
+    """
+
+    def __init__(self, g: WeightedGraph, rows: int):
+        n = self.n = g.node_count
+        senders, receivers, weights = g.directed_edge_arrays()
+        inverse = 1.0 / weights
+        usable = inverse < math.inf  # zero weights carry no tie strength
+        # Receiver-major, so every node lists its neighbors in ascending id.
+        self.nbrs, self.inverse = senders[usable], inverse[usable]
+        self.degree = np.bincount(receivers[usable], minlength=n)
+        self.starts = np.cumsum(self.degree) - self.degree
+        self.step = self.inverse.min(initial=math.inf)
+        self.rows = rows
+        self.dist = np.empty(rows * n)  # settled distances; inf until settled
+        self.open = np.empty(rows * n)  # unsettled distances; then scratch, then dependencies
+        self.sigma = np.empty(rows * n)  # shortest-path counts
+        self.sources = np.empty(0, dtype=np.intp)  # flat ids of the sources just settled
+        # Per round, its shortest-path edges as (predecessor, node) flat ids,
+        # each node's predecessors in ascending (distance, id) order.
+        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def settle(self, sources: np.ndarray) -> bool:
+        """Distances, path counts and shortest-path edges from ``sources``; False if a round stalls."""
+        size = sources.size * self.n
+        dist, tentative, sigma = self.dist[:size], self.open[:size], self.sigma[:size]
+        dist.fill(math.inf)
+        tentative.fill(math.inf)
+        sigma.fill(0.0)
+        frontier = self.sources = np.arange(sources.size) * self.n + sources
+        tentative[frontier] = 0.0
+        sigma[frontier] = 1.0
+        grid = tentative.reshape(sources.size, self.n)
+        self.rounds = []
+        while True:
+            low = grid.min(axis=1)
+            frontier = np.flatnonzero(grid < (low + self.step)[:, None])
+            if frontier.size == 0:  # done, unless a row stalls: fl(low + step) == low
+                return bool((low == math.inf).all())
+            here = dist[frontier] = tentative[frontier]
+            tentative[frontier] = math.inf
+            owner, there, inverse = self._around(frontier)
+            here, near = here[owner], dist[there]
+            pred = _in_order(np.flatnonzero(near + inverse == here), owner, near)  # ties keep ascending id
+            if pred.size:  # the sources, settled first, have none and keep their count of 1
+                sigma[frontier] = np.bincount(owner[pred], sigma[there[pred]], minlength=frontier.size)
+                self.rounds.append((there[pred], frontier[owner[pred]]))
+            fresh = near == math.inf  # a settled neighbor cannot improve
+            np.minimum.at(tentative, there[fresh], here[fresh] + inverse[fresh])
+
+    def closeness(self) -> np.ndarray:
+        """Closeness of the sources just settled; call it before ``dependencies``, which reuses its scratch."""
+        size = self.sources.size * self.n
+        return _closeness(self.dist[:size].reshape(-1, self.n), self.open[:size].reshape(-1, self.n))
+
+    def dependencies(self) -> np.ndarray:
+        """Dependencies of every node (one row per source just settled); 0 at the source itself.
+
+        The shortest-path edges are taken round by round in reverse, so a
+        node's dependency is complete before it passes a share to its
+        predecessors, and each node adds its shares in descending
+        (distance, id) order of the successors, one at a time.
+        """
+        size = self.sources.size * self.n
+        dist, sigma, delta = self.dist[:size], self.sigma[:size], self.open[:size]
+        delta.fill(0.0)
+        for preds, nodes in reversed(self.rounds):
+            preds, nodes = preds[::-1], nodes[::-1]  # descending id
+            first = np.argsort(-dist[nodes], kind="stable")
+            preds, nodes = preds[first], nodes[first]
+            np.add.at(delta, preds, sigma[preds] / sigma[nodes] * (1.0 + delta[nodes]))
+        delta[self.sources] = 0.0
+        return delta.reshape(-1, self.n)
+
+    def _around(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per edge incident to the flat ids: its owner's position in ``flat``, the neighbor's flat id and ``1/weight``."""
+        nodes = flat % self.n
+        count = self.degree[nodes]
+        owner = np.repeat(np.arange(flat.size), count)
+        slots = np.repeat(self.starts[nodes] - (np.cumsum(count) - count), count) + np.arange(owner.size)
+        return owner, np.repeat(flat - nodes, count) + self.nbrs[slots], self.inverse[slots]
+
+
+def _in_order(picked: np.ndarray, owner: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """``picked`` (ascending) stably reordered by ``key`` within each owner.
+
+    Only owners with three or more entries are reordered: two numbers added
+    to zero give the same sum in either order.
+    """
+    owners = owner[picked]
+    crowd = np.flatnonzero(np.bincount(owners)[owners] >= 3)
+    if crowd.size:
+        sub = picked[crowd]
+        picked[crowd] = sub[np.lexsort((key[sub], owners[crowd]))]
+    return picked
+
+
+def _closeness(dist: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Closeness per row of a distance matrix, each sum taken left to right over node ids.
+
+    (n-1) / sum of distances; a row that misses some node takes the harmonic
+    form instead (sum of inverse distances, unreachable terms contributing
+    zero). Only the source's own distance is zero. ``scratch`` is a buffer
+    of ``dist``'s shape.
+    """
+    n = dist.shape[1]
+    total = np.cumsum(dist, axis=1, out=scratch)[:, -1]
+    reached = (dist < math.inf).all(axis=1)
+    out = np.zeros(dist.shape[0])
+    np.divide(n - 1, total, out=out, where=reached & (total > 0.0))
+    if not reached.all():
+        partial = dist[~reached]
+        out[~reached] = np.cumsum(np.divide(1.0, partial, out=np.zeros_like(partial), where=partial > 0.0), axis=1)[:, -1]
+    return out
+
+
+def _heap_sweep(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """``_centralities`` by one heap-ordered Dijkstra per source, for graphs whose distances absorb an edge."""
+    n = g.node_count
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for u, v, w in zip(*(a.tolist() for a in g.directed_edge_arrays())):
+        if w > 0.0:
+            adj[v].append((u, 1.0 / w))
+    closeness = np.empty(n)
     bc = [0.0] * n
     for s in range(n):
         dist = [math.inf] * n
@@ -325,15 +490,8 @@ def _centralities(g: WeightedGraph) -> tuple[np.ndarray, np.ndarray]:
                 elif nd == dist[u]:
                     sigma[u] += sigma[v]
                     preds[u].append(v)
-        # Closeness: (n-1) / sum of distances. A source that cannot reach
-        # every node takes the harmonic form instead (sum of inverse
-        # distances, unreachable terms contributing zero). dist[s] is the
-        # only zero, so summing it adds nothing.
-        if math.inf in dist:
-            closeness[s] = sum(1.0 / x for x in dist if 0.0 < x < math.inf)
-        else:
-            total = sum(dist)
-            closeness[s] = (n - 1) / total if total > 0.0 else 0.0
+        row = np.array([dist])
+        closeness[s] = _closeness(row, np.empty_like(row))[0]
         delta = [0.0] * n
         for v in reversed(order):
             for p in preds[v]:

@@ -229,17 +229,27 @@ def _dijkstra(adj: list, source: int):
 
 
 def two_sweep_closeness_all(g) -> np.ndarray:
+    """Closeness with each sum taken left to right over node ids.
+
+    The loops are explicit: the builtin ``sum`` of floats is compensated
+    from Python 3.12 on, so it would tie the floats to the Python version.
+    """
     n = g.node_count
     out = np.zeros(n, dtype=float)
     adj = _inverse_adjacency(g)
     for v in range(n):
         dist = _dijkstra(adj, v)[0]
         others = [dist[u] for u in range(n) if u != v]
+        total = 0.0
         if all(math.isfinite(d) for d in others):
-            total = sum(others)
+            for d in others:
+                total += d
             out[v] = (n - 1) / total if total > 0.0 else 0.0
         else:
-            out[v] = sum(1.0 / d for d in others if math.isfinite(d) and d > 0.0)
+            for d in others:
+                if math.isfinite(d) and d > 0.0:
+                    total += 1.0 / d
+            out[v] = total
     return out
 
 

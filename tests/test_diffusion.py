@@ -246,6 +246,16 @@ def test_collector_ledger_bytes_are_pinned():
         state = step(state)
     digest = hashlib.sha256(state.collector_ledger.tobytes()).hexdigest()
     assert digest == "883516126206886b2c177b650a35d094e115efa4389a1262ff45e457d5d2b016"
+    # The ledger grows to about 5e4, whose ulp hides a change in the order
+    # of one step's per-row intake sum; each step's intake into a zeroed
+    # ledger does not.
+    state = apply_collector(random_state(13), [2, 4])
+    intakes = []
+    for _ in range(20):
+        state = step(replace(state, collector_ledger=np.zeros_like(state.collector_ledger)))
+        intakes.append(state.collector_ledger)
+    digest = hashlib.sha256(np.stack(intakes).tobytes()).hexdigest()
+    assert digest == "1dadf5f25908c28452c3aec2dc484ab0a76f38ab7a206ed1552222e5c6772cda"
 
 
 # -- probes and series -------------------------------------------------------------

@@ -176,6 +176,22 @@ def test_assign_weights_deterministic_and_validated():
         WeightSpec.uniform(0.8, 0.2).validate()
 
 
+def test_assign_weights_reuses_the_topology_and_rejects_non_finite_draws():
+    g = generate_watts_strogatz(40, 6, 0.3, np.random.default_rng(5))
+    weighted = assign_weights(g, WeightSpec.uniform(0.1, 0.9), np.random.default_rng(6))
+    draws = WeightSpec.uniform(0.1, 0.9).draw(g.edge_count, np.random.default_rng(6)).tolist()
+    rebuilt = WeightedGraph(40, [(u, v, w) for (u, v, _), w in zip(g.edges(), draws)])
+    assert list(weighted.edges()) == list(rebuilt.edges())
+    for mine, theirs in zip(weighted.directed_edge_arrays(), rebuilt.directed_edge_arrays()):
+        assert np.array_equal(mine, theirs) and not mine.flags.writeable
+    assert all(weighted.neighbors(v) == rebuilt.neighbors(v) for v in range(40))
+    assert weighted.weight(7, weighted.neighbors(7)[0]) == rebuilt.weight(7, rebuilt.neighbors(7)[0])
+    assert all(np.shares_memory(a, b) for a, b in zip(weighted.directed_edge_arrays()[:2], g.directed_edge_arrays()[:2]))
+    for spec in (WeightSpec.constant(math.inf), WeightSpec.uniform(1.0, math.inf), WeightSpec.uniform(1.0, math.nan)):
+        with pytest.raises(GraphError, match="finite"):
+            assign_weights(g, spec, np.random.default_rng(0))
+
+
 # -- distances and centralities ------------------------------------------------
 
 
@@ -265,17 +281,107 @@ def small_graphs(draw):
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     # Weights from a small set make equal-length paths, so the tie branch of
     # the relaxation (and with it the order of sigma and preds) is exercised.
-    weight = st.sampled_from([0.5, 1.0, 2.0]) if draw(st.booleans()) else st.floats(0.01, 10.0)
+    # A weight of 1e300 beside O(1) ones gives a distance that absorbs an
+    # edge (fl(d + 1e-300) == d), which sends the sweep to the heap loop.
+    weight = draw(
+        st.sampled_from(
+            [st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 10.0), st.sampled_from([0.5, 1.0, 1e300])]
+        )
+    )
     return WeightedGraph(n, [(u, v, draw(weight)) for (u, v), k in zip(pairs, keep) if k])
 
 
+ABSORBING = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1e300), (2, 3, 0.5), (1, 3, 1.0), (3, 4, 1e300)])
+
+
 @settings(max_examples=60, deadline=None)
-@given(small_graphs())
-@example(WeightedGraph(5))  # edgeless
-@example(WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (4, 5, 1.0), (3, 5, 1.0)]))  # two components
-@example(WeightedGraph(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0), (0, 3, 2.0)]))  # a zero-weight edge
-def test_one_sweep_matches_the_two_sweep_reference_bit_for_bit(g):
+@given(small_graphs(), st.sampled_from([1, 6, 20, netgraph._BLOCK_ELEMENTS]))
+@example(WeightedGraph(5), 20)  # edgeless
+@example(WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.5), (3, 4, 2.0), (4, 5, 1.0), (3, 5, 1.0)]), 20)  # two components
+@example(WeightedGraph(4, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 1.0), (0, 3, 2.0)]), 20)  # a zero-weight edge
+@example(ABSORBING, netgraph._BLOCK_ELEMENTS)  # the heap loop
+@example(WeightedGraph(7, [(u, v, 1.0) for u, v in itertools.combinations(range(7), 2) if (u + v) % 3]), 6)  # one source per block
+@example(WeightedGraph(8, [(u, (u + 1) % 8, 0.5 + u % 3) for u in range(8)]), 20)  # blocks of two sources
+@example(  # seen from node 2, its successors 7, 1 and 6 settle in one round, 6 nearest
+    WeightedGraph(8, [(0, 2, 0.7), (0, 3, 0.7), (0, 4, 0.3), (1, 2, 0.3), (1, 3, 0.3), (1, 4, 0.7), (2, 5, 0.7), (2, 6, 1 / 3), (2, 7, 0.3)]),
+    netgraph._BLOCK_ELEMENTS,
+)
+def test_one_sweep_matches_the_two_sweep_reference_bit_for_bit(g, budget):
+    # The budget sets how many sources a block sweeps at once: budget // n.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(netgraph, "_BLOCK_ELEMENTS", budget)
+        closeness, betweenness = netgraph._centralities(g)
+    assert np.array_equal(closeness, oracles.two_sweep_closeness_all(g))
+    assert np.array_equal(betweenness, oracles.two_sweep_betweenness_all(g))
+
+
+def test_one_sweep_matches_the_reference_where_distances_tie_in_every_round():
+    # The inverses of these weights round, and with 40 nodes many paths of
+    # different hops tie in length: rounds then pass back large groups of
+    # shares that must keep (distance, id) order.
+    rnd = random.Random(1)
+    pairs = [(u, v) for u, v in itertools.combinations(range(40), 2) if rnd.random() < 0.3]
+    g = WeightedGraph(40, [(u, v, rnd.choice([0.1, 0.2, 0.3, 1 / 3, 0.7])) for u, v in pairs])
     assert np.array_equal(weighted_closeness_all(g), oracles.two_sweep_closeness_all(g))
+    assert np.array_equal(weighted_betweenness_all(g), oracles.two_sweep_betweenness_all(g))
+
+
+def test_only_a_graph_whose_distances_absorb_an_edge_takes_the_heap_loop(monkeypatch):
+    heap_sweeps = []
+    heap_sweep = netgraph._heap_sweep
+    monkeypatch.setattr(netgraph, "_heap_sweep", lambda g: heap_sweeps.append(g) or heap_sweep(g))
+    for g in (ABSORBING, _graph_for(load_fixture("fig2").network, 1), WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1e300)])):
+        weighted_closeness_all(g)
+    # 1 + 1e-300 == 1; 1e-300 + 1e-300 is exact, so the third graph stays in the blocks.
+    assert heap_sweeps == [ABSORBING]
+
+
+def _counts_past_2_53() -> tuple[WeightedGraph, int, list[int]]:
+    """A graph whose node ``u`` has three predecessors with path counts past 2**53.
+
+    Seen from node 0, 34 diamonds of width 3 make about 3**34 paths, and three
+    branches end in predecessors of ``u`` with ids opposite to their
+    distance order. Adding their counts in id order gives another float.
+    """
+    edges: list[tuple[int, int, float]] = []
+    size = 1
+
+    def diamond(hub: int, width: int) -> int:
+        nonlocal size
+        end = size + width
+        edges.extend(e for k in range(size, end) for e in ((hub, k, 1.0), (k, end, 1.0)))
+        size = end + 1
+        return end
+
+    def chain(node: int, length: int) -> int:
+        nonlocal size
+        for _ in range(length):
+            edges.append((node, size, 1.0))
+            node, size = size, size + 1
+        return node
+
+    hub = 0
+    for _ in range(34):
+        hub = diamond(hub, 3)
+    preds = [chain(diamond(hub, width), extra) for width, extra in ((3, 3), (2, 2), (2, 0))]
+    u = size
+    edges += [(preds[0], u, 1.0), (preds[1], u, 0.5), (preds[2], u, 0.25)]
+    return WeightedGraph(u + 1, edges), u, preds
+
+
+def test_path_counts_past_2_53_are_summed_in_the_heap_order():
+    g, u, preds = _counts_past_2_53()
+    n = g.node_count
+    sweep = netgraph._BlockSweep(g, n)
+    assert sweep.settle(np.arange(n))
+    adj = oracles._inverse_adjacency(g)
+    for s in range(n):
+        dist, sigma, _, _ = oracles._dijkstra(adj, s)
+        assert np.array_equal(sweep.dist[s * n : (s + 1) * n], dist)
+        assert np.array_equal(sweep.sigma[s * n : (s + 1) * n], sigma)
+    dist, sigma, _, _ = oracles._dijkstra(adj, 0)
+    assert sigma[u] > 2**53 and sigma[preds[0]] + sigma[preds[1]] + sigma[preds[2]] != sigma[u]
+    assert [dist[p] for p in preds] == [dist[u] - 1.0, dist[u] - 2.0, dist[u] - 4.0]
     assert np.array_equal(weighted_betweenness_all(g), oracles.two_sweep_betweenness_all(g))
 
 
