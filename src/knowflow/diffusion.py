@@ -9,6 +9,7 @@ a fixed fraction each step, whether or not anything arrives.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -209,6 +210,8 @@ def _nonnegative(kind: str, ids: Iterable[int]) -> None:
 
 def probe_node(node: int) -> Probe:
     """Mean competence of one worker; an id beyond the population fails on first measure."""
+    if isinstance(node, bool) or not isinstance(node, numbers.Integral):
+        raise DiffusionError(f"probe node id {node!r} is not an integer")
     _nonnegative("node", [node])
 
     def measure(st: SimulationState) -> float:

@@ -6,8 +6,11 @@ distance, so shortest paths minimize the sum of inverse weights.
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -95,37 +98,47 @@ class PathResult:
 class WeightedGraph:
     """Undirected, self-loop-free graph with finite, non-negative edge weights.
 
-    An immutable value: the constructor validates every edge and builds all
-    of the state. Both orientations of every edge are kept as read-only arrays
-    in receiver-major (CSR) order, next to a neighbor -> weight dict per node
-    for the scalar queries; both list neighbors in ascending id. Closeness
-    and betweenness are computed together on first request and kept.
+    An immutable value held only in compressed sparse row (CSR) form: both
+    orientations of every edge are kept as read-only (senders, receivers,
+    weights) arrays in receiver-major order, each receiver's neighbors in
+    ascending id, and node v's row is ``indptr[v]:indptr[v + 1]``. The
+    neighbor, degree and edge queries read one row; no per-node container
+    is built. Closeness and betweenness are computed together on first
+    request and kept.
     """
 
-    __slots__ = ("_n", "_senders", "_receivers", "_weights", "_rows", "_centralities")
+    __slots__ = ("_n", "_senders", "_receivers", "_weights", "_indptr", "_centralities")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]] = ()):
+        if not _is_int(node_count):
+            raise GraphError(f"node count must be an integer, got {node_count!r}")
         if node_count < 0:
             raise GraphError(f"node count must be >= 0, got {node_count}")
         n = int(node_count)
-        u, v, w = _checked_edges(n, list(edges))
-        receivers, senders, weights = np.concatenate((u, v)), np.concatenate((v, u)), np.concatenate((w, w))
-        order = np.lexsort((senders, receivers))
-        self._freeze(n, senders[order], receivers[order], weights[order])
+        self._freeze(n, *_checked_edges(n, list(edges)))
+
+    @classmethod
+    def _from_arrays(cls, n: int, senders: np.ndarray, receivers: np.ndarray, weights: np.ndarray) -> "WeightedGraph":
+        """The graph of directed-edge arrays that list every edge in both orientations; the edges are not checked."""
+        g = cls.__new__(cls)
+        g._freeze(n, senders, receivers, weights)
+        return g
 
     def _freeze(self, n: int, senders: np.ndarray, receivers: np.ndarray, weights: np.ndarray) -> None:
-        """Set all of the state from valid directed-edge arrays in receiver-major order."""
+        """Set all of the state from valid directed-edge arrays, sorted into receiver-major order.
+
+        Arrays already in that order, such as a topology that another graph
+        holds, are kept rather than copied.
+        """
+        key = receivers * n + senders
+        if (key[1:] < key[:-1]).any():
+            order = np.argsort(key)
+            senders, receivers, weights = senders[order], receivers[order], weights[order]
         self._n = n
         self._senders, self._receivers, self._weights = senders, receivers, weights
-        for a in (senders, receivers, weights):
+        self._indptr = np.concatenate(([0], np.cumsum(np.bincount(receivers, minlength=n))))
+        for a in (senders, receivers, weights, self._indptr):
             a.flags.writeable = False
-        # Filled in ascending (min, max) edge order, each row lists its
-        # neighbors in ascending id. Rows share one int object per node and
-        # one float per edge, which keeps a large graph's footprint down.
-        rows = self._rows = [{} for _ in range(n)]
-        ids = list(range(n))
-        for a, b, x in self.edges():
-            rows[a][ids[b]] = rows[b][ids[a]] = x
         self._centralities: tuple[np.ndarray, np.ndarray] | None = None  # see _memoised_centralities
 
     # -- structure queries ------------------------------------------------
@@ -137,18 +150,29 @@ class WeightedGraph:
     def nodes(self) -> range:
         return range(self._n)
 
+    def _slot(self, u: int, v: int) -> int | None:
+        """Position of the directed edge v -> u in the arrays, for known nodes; None when there is none."""
+        hi = self._indptr.item(u + 1)
+        i = bisect.bisect_left(self._senders, v, self._indptr.item(u), hi)
+        return i if i < hi and self._senders.item(i) == v else None
+
     def has_edge(self, u: int, v: int) -> bool:
-        return _check_node(self._n, v) in self._rows[_check_node(self._n, u)]
+        v = _check_node(self._n, v)
+        return self._slot(_check_node(self._n, u), v) is not None
 
     def weight(self, u: int, v: int) -> float:
         """Tie strength of (u, v); 0.0 when no edge exists."""
-        return self._rows[_check_node(self._n, u)].get(_check_node(self._n, v), 0.0)
+        u = _check_node(self._n, u)
+        i = self._slot(u, _check_node(self._n, v))
+        return 0.0 if i is None else self._weights.item(i)
 
     def neighbors(self, v: int) -> list[int]:
-        return list(self._rows[_check_node(self._n, v)])
+        v = _check_node(self._n, v)
+        return self._senders[self._indptr[v] : self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
-        return len(self._rows[_check_node(self._n, v)])
+        v = _check_node(self._n, v)
+        return int(self._indptr[v + 1] - self._indptr[v])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
         """Yield (u, v, weight) with u < v, in ascending (u, v) order."""
@@ -182,33 +206,44 @@ def _check_node(n: int, v: int) -> int:
     return int(v)
 
 
-def _checked_edges(n: int, edges: list[tuple[int, int, float]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Endpoint and weight arrays of the edges in ascending (min, max) order.
+def _is_int(x: object) -> bool:
+    """An int or numpy integer; booleans are not ids or counts."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _checked_edges(n: int, edges: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both orientations of the edges, each a triple of two integer ids and a real weight, as (senders, receivers, weights).
 
     Raises ``_EdgeError`` naming the first bad edge of the input.
     """
-    us, vs, ws = zip(*edges) if edges else ((), (), ())
-    try:
-        u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
-    except OverflowError:  # such an id is unknown anyway: clamp it just out of range
-        u, v = (np.array([min(max(x, -1), n) for x in ids], dtype=np.intp) for ids in (us, vs))
-    w = np.array(ws, dtype=float)
-    # Two edges share a key only if they repeat each other or one has an
-    # unknown endpoint, which is reported first.
-    first = np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]
-    repeat = np.bincount(first, minlength=len(edges)) == 0
-    checks = {  # in order of precedence
-        f"unknown node (graph has {n} nodes)": (u < 0) | (u >= n) | (v < 0) | (v >= n),
-        "self-loop": u == v,
-        "edge already exists": repeat,
-        "edge weight must be finite and >= 0": ~(np.isfinite(w) & (w >= 0.0)),
-    }
-    bad = np.logical_or.reduce(list(checks.values()))
-    if bad.any():
-        i = int(np.argmax(bad))
-        reason = next(text for text, mask in checks.items() if mask[i])
-        raise _EdgeError(i, f"edge {edges[i]} rejected: {reason}")
-    return u[first], v[first], w[first]
+    rows: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
+    for i, edge in enumerate(edges):
+        try:
+            u, v, w = edge  # type: ignore[misc]
+            well_formed = _is_int(u) and _is_int(v) and isinstance(w, numbers.Real) and not isinstance(w, bool)
+            w = float(w) if well_formed else w
+        except (TypeError, ValueError):
+            well_formed = False
+        except OverflowError:  # an integer weight beyond the float range
+            w = math.inf
+        if not well_formed:
+            reason = "expected (u, v, weight) with integer ids and a real weight"
+        elif not (0 <= u < n and 0 <= v < n):
+            reason = f"unknown node (graph has {n} nodes)"
+        elif u == v:
+            reason = "self-loop"
+        elif (min(u, v), max(u, v)) in seen:
+            reason = "edge already exists"
+        elif not (math.isfinite(w) and w >= 0.0):
+            reason = "edge weight must be finite and >= 0"
+        else:
+            seen.add((min(u, v), max(u, v)))
+            rows.append((u, v, w))
+            continue
+        raise _EdgeError(i, f"edge {edge} rejected: {reason}")
+    us, vs, ws = zip(*rows) if rows else ((), (), ())
+    return np.array(vs + us, dtype=np.intp), np.array(us + vs, dtype=np.intp), np.array(ws + ws, dtype=float)
 
 
 # -- construction -----------------------------------------------------------
@@ -252,9 +287,10 @@ def generate_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) 
             adj[v].remove(u)
             adj[u].add(w)
             adj[w].add(u)
-    edges = [(u, v, 1.0) for u in range(n) for v in adj[u] if v > u]
+    senders = np.fromiter(itertools.chain.from_iterable(adj), dtype=np.intp, count=n * k)
+    receivers = np.repeat(np.arange(n), [len(row) for row in adj])
     del adj  # the graph can then reuse the adjacency's memory
-    return WeightedGraph(n, edges)
+    return WeightedGraph._from_arrays(n, senders, receivers, np.ones(n * k))
 
 
 def assign_weights(g: WeightedGraph, spec: WeightSpec, rng: np.random.Generator) -> WeightedGraph:
@@ -268,24 +304,23 @@ def assign_weights(g: WeightedGraph, spec: WeightSpec, rng: np.random.Generator)
     # Both orientations of an edge share its (min, max) key; the canonical
     # (u < v) orientations list the keys in ascending order.
     key = np.minimum(senders, receivers) * g.node_count + np.maximum(senders, receivers)
-    weighted = WeightedGraph.__new__(WeightedGraph)
-    weighted._freeze(g.node_count, senders, receivers, draws[np.searchsorted(key[senders > receivers], key)])
-    return weighted
+    return WeightedGraph._from_arrays(g.node_count, senders, receivers, draws[np.searchsorted(key[senders > receivers], key)])
 
 
 def add_edge(g: WeightedGraph, u: int, v: int, weight: float) -> WeightedGraph:
     """Return g plus the new edge (u, v). Existing edges are rejected."""
-    return WeightedGraph(g.node_count, [*g.edges(), (u, v, weight)])
+    new = _checked_edges(g.node_count, [(u, v, weight)])
+    if g.has_edge(u, v):  # known nodes by now
+        raise GraphError(f"edge {(u, v, weight)} rejected: edge already exists")
+    return WeightedGraph._from_arrays(g.node_count, *(np.concatenate(pair) for pair in zip(g.directed_edge_arrays(), new)))
 
 
 def average_edge_weight(g: WeightedGraph) -> float:
-    """Mean tie strength over all edges. Undefined (error) on edgeless graphs."""
+    """Mean tie strength over all edges, summed in ascending (u, v) order. Undefined (error) on edgeless graphs."""
     if g.edge_count == 0:
         raise GraphError("average edge weight is undefined on a graph with no edges")
-    total = 0.0
-    for _, _, w in g.edges():
-        total += w
-    return total / g.edge_count
+    senders, receivers, weights = g.directed_edge_arrays()
+    return float(np.cumsum(weights[senders > receivers])[-1] / g.edge_count)
 
 
 # -- distances and centralities ----------------------------------------------
@@ -345,13 +380,11 @@ class _BlockSweep:
 
     def __init__(self, g: WeightedGraph, rows: int):
         n = self.n = g.node_count
-        senders, receivers, weights = g.directed_edge_arrays()
-        inverse = 1.0 / weights
-        usable = inverse < math.inf  # zero weights carry no tie strength
-        # Receiver-major, so every node lists its neighbors in ascending id.
-        self.nbrs, self.inverse = senders[usable], inverse[usable]
-        self.degree = np.bincount(receivers[usable], minlength=n)
-        self.starts = np.cumsum(self.degree) - self.degree
+        senders, _, weights = g.directed_edge_arrays()
+        # The graph's rows, each listing its neighbors in ascending id. A zero
+        # weight's inverse is inf, so its edge never shortens a distance.
+        self.nbrs, self.inverse = senders, 1.0 / weights
+        self.starts, self.degree = g._indptr[:-1], np.diff(g._indptr)
         self.step = self.inverse.min(initial=math.inf)
         self.rows = rows
         self.dist = np.empty(rows * n)  # settled distances; inf until settled
@@ -530,20 +563,22 @@ def weighted_betweenness_all(g: WeightedGraph) -> np.ndarray:
     return _memoised_centralities(g)[1].copy()
 
 
-def coauthor_utility(g: WeightedGraph, v: int) -> float:
-    """Collaboration utility of v from splitting attention across neighbors.
+def coauthor_utility(g: WeightedGraph) -> np.ndarray:
+    """Collaboration utility of every node from splitting attention across its neighbors.
 
-    Each neighbor j of v contributes 1/deg(v) + 1/deg(j) + 1/(deg(v)*deg(j)).
-    Edge weights are ignored; an isolated node has utility 0.
+    Each neighbor j of v contributes 1/deg(v) + 1/deg(j) + 1/(deg(v)*deg(j)),
+    added up in ascending order of j. Edge weights are ignored; an isolated
+    node has utility 0.
     """
-    deg_v = g.degree(v)
-    if deg_v == 0:
-        return 0.0
-    total = 0.0
-    for j in g.neighbors(v):
-        deg_j = g.degree(j)
-        total += 1.0 / deg_v + 1.0 / deg_j + 1.0 / (deg_v * deg_j)
-    return total
+    senders, receivers, _ = g.directed_edge_arrays()
+    indptr = g._indptr
+    degree = np.diff(indptr).astype(float)
+    dv, dj = degree[receivers], degree[senders]
+    # One row per node, its terms left-aligned and the rest zero; the last
+    # column is always zero, so an edgeless graph still has one.
+    padded = np.zeros((g.node_count, int(degree.max(initial=0.0)) + 1))
+    padded[receivers, np.arange(receivers.size) - indptr[receivers]] = 1.0 / dv + 1.0 / dj + 1.0 / (dv * dj)
+    return np.cumsum(padded, axis=1, out=padded)[:, -1].copy()  # a copy, so the matrix is freed
 
 
 # -- hop-count shortest paths -------------------------------------------------
@@ -565,29 +600,24 @@ def shortest_hop_path(
     if source == target:
         raise GraphError("path endpoints must be distinct")
     score = edge_score if edge_score is not None else g.weight
-
-    depth = {source: 0}
-    layers = [[source]]
-    while layers[-1] and target not in depth:
-        layers.append([])
-        for v in layers[-2]:
-            for u in g.neighbors(v):
-                if u not in depth:
-                    depth[u] = len(layers) - 1
-                    layers[-1].append(u)
-    if target not in depth:
-        return None
-
-    # Layer-by-layer DP: per node keep (best score sum, lexicographically
-    # smallest path achieving it); optimal substructure holds for this order.
+    # The rows as Python lists, which many small slices read faster than arrays.
+    indptr, senders = g._indptr.tolist(), g._senders.tolist()
+    # Layer by layer, per node the best score sum and the lexicographically
+    # smallest path achieving it; optimal substructure holds for this order.
     best = {source: (0.0, (source,))}
-    for lev in range(1, len(layers)):
-        for v in layers[lev]:
-            candidates = [
-                (best[p][0] + score(p, v), best[p][1] + (v,)) for p in g.neighbors(v) if depth.get(p) == lev - 1
-            ]
-            best[v] = min(candidates, key=lambda c: (-c[0], c[1]))
-    return PathResult(best[target][1])
+    layer = [source]
+    while layer and target not in best:
+        reached: dict[int, tuple[float, tuple[int, ...]]] = {}
+        for p in layer:
+            for v in senders[indptr[p] : indptr[p + 1]]:
+                if v not in best:
+                    total, path = best[p][0] + score(p, v), best[p][1]
+                    top = reached.get(v)
+                    if top is None or total > top[0] or (total == top[0] and path < top[1]):
+                        reached[v] = total, path
+        best.update((v, (total, path + (v,))) for v, (total, path) in reached.items())
+        layer = list(reached)
+    return PathResult(best[target][1]) if target in best else None
 
 
 # -- text interchange ----------------------------------------------------------

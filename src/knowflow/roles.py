@@ -11,6 +11,7 @@ import numpy as np
 
 from .diffusion import SimulationState
 from .netgraph import (
+    GraphError,
     WeightedGraph,
     coauthor_utility,
     weighted_betweenness_all,
@@ -91,7 +92,7 @@ def rank_nodes(
     elif strategy is Strategy.BETWEENNESS:
         scores = list(weighted_betweenness_all(g))
     else:
-        utilities = [coauthor_utility(g, v) for v in nodes]
+        utilities = coauthor_utility(g).tolist()
         if strategy is Strategy.TIME_SHARING:
             scores = utilities
         else:  # DISSEMINATION ranks ascending
@@ -166,11 +167,14 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
             raise RoleError(f"unknown node {v}")
         selected[v] = True
     senders, receivers, weights = g.directed_edge_arrays()
-    scaled = np.where(selected[senders] | selected[receivers], weights * factor, weights)
-    upper = senders > receivers
-    return WeightedGraph(
-        g.node_count, zip(receivers[upper].tolist(), senders[upper].tolist(), scaled[upper].tolist())
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is rejected below
+        scaled = np.where(selected[senders] | selected[receivers], weights * factor, weights)
+    bad = ~np.isfinite(scaled) & (senders > receivers)
+    if bad.any():  # name the first in ascending (u, v) order
+        i = int(np.argmax(bad))
+        edge = (int(receivers[i]), int(senders[i]), float(scaled[i]))
+        raise GraphError(f"edge {edge} rejected: edge weight must be finite and >= 0")
+    return WeightedGraph._from_arrays(g.node_count, senders, receivers, scaled)
 
 
 def apply_collector(state: SimulationState, nodes: Sequence[int]) -> SimulationState:

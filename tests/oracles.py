@@ -183,6 +183,55 @@ def oracle_hop_path(n: int, adj: dict, s: int, t: int, score=None):
     return best
 
 
+# -- sequential graph loops -------------------------------------------------------
+# The package's former per-node and per-edge loops. Its array forms must
+# reproduce them bit for bit: the sums run in the same order.
+
+
+def sequential_utility(g) -> np.ndarray:
+    """Collaboration utility of each node, one node and one neighbor at a time."""
+    out = []
+    for v in g.nodes():
+        deg_v = g.degree(v)
+        total = 0.0
+        for j in g.neighbors(v):
+            deg_j = g.degree(j)
+            total += 1.0 / deg_v + 1.0 / deg_j + 1.0 / (deg_v * deg_j)
+        out.append(total)
+    return np.array(out)
+
+
+def sequential_average_weight(g) -> float:
+    total = 0.0
+    for _, _, w in g.edges():
+        total += w
+    return total / g.edge_count
+
+
+def tuple_watts_strogatz(n: int, k: int, p: float, rng) -> list:
+    """The Watts-Strogatz generator's edges as ``(u, v, 1.0)`` tuples, drawn in the package's rng order."""
+    adj = [set() for _ in range(n)]
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            adj[u].add((u + j) % n)
+            adj[(u + j) % n].add(u)
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            if rng.random() >= p:
+                continue
+            v = (u + j) % n
+            if len(adj[u]) >= n - 1 or v not in adj[u]:
+                continue
+            w = int(rng.integers(n))
+            while w == u or w in adj[u]:
+                w = int(rng.integers(n))
+            adj[u].remove(v)
+            adj[v].remove(u)
+            adj[u].add(w)
+            adj[w].add(u)
+    return [(u, v, 1.0) for u in range(n) for v in adj[u] if v > u]
+
+
 # -- two-sweep centrality reference -------------------------------------------------
 # One Dijkstra per source for closeness and another for betweenness: the
 # package's single sweep must reproduce both arrays bit for bit.

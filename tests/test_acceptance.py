@@ -133,7 +133,7 @@ def _compare_graph(n, weights):
         assert g.degree(v) == oracles.oracle_degree(adj, v)
         assert math.isclose(closeness[v], oracles.oracle_closeness(n, adj, v), rel_tol=1e-9, abs_tol=1e-9)
         assert math.isclose(betweenness[v], oracle_betw[v], rel_tol=1e-9, abs_tol=1e-9)
-        assert math.isclose(coauthor_utility(g, v), oracles.oracle_utility(adj, v), rel_tol=1e-9, abs_tol=1e-9)
+        assert math.isclose(coauthor_utility(g)[v], oracles.oracle_utility(adj, v), rel_tol=1e-9, abs_tol=1e-9)
     for s, t in itertools.permutations(range(n), 2):
         got = shortest_hop_path(g, s, t)
         want = oracles.oracle_hop_path(n, adj, s, t)

@@ -292,6 +292,9 @@ def test_probes_reject_out_of_range_ids():
     state = random_state(5, n=6)
     with pytest.raises(DiffusionError, match="node id -1"):
         probe_node(-1)
+    for node in (1.5, True, "2"):
+        with pytest.raises(DiffusionError, match=f"node id {node!r} is not an integer"):
+            probe_node(node)
     with pytest.raises(DiffusionError, match="node id 9 .* 6 workers"):
         probe_node(9).measure(state)
     with pytest.raises(DiffusionError, match="competence id -2"):
@@ -302,7 +305,7 @@ def test_probes_reject_out_of_range_ids():
         probe_mask("x", [1, 8]).measure(state)
     with pytest.raises(DiffusionError, match="node id 6 .* 6 workers"):
         probe_mask("x", [1], members=[2, 6]).measure(state)
-    assert probe_node(5).measure(state) == float(state.population.competences[5].mean())
+    assert probe_node(5).measure(state) == probe_node(np.int64(5)).measure(state) == float(state.population.competences[5].mean())
 
 
 def test_collector_probes_total_is_sum_of_parts():

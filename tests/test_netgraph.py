@@ -1,10 +1,12 @@
 """Graph construction, metrics, and interchange, cross-checked against the
 brute-force oracles for small instances."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +63,24 @@ def test_graph_basics():
     assert list(g.edges()) == [(0, 1, 0.5), (1, 2, 2.0)]
 
 
+def test_scalar_queries_read_each_row():
+    g = assign_weights(generate_watts_strogatz(30, 6, 0.5, np.random.default_rng(1)),
+                       WeightSpec.uniform(0.1, 1.0), np.random.default_rng(2))
+    g = add_edge(g, *next((u, v) for u in range(30) for v in range(u + 1, 30) if not g.has_edge(u, v)), 0.0)
+    table = {}
+    for u, v, w in g.edges():
+        table[u, v] = table[v, u] = w
+    for u in range(30):
+        assert g.neighbors(u) == sorted(v for a, v in table if a == u)
+        assert g.degree(u) == len(g.neighbors(u))
+        for v in range(30):
+            assert g.has_edge(u, v) == ((u, v) in table)
+            assert g.weight(u, v) == table.get((u, v), 0.0)
+    for query in (lambda: g.has_edge(0, 30), lambda: g.weight(-1, 3), lambda: g.neighbors(30), lambda: g.degree(-1)):
+        with pytest.raises(GraphError, match=r"unknown node (30|-1) \(graph has 30 nodes\)"):
+            query()
+
+
 def test_graph_rejects_self_loops_and_duplicates():
     g = build(3, {(0, 1): 1.0})
     with pytest.raises(GraphError):
@@ -86,7 +106,7 @@ def test_graphs_are_immutable_values():
     g = assign_weights(generate_watts_strogatz(12, 4, 0.3, np.random.default_rng(2)),
                        WeightSpec.uniform(0.1, 1.0), np.random.default_rng(3))
     before = list(g.edges())
-    for array in g.directed_edge_arrays():
+    for array in (*g.directed_edge_arrays(), g._indptr):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
@@ -97,6 +117,32 @@ def test_graphs_are_immutable_values():
     ]
     assert list(g.edges()) == before
     assert all(list(h.edges()) != before for h in derived)
+
+
+@pytest.mark.parametrize(
+    "make, rejection",
+    [
+        (lambda: WeightedGraph(3, [(0, 1.5, 1.0)]), "edge (0, 1.5, 1.0) rejected: expected (u, v, weight)"),
+        (lambda: WeightedGraph(2.7, [(0, 1, 1.0)]), "node count must be an integer, got 2.7"),
+        (lambda: WeightedGraph(True), "node count must be an integer, got True"),
+        (lambda: WeightedGraph(3, [(False, True, 1.0)]), "edge (False, True, 1.0) rejected: expected (u, v, weight)"),
+        (lambda: WeightedGraph(3, [(0, 1, "2")]), "edge (0, 1, '2') rejected: expected (u, v, weight)"),
+        (lambda: WeightedGraph(3, [(0, 1, True)]), "edge (0, 1, True) rejected: expected (u, v, weight)"),
+        (lambda: add_edge(WeightedGraph(3), 0, 1.5, 1.0), "edge (0, 1.5, 1.0) rejected: expected (u, v, weight)"),
+        (lambda: WeightedGraph(3, [(0, 1, 10**400)]), f"edge (0, 1, {10**400}) rejected: edge weight must be finite"),
+        (lambda: WeightedGraph(3, [(0, 2, 1.0), (0, 1)]), "edge (0, 1) rejected: expected (u, v, weight)"),
+        (lambda: WeightedGraph(3, [(0, 2, 1.0), 7]), "edge 7 rejected: expected (u, v, weight)"),
+        # accepted: numpy integers and reals, and Python ints as weights
+        (lambda: WeightedGraph(np.int64(3), [(np.int32(0), np.uint8(2), np.float32(0.5)), (1, 2, 3)]), None),
+        (lambda: add_edge(WeightedGraph(3), np.int64(0), np.intp(1), np.float64(2.0)), None),
+    ],
+)
+def test_constructors_accept_integer_ids_and_real_weights_only(make, rejection):
+    if rejection is None:
+        assert make().edge_count >= 1
+    else:
+        with pytest.raises(GraphError, match=re.escape(rejection)):
+            make()
 
 
 def test_directed_edge_arrays_lists_both_orientations():
@@ -111,6 +157,47 @@ def test_average_edge_weight():
     assert average_edge_weight(g) == 2.0
     with pytest.raises(GraphError):
         average_edge_weight(WeightedGraph(3))
+
+
+def _scaled_network(fixture, nodes, seed):
+    return _graph_for(dataclasses.replace(load_fixture(fixture).network, nodes=nodes), seed)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: _scaled_network("fig9", 25, 1),
+        lambda: _scaled_network("fig2", 484, 2),
+        lambda: _scaled_network("fig2", 4840, 3),
+        lambda: WeightedGraph(7, [(1, 2, 0.3), (1, 4, 0.7), (2, 4, 0.1), (4, 5, 0.9), (4, 6, 0.2)]),  # 0 and 3 isolated
+    ],
+    ids=["25", "484", "4840", "isolated-nodes"],
+)
+def test_array_utility_and_average_weight_match_the_sequential_loops_bit_for_bit(graph):
+    g = graph()
+    assert np.array_equal(coauthor_utility(g), oracles.sequential_utility(g))
+    assert average_edge_weight(g) == oracles.sequential_average_weight(g)
+
+
+def _state(g):
+    return (*g.directed_edge_arrays(), g._indptr)
+
+
+def test_add_edge_equals_a_full_rebuild():
+    g = _scaled_network("fig9", 25, 4)
+    missing = [(u, v) for u in range(25) for v in range(u + 1, 25) if not g.has_edge(u, v)]
+    for u, v in (missing[0], missing[len(missing) // 2], missing[-1][::-1]):
+        added, rebuilt = add_edge(g, u, v, 0.25), WeightedGraph(25, [*g.edges(), (u, v, 0.25)])
+        assert all(np.array_equal(a, b) for a, b in zip(_state(added), _state(rebuilt)))
+    empty = add_edge(WeightedGraph(4), 3, 1, 2.0)
+    assert all(np.array_equal(a, b) for a, b in zip(_state(empty), _state(WeightedGraph(4, [(1, 3, 2.0)]))))
+
+
+@pytest.mark.parametrize("n, k, p, seed", [(8, 2, 0.0, 0), (30, 4, 0.3, 7), (60, 6, 1.0, 2), (484, 4, 0.1, 11), (5, 4, 0.5, 3)])
+def test_generator_arrays_equal_the_tuple_constructor_path(n, k, p, seed):
+    g = generate_watts_strogatz(n, k, p, np.random.default_rng(seed))
+    reference = WeightedGraph(n, oracles.tuple_watts_strogatz(n, k, p, np.random.default_rng(seed)))
+    assert all(np.array_equal(a, b) for a, b in zip(_state(g), _state(reference)))
 
 
 # -- small-world generator ---------------------------------------------------
@@ -416,18 +503,18 @@ def test_returned_centralities_are_copies():
 def test_coauthor_utility_hand_values():
     tri = build(3, {(0, 1): 1.0, (1, 2): 1.0, (0, 2): 1.0})
     for v in range(3):
-        assert coauthor_utility(tri, v) == pytest.approx(2.5)
+        assert coauthor_utility(tri)[v] == pytest.approx(2.5)
     g = path3()
-    assert coauthor_utility(g, 1) == pytest.approx(4.0)
-    assert coauthor_utility(g, 0) == pytest.approx(2.0)
-    assert coauthor_utility(build(2, {}), 0) == 0.0
+    assert coauthor_utility(g)[1] == pytest.approx(4.0)
+    assert coauthor_utility(g)[0] == pytest.approx(2.0)
+    assert coauthor_utility(build(2, {}))[0] == 0.0
 
 
 def test_utility_ignores_weights():
     a = path3(1.0, 1.0)
     b = path3(0.2, 5.0)
     for v in range(3):
-        assert coauthor_utility(a, v) == coauthor_utility(b, v)
+        assert coauthor_utility(a)[v] == coauthor_utility(b)[v]
 
 
 # -- hop-shortest paths ---------------------------------------------------------
@@ -487,7 +574,7 @@ def test_metrics_match_oracles_on_all_four_node_graphs():
             assert betweenness[v] == pytest.approx(
                 oracles.oracle_betweenness(4, adj, v), rel=1e-12, abs=1e-12
             )
-            assert coauthor_utility(g, v) == pytest.approx(
+            assert coauthor_utility(g)[v] == pytest.approx(
                 oracles.oracle_utility(adj, v), rel=1e-12
             )
 

@@ -1,5 +1,7 @@
 """Role allocation: ranking strategies, top-k selection, role application."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from knowflow import (
     ROLES,
+    GraphError,
     RoleError,
     Strategy,
     WeightedGraph,
@@ -189,6 +192,14 @@ def test_apply_facilitator_validation():
         apply_facilitator(g, [0], 0.0)
     with pytest.raises(RoleError):
         apply_facilitator(g, [7], 1.1)
+    heavy = WeightedGraph(4, [(0, 1, 1e300), (1, 2, 0.0), (2, 3, 1e300)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for factor in (1e10, np.inf):
+            with pytest.raises(GraphError, match=r"edge \(0, 1, inf\) rejected: edge weight must be finite"):
+                apply_facilitator(heavy, [1, 2], factor)
+        with pytest.raises(GraphError, match=r"edge \(1, 2, nan\) rejected"):
+            apply_facilitator(heavy, [2], np.inf)
 
 
 def test_apply_collector_unions_flags():

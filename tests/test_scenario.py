@@ -3,6 +3,8 @@ files, and the command line interface."""
 
 import hashlib
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -618,6 +620,17 @@ def test_cli_run_rejects_bad_configs(tmp_path, capsys):
     deep.write_text("[" * 100_000)
     assert main(["run", str(deep)]) == 2
     assert capsys.readouterr().err.count("config error") == 3
+
+
+def test_cli_run_rejects_a_facilitator_weight_overflow_naming_the_edge(tmp_path, capsys):
+    data = tiny_config(role_plan={"role": "facilitator", "strategies": ["degree"], "count": 3, "weight_factor": 1e200})
+    data["network"]["weights"] = {"kind": "uniform", "low": 1e200, "high": 1e201}
+    cfg_path = tmp_path / "overflow.json"
+    cfg_path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow itself warns nothing
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert re.search(r"error: edge \(\d+, \d+, inf\) rejected: edge weight must be finite", capsys.readouterr().err)
 
 
 def test_cli_rank_orders_nodes(tmp_path, capsys):
