@@ -178,13 +178,16 @@ def transfer_efficiency(
 
 @dataclass(frozen=True)
 class TieProposal:
-    """A tie the accelerator wants to insert, with its pre-insertion efficiency."""
+    """A tie to insert, with its pre-insertion efficiency; ``community`` is None for a manual tie.
 
-    community: int
+    ``efficiency_before`` is None when the target was unreachable from the source.
+    """
+
+    community: int | None
     source: int
     target: int
     weight: float
-    efficiency_before: float
+    efficiency_before: float | None
 
     def as_record(self) -> dict:
         return {

@@ -202,17 +202,23 @@ def probe_average() -> Probe:
     )
 
 
-def _nonnegative(kind: str, ids: Iterable[int]) -> None:
+def _index(kind: str, ids: Iterable[int]) -> np.ndarray:
+    """The ids, each a non-negative integer and not a boolean, as a sorted index array."""
+    ids = list(ids)
     for i in ids:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise DiffusionError(f"probe {kind} id {i!r} is not an integer")
         if i < 0:
             raise DiffusionError(f"probe {kind} id {i} is negative")
+    try:
+        return np.asarray(sorted(ids), dtype=np.intp)
+    except OverflowError:
+        raise DiffusionError(f"probe {kind} id {max(ids)} is out of range for any population") from None
 
 
 def probe_node(node: int) -> Probe:
     """Mean competence of one worker; an id beyond the population fails on first measure."""
-    if isinstance(node, bool) or not isinstance(node, numbers.Integral):
-        raise DiffusionError(f"probe node id {node!r} is not an integer")
-    _nonnegative("node", [node])
+    _index("node", [node])
 
     def measure(st: SimulationState) -> float:
         try:
@@ -226,10 +232,8 @@ def probe_node(node: int) -> Probe:
 
 def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | None = None) -> Probe:
     """Mean competence over chosen competence positions and (optionally) members."""
-    comp_idx = np.asarray(sorted(int(c) for c in competences), dtype=np.intp)
-    member_idx = None if members is None else np.asarray(sorted(int(m) for m in members), dtype=np.intp)
-    _nonnegative("competence", comp_idx)
-    _nonnegative("node", () if member_idx is None else member_idx)
+    comp_idx = _index("competence", competences)
+    member_idx = None if members is None else _index("node", members)
     flat: dict[tuple[int, ...], np.ndarray] = {}  # matrix shape -> flat index of the selection
 
     def measure(st: SimulationState) -> float:

@@ -201,6 +201,9 @@ class _EdgeError(GraphError):
 
 
 def _check_node(n: int, v: int) -> int:
+    """``v`` as an int, when it is an integer id of one of the ``n`` nodes."""
+    if not _is_int(v):
+        raise GraphError(f"node id must be an integer, got {v!r}")
     if not (0 <= v < n):
         raise GraphError(f"unknown node {v} (graph has {n} nodes)")
     return int(v)
@@ -572,13 +575,15 @@ def coauthor_utility(g: WeightedGraph) -> np.ndarray:
     """
     senders, receivers, _ = g.directed_edge_arrays()
     indptr = g._indptr
-    degree = np.diff(indptr).astype(float)
-    dv, dj = degree[receivers], degree[senders]
-    # One row per node, its terms left-aligned and the rest zero; the last
-    # column is always zero, so an edgeless graph still has one.
-    padded = np.zeros((g.node_count, int(degree.max(initial=0.0)) + 1))
-    padded[receivers, np.arange(receivers.size) - indptr[receivers]] = 1.0 / dv + 1.0 / dj + 1.0 / (dv * dj)
-    return np.cumsum(padded, axis=1, out=padded)[:, -1].copy()  # a copy, so the matrix is freed
+    degree = np.diff(indptr)
+    dv, dj = degree[receivers].astype(float), degree[senders].astype(float)
+    terms = 1.0 / dv + 1.0 / dj + 1.0 / (dv * dj)  # node v's k-th term is terms[indptr[v] + k]
+    utility = np.zeros(g.node_count)
+    # One column of terms at a time, so each node adds its terms in neighbor order.
+    for k in range(int(degree.max(initial=0))):
+        rows = np.flatnonzero(degree > k)
+        utility[rows] += terms[indptr[rows] + k]
+    return utility
 
 
 # -- hop-count shortest paths -------------------------------------------------

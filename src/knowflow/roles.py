@@ -60,11 +60,10 @@ ROLES = ("expert", "facilitator", "collector")
 
 @dataclass(frozen=True)
 class RoleAssignment:
-    """Outcome of a role plan: which nodes got the role, with its parameters."""
+    """Outcome of a role plan: the role and the nodes that got it."""
 
     role: str
     nodes: tuple[int, ...]
-    params: tuple[tuple[str, object], ...] = ()
 
 
 def rank_nodes(

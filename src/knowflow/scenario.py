@@ -29,7 +29,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .community import Community, detect_communities, accelerate_loop, transfer_efficiency
+from .community import Community, TieProposal, accelerate_loop, detect_communities, transfer_efficiency
 from .diffusion import (
     DiffusionConfig,
     Probe,
@@ -557,18 +557,10 @@ def _population_for(population: PopulationSpec, n_workers: int, seed: int) -> Po
 
 def _communities_for(plan: CommunityPlan, workers: Population) -> list[Community]:
     if plan.method == "fixture":
-        return detect_communities(
-            workers,
-            method="fixture",
-            fixture=[(c.members, c.core) for c in plan.communities],
-        )
-    return detect_communities(
-        workers,
-        method="jaccard",
-        threshold=plan.threshold,
-        core_rule=plan.core_rule,
-        core_theta=plan.core_theta,
-    )
+        options: dict[str, Any] = {"fixture": [(c.members, c.core) for c in plan.communities]}
+    else:
+        options = {"threshold": plan.threshold, "core_rule": plan.core_rule, "core_theta": plan.core_theta}
+    return detect_communities(workers, method=plan.method, **options)
 
 
 def _apply_tie_plan(
@@ -578,41 +570,19 @@ def _apply_tie_plan(
     communities: list[Community],
     seed: int,
 ) -> tuple[WeightedGraph, list[dict]]:
+    """The graph with the plan's ties inserted, and one record per inserted tie."""
     if plan.ties == "none":
         return g, []
     single = plan.division == "single"
-    records: list[dict] = []
-
-    if plan.ties == "manual":
-        for u, v in plan.manual_ties:
-            if g.has_edge(u, v):
-                logger.warning("manual tie (%d, %d) already present for seed %d; skipped", u, v, seed)
-                continue
-            weight = plan.tie_weight if plan.tie_weight is not None else average_edge_weight(g)
-            eff = transfer_efficiency(g, workers, u, v, single_division=single)
-            g = add_edge(g, u, v, weight)
-            records.append(
-                {
-                    "mode": "manual",
-                    "community": None,
-                    "from": u,
-                    "to": v,
-                    "weight": weight,
-                    "efficiency_before": eff,
-                }
-            )
-        return g, records
-
-    if plan.community_index >= len(communities):
+    proposals: list[TieProposal] = []
+    if plan.ties != "manual" and plan.community_index >= len(communities):
         raise ConfigError(
             f"community_plan.community_index: only {len(communities)} communities detected, "
             f"got {plan.community_index}"
         )
-    target = communities[plan.community_index]
-
     if plan.ties == "algorithm":
         g, proposals = accelerate_loop(
-            target,
+            communities[plan.community_index],
             g,
             workers,
             budget=plan.budget,
@@ -620,50 +590,31 @@ def _apply_tie_plan(
             min_efficiency=plan.min_efficiency,
             single_division=single,
         )
-        for p in proposals:
-            records.append({"mode": "algorithm", **p.as_record()})
-        return g, records
+    else:
 
-    # uniformly random intra-community tie(s), for baselining the algorithm
-    rng = stream_rng(seed, "ties")
-    for _ in range(plan.budget):
-        eligible = [
-            (u, v)
-            for i, u in enumerate(target.members)
-            for v in target.members[i + 1:]
-            if not g.has_edge(u, v)
-        ]
-        if not eligible:
-            break
-        u, v = eligible[int(rng.integers(len(eligible)))]
-        weight = plan.tie_weight if plan.tie_weight is not None else average_edge_weight(g)
-        eff = transfer_efficiency(g, workers, u, v, single_division=single)
-        g = add_edge(g, u, v, weight)
-        records.append(
-            {
-                "mode": "random",
-                "community": target.id,
-                "from": u,
-                "to": v,
-                "weight": weight,
-                "efficiency_before": eff,
-            }
-        )
-    return g, records
+        def insert(community: int | None, u: int, v: int) -> None:
+            """Add the tie (u, v) and record it with the transfer efficiency before it."""
+            nonlocal g
+            weight = plan.tie_weight if plan.tie_weight is not None else average_edge_weight(g)
+            efficiency = transfer_efficiency(g, workers, u, v, single_division=single)
+            g = add_edge(g, u, v, weight)
+            proposals.append(TieProposal(community, u, v, weight, efficiency))
 
-
-@dataclass
-class _SingleRun:
-    seed: int
-    series: TimeSeries
-    ties: list[dict]
-    assignment: RoleAssignment | None
-
-
-def _variant_names(config: ScenarioConfig) -> list[str]:
-    if config.role_plan is not None:
-        return list(config.role_plan.strategies)
-    return ["default"]
+        if plan.ties == "manual":
+            for u, v in plan.manual_ties:
+                if g.has_edge(u, v):
+                    logger.warning("manual tie (%d, %d) already present for seed %d; skipped", u, v, seed)
+                else:
+                    insert(None, u, v)
+        else:  # uniformly random intra-community ties, for baselining the algorithm
+            target, rng = communities[plan.community_index], stream_rng(seed, "ties")
+            pairs = [(u, v) for i, u in enumerate(target.members) for v in target.members[i + 1:]]
+            for _ in range(plan.budget):
+                eligible = [(u, v) for u, v in pairs if not g.has_edge(u, v)]
+                if not eligible:
+                    break
+                insert(target.id, *eligible[int(rng.integers(len(eligible)))])
+    return g, [{"mode": plan.ties, **p.as_record()} for p in proposals]
 
 
 def _build_probes(config: ScenarioConfig, collector_ids: Sequence[int]) -> list[Probe]:
@@ -680,56 +631,44 @@ def _build_probes(config: ScenarioConfig, collector_ids: Sequence[int]) -> list[
     return probes
 
 
-def _single_run(config: ScenarioConfig, variant: str, seed: int, g: WeightedGraph) -> _SingleRun:
-    pop = _population_for(config.population, config.network.nodes, seed)
+def _intervention(plan: RolePlan, selected: tuple[int, ...], seed: int) -> Callable[[SimulationState], SimulationState]:
+    """The plan's role action on the selected nodes, as a state transform."""
 
-    interventions: dict[int, Callable[[SimulationState], SimulationState]] = {}
-    assignment: RoleAssignment | None = None
-    selected: tuple[int, ...] = ()
+    def intervene(state: SimulationState) -> SimulationState:
+        if plan.role == "expert":
+            rng = stream_rng(seed, "boost")
+            boosted = apply_expert(state.population, selected, plan.boost_range, rng, plan.boost_all)  # type: ignore[arg-type]
+            return dc_replace(state, population=boosted)
+        if plan.role == "facilitator":
+            graph = apply_facilitator(state.graph, selected, plan.weight_factor)  # type: ignore[arg-type]
+            return dc_replace(state, graph=graph)
+        return apply_collector(state, selected)
+
+    return intervene
+
+
+def _single_run(
+    config: ScenarioConfig, variant: str, seed: int, g: WeightedGraph
+) -> tuple[TimeSeries, list[dict], RoleAssignment | None]:
+    """One (variant, seed) run: its series, its inserted-tie records and its role assignment."""
+    pop = _population_for(config.population, config.network.nodes, seed)
     plan = config.role_plan
+    assignment: RoleAssignment | None = None
+    interventions: dict[int, Callable[[SimulationState], SimulationState]] = {}
     if plan is not None and variant != REFERENCE_TOKEN:
         ranking = rank_nodes(g, variant, rng=stream_rng(seed, "strategy") if variant == Strategy.RANDOM.value else None)
-        portion: int | float = plan.count if plan.count is not None else float(plan.fraction)  # type: ignore[arg-type]
-        selected = tuple(select_top(ranking, portion))
-        if plan.role == "expert":
-            boost_rng = stream_rng(seed, "boost")
-            boost_range = plan.boost_range
-
-            def intervene(state: SimulationState) -> SimulationState:
-                boosted = apply_expert(state.population, selected, boost_range, boost_rng, plan.boost_all)  # type: ignore[arg-type]
-                return dc_replace(state, population=boosted)
-
-            params: tuple[tuple[str, object], ...] = (
-                ("strategy", variant),
-                ("boost_range", boost_range),
-                ("boost_all", plan.boost_all),
-            )
-        elif plan.role == "facilitator":
-            factor = float(plan.weight_factor)  # type: ignore[arg-type]
-
-            def intervene(state: SimulationState) -> SimulationState:
-                return dc_replace(state, graph=apply_facilitator(state.graph, selected, factor))
-
-            params = (("strategy", variant), ("weight_factor", factor))
-        else:
-
-            def intervene(state: SimulationState) -> SimulationState:
-                return apply_collector(state, selected)
-
-            params = (("strategy", variant),)
-        interventions[plan.step] = intervene
-        assignment = RoleAssignment(role=plan.role, nodes=selected, params=params)
-
+        portion: int | float = plan.count if plan.count is not None else plan.fraction  # type: ignore[assignment]
+        assignment = RoleAssignment(role=plan.role, nodes=tuple(select_top(ranking, portion)))
+        interventions[plan.step] = _intervention(plan, assignment.nodes, seed)
     ties: list[dict] = []
     if config.community_plan is not None:
         communities = _communities_for(config.community_plan, pop)
         g, ties = _apply_tie_plan(config.community_plan, g, pop, communities, seed)
-
-    collector_ids = selected if (plan is not None and plan.role == "collector") else ()
+    collector_ids = assignment.nodes if assignment is not None and assignment.role == "collector" else ()
     probes = _build_probes(config, collector_ids)
     state = SimulationState.initial(g, pop)
     _, series = run(state, config.run.steps, probes, config=config.diffusion, interventions=interventions)
-    return _SingleRun(seed=seed, series=series, ties=ties, assignment=assignment)
+    return series, ties, assignment
 
 
 @dataclass
@@ -741,8 +680,19 @@ class VariantResult:
     series: dict[int, TimeSeries]
     ties: dict[int, list[dict]]
     assignments: dict[int, RoleAssignment | None]
-    steps: list[int] = field(default_factory=list)
-    aggregates: dict[tuple[str, str], dict[str, np.ndarray]] = field(default_factory=dict)
+    steps: list[int] = field(init=False)
+    aggregates: dict[tuple[str, str], dict[str, np.ndarray]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        """The recorded steps, and the cross-seed mean and std of each column every seed recorded."""
+        per_seed = [self.series[s] for s in self.seeds]
+        self.steps = list(per_seed[0].steps)
+        self.aggregates = {}
+        for col in per_seed[0].columns:
+            if all(col in series.columns for series in per_seed):
+                matrix = np.stack([series.column(*col) for series in per_seed])
+                std = matrix.std(axis=0, ddof=1) if matrix.shape[0] > 1 else np.zeros(matrix.shape[1])
+                self.aggregates[col] = {"mean": matrix.mean(axis=0), "std": std}
 
     def final_values(self, metric: str = "average_competence", scope: str = "all") -> np.ndarray:
         """Final recorded value per seed, in the experiment's seed order."""
@@ -760,50 +710,20 @@ class ExperimentReport:
     variants: dict[str, VariantResult]
 
 
-def _aggregate(result: VariantResult) -> None:
-    first = result.series[result.seeds[0]]
-    common = [
-        col
-        for col in first.columns
-        if all(col in result.series[s].columns for s in result.seeds)
-    ]
-    result.steps = list(first.steps)
-    for col in common:
-        matrix = np.stack([result.series[s].column(*col) for s in result.seeds])
-        mean = matrix.mean(axis=0)
-        std = matrix.std(axis=0, ddof=1) if matrix.shape[0] > 1 else np.zeros(matrix.shape[1])
-        result.aggregates[col] = {"mean": mean, "std": std}
-
-
 def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -> ExperimentReport:
     """Run every (variant, seed) combination and aggregate across seeds."""
     seed_list = tuple(int(s) for s in (seeds if seeds is not None else config.run.seeds))
     if not seed_list:
         raise ConfigError("run.seeds: need at least one seed")
-    names = _variant_names(config)
-    runs: dict[str, list[_SingleRun]] = {variant: [] for variant in names}
+    names = config.role_plan.strategies if config.role_plan is not None else ("default",)
+    series, ties, assignments = ({name: {} for name in names} for _ in range(3))
     for seed in seed_list:
         g = _graph_for(config.network, seed)
-        for variant in names:
-            logger.info("running %s variant=%s seed=%d", config.name, variant, seed)
-            runs[variant].append(_single_run(config, variant, seed, g))
-    variants: dict[str, VariantResult] = {}
-    for variant, singles in runs.items():
-        result = VariantResult(
-            name=variant,
-            seeds=seed_list,
-            series={r.seed: r.series for r in singles},
-            ties={r.seed: r.ties for r in singles},
-            assignments={r.seed: r.assignment for r in singles},
-        )
-        _aggregate(result)
-        variants[variant] = result
-    return ExperimentReport(
-        config=config,
-        config_hash=config_hash(config),
-        seeds=seed_list,
-        variants=variants,
-    )
+        for name in names:
+            logger.info("running %s variant=%s seed=%d", config.name, name, seed)
+            series[name][seed], ties[name][seed], assignments[name][seed] = _single_run(config, name, seed, g)
+    variants = {name: VariantResult(name, seed_list, series[name], ties[name], assignments[name]) for name in names}
+    return ExperimentReport(config=config, config_hash=config_hash(config), seeds=seed_list, variants=variants)
 
 
 def propose_ties(

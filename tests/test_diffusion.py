@@ -2,6 +2,7 @@
 collector accounting, probes, and the time series container."""
 
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -306,6 +307,19 @@ def test_probes_reject_out_of_range_ids():
     with pytest.raises(DiffusionError, match="node id 6 .* 6 workers"):
         probe_mask("x", [1], members=[2, 6]).measure(state)
     assert probe_node(5).measure(state) == probe_node(np.int64(5)).measure(state) == float(state.population.competences[5].mean())
+
+
+def test_mask_probes_reject_ids_that_are_not_integers():
+    state = random_state(5, n=6)
+    for bad in (1.5, True, "2", np.float64(1.0)):
+        with pytest.raises(DiffusionError, match=re.escape(f"competence id {bad!r} is not an integer")):
+            probe_mask("x", [0, bad])
+        with pytest.raises(DiffusionError, match=re.escape(f"node id {bad!r} is not an integer")):
+            probe_mask("x", [0], members=[bad, 3])
+    with pytest.raises(DiffusionError, match=f"competence id {2**63} is out of range"):
+        probe_mask("x", [0, 2**63])
+    exact = probe_mask("x", [1, 4], members=[0, 5]).measure(state)
+    assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state) == exact
 
 
 def test_collector_probes_total_is_sum_of_parts():

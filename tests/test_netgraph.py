@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,6 +80,23 @@ def test_scalar_queries_read_each_row():
     for query in (lambda: g.has_edge(0, 30), lambda: g.weight(-1, 3), lambda: g.neighbors(30), lambda: g.degree(-1)):
         with pytest.raises(GraphError, match=r"unknown node (30|-1) \(graph has 30 nodes\)"):
             query()
+
+
+def test_node_ids_must_be_integers():
+    g = build(3, {(0, 1): 1.0, (1, 2): 1.0})
+    queries = (
+        lambda v: g.has_edge(0, v),
+        lambda v: g.weight(v, 1),
+        lambda v: g.neighbors(v),
+        lambda v: g.degree(v),
+        lambda v: shortest_hop_path(g, v, 2),
+    )
+    for query in queries:
+        for bad in (1.5, 0.5, True, np.float64(1.0)):
+            with pytest.raises(GraphError, match="node id must be an integer"):
+                query(bad)
+    assert g.has_edge(np.int64(0), np.int32(1)) and g.neighbors(np.int64(1)) == [0, 2]
+    assert shortest_hop_path(g, np.int64(0), 2).nodes == (0, 1, 2)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -508,6 +526,18 @@ def test_coauthor_utility_hand_values():
     assert coauthor_utility(g)[1] == pytest.approx(4.0)
     assert coauthor_utility(g)[0] == pytest.approx(2.0)
     assert coauthor_utility(build(2, {}))[0] == 0.0
+
+
+def test_utility_of_a_star_matches_the_oracle_in_memory_linear_in_the_edges():
+    star = WeightedGraph(2000, [(0, v, 1.0) for v in range(1, 2000)])
+    tracemalloc.start()
+    try:
+        utility = coauthor_utility(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(utility, oracles.sequential_utility(star))
+    assert peak < 2 * 2**20  # a node-by-degree matrix would take 30 MiB
 
 
 def test_utility_ignores_weights():

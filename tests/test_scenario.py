@@ -11,6 +11,8 @@ import pytest
 
 from knowflow import (
     ConfigError,
+    add_edge,
+    average_edge_weight,
     config_hash,
     emit_report,
     fixture_names,
@@ -21,8 +23,10 @@ from knowflow import (
     run_experiment,
     stabilization_step,
     stream_rng,
+    transfer_efficiency,
 )
 from knowflow.cli import main
+from knowflow.scenario import _graph_for, _population_for
 
 
 def tiny_config(**overrides):
@@ -499,6 +503,28 @@ def test_manual_ties_are_inserted_and_logged():
         assert rec["mode"] == "manual"
         assert {rec["from"], rec["to"]} == {0, 6}
         assert rec["weight"] > 0.0
+
+
+@pytest.mark.parametrize("ties", ["manual", "algorithm", "random"])
+def test_every_tie_mode_records_the_graph_it_was_inserted_into(ties):
+    plan = {
+        "method": "fixture",
+        "communities": [{"members": [0, 1, 2, 6, 7, 9], "core": [0, 1]}],
+        "ties": ties,
+        "division": "single",
+    }
+    plan |= {"manual_ties": [[0, 6], [7, 1], [9, 2]]} if ties == "manual" else {"budget": 3}
+    cfg = parse_config(tiny_config(community_plan=plan))
+    records = run_experiment(cfg, seeds=[1]).variants["default"].ties[1]
+    assert len(records) >= 2
+    g, workers = _graph_for(cfg.network, 1), _population_for(cfg.population, cfg.network.nodes, 1)
+    for rec in records:
+        assert set(rec) == {"mode", "community", "from", "to", "weight", "efficiency_before"}
+        assert rec["mode"] == ties
+        assert rec["community"] == (None if ties == "manual" else 0)
+        assert rec["weight"] == average_edge_weight(g)  # tie_weight is null
+        assert rec["efficiency_before"] == transfer_efficiency(g, workers, rec["from"], rec["to"], single_division=True)
+        g = add_edge(g, rec["from"], rec["to"], rec["weight"])
 
 
 def test_propose_ties_matches_frozen_example():
