@@ -9,6 +9,7 @@ a fixed fraction each step, whether or not anything arrives.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -54,11 +55,15 @@ DEFAULT_CONFIG = DiffusionConfig()
 
 @dataclass(frozen=True)
 class SimulationState:
-    """Snapshot between steps: graph, population, collector ledger.
+    """Snapshot between steps of a batch of runs: graph, population, collector ledger.
 
-    The dataclass is frozen and the graph is an immutable value: an
-    intervention on the network puts a new graph into a new state. Every step
-    returns a state whose competence matrix is a fresh array.
+    A batch is the block-diagonal union of ``runs`` runs of n workers each:
+    run r's nodes are r*n .. (r+1)*n - 1 in the graph, the population rows,
+    the collector ids and the ledger alike. No edge joins two runs, so each
+    evolves as it would alone; a single run is a batch of one. The dataclass
+    is frozen and the graph is an immutable value: an intervention on the
+    network puts a new graph into a new state. Every step returns a state
+    whose competence matrix is a fresh array.
     """
 
     graph: WeightedGraph
@@ -66,20 +71,32 @@ class SimulationState:
     step: int = 0
     collectors: frozenset[int] = frozenset()
     collector_ledger: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    runs: int = 1
 
     @classmethod
     def initial(cls, graph: WeightedGraph, population: Population) -> "SimulationState":
-        if graph.node_count != len(population):
-            raise DiffusionError(
-                f"graph has {graph.node_count} nodes but population has {len(population)} workers"
-            )
-        return cls(
-            graph=graph,
-            population=population,
-            step=0,
-            collectors=frozenset(),
-            collector_ledger=np.zeros(len(population)),
-        )
+        return cls.batch([(graph, population)])
+
+    @classmethod
+    def batch(cls, runs: Sequence[tuple[WeightedGraph, Population]]) -> "SimulationState":
+        """Runs of one shape, each a (graph, population), as one state at step 0."""
+        if not runs:
+            raise DiffusionError("a batch needs at least one run")
+        n, m = runs[0][1].competences.shape
+        for graph, population in runs:
+            if graph.node_count != len(population):
+                raise DiffusionError(f"graph has {graph.node_count} nodes but population has {len(population)} workers")
+            if population.competences.shape != (n, m):
+                raise DiffusionError(f"a batch holds runs of {n} workers x {m} competences only")
+        graph, population = runs[0]
+        if len(runs) > 1:
+            # Receiver-major blocks in run order are the union's receiver-major order.
+            edges = [g.directed_edge_arrays() for g, _ in runs]
+            senders, receivers = (np.concatenate([e[i] + r * n for r, e in enumerate(edges)]) for i in (0, 1))
+            graph = WeightedGraph._from_arrays(n * len(runs), senders, receivers, np.concatenate([e[2] for e in edges]))
+            columns = ("competences", "masks", "cognitive", "social", "forgetting")
+            population = Population._trusted(*(np.concatenate([getattr(p, a) for _, p in runs]) for a in columns))
+        return cls(graph, population, 0, frozenset(), np.zeros(len(population)), len(runs))
 
 
 # -- engine -----------------------------------------------------------------------
@@ -174,7 +191,7 @@ def step(
     np.add(np.multiply(plan.keep, snapshot, out=plan.decayed), competences, out=competences)
 
     new_pop = Population._trusted(competences, pop.masks, pop.cognitive, pop.social, pop.forgetting)
-    return SimulationState(state.graph, new_pop, state.step + 1, state.collectors, ledger)
+    return SimulationState(state.graph, new_pop, state.step + 1, state.collectors, ledger, state.runs)
 
 
 # -- probes and time series ---------------------------------------------------------
@@ -182,24 +199,20 @@ def step(
 
 @dataclass(frozen=True)
 class Probe:
-    """A named per-step measurement over the simulation state."""
+    """A named measurement over the simulation state: ``measure`` gives one value per run."""
 
     metric: str
     scope: str
-    measure: Callable[[SimulationState], float]
+    measure: Callable[[SimulationState], np.ndarray]
 
 
-def _mean(x: np.ndarray) -> float:
-    """``x.mean()`` without its dispatch overhead: the same pairwise sum, in memory order."""
-    return float(np.add.reduce(x, axis=None) / x.size)
+def _means(rows: np.ndarray) -> np.ndarray:
+    """Each row's mean. A row is summed pairwise in memory order, as ``ndarray.mean`` sums one run's values."""
+    return np.add.reduce(rows, axis=1) / rows.shape[1]
 
 
 def probe_average() -> Probe:
-    return Probe(
-        metric="average_competence",
-        scope="all",
-        measure=lambda st: _mean(st.population.competences),
-    )
+    return Probe("average_competence", "all", lambda st: _means(st.population.competences.reshape(st.runs, -1)))
 
 
 def _index(kind: str, ids: Iterable[int]) -> np.ndarray:
@@ -216,95 +229,79 @@ def _index(kind: str, ids: Iterable[int]) -> np.ndarray:
         raise DiffusionError(f"probe {kind} id {max(ids)} is out of range for any population") from None
 
 
+def _cell_probe(scope: str, members: np.ndarray | None, competences: np.ndarray | None) -> Probe:
+    """Mean competence per run over the chosen members' chosen competences (None: all of them)."""
+    flat: dict[tuple[int, int], np.ndarray] = {}  # one run's shape -> flat index of the selection in its cells
+
+    def measure(st: SimulationState) -> np.ndarray:
+        matrix = st.population.competences
+        shape = (len(matrix) // st.runs, matrix.shape[1])
+        if shape not in flat:
+            n, m = shape
+            limits = (("competence", competences, m, "competences"), ("node", members, n, "workers"))
+            for kind, ids, size, unit in limits:
+                if ids is not None and ids.size and ids[-1] >= size:
+                    raise DiffusionError(f"probe {kind} id {ids[-1]} is out of range for {size} {unit}")
+            rows = np.arange(n) if members is None else members
+            cols = np.arange(m) if competences is None else competences
+            # Competence-major, the memory order of ``matrix[rows][:, cols]``,
+            # so the pairwise sum adds the same values in the same order.
+            flat[shape] = np.ravel_multi_index((rows[None, :], cols[:, None]), shape).ravel()
+        return _means(matrix.reshape(st.runs, -1).take(flat[shape], axis=1))
+
+    return Probe("average_competence", scope, measure)
+
+
 def probe_node(node: int) -> Probe:
-    """Mean competence of one worker; an id beyond the population fails on first measure."""
-    _index("node", [node])
-
-    def measure(st: SimulationState) -> float:
-        try:
-            row = st.population.competences[node]
-        except IndexError:
-            raise DiffusionError(f"probe node id {node} is out of range for {len(st.population)} workers") from None
-        return _mean(row)
-
-    return Probe(metric="average_competence", scope=f"node:{node}", measure=measure)
+    """Mean competence of one worker; an id beyond a run's workers fails on first measure."""
+    return _cell_probe(f"node:{node}", _index("node", [node]), None)
 
 
 def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | None = None) -> Probe:
     """Mean competence over chosen competence positions and (optionally) members."""
-    comp_idx = _index("competence", competences)
     member_idx = None if members is None else _index("node", members)
-    flat: dict[tuple[int, ...], np.ndarray] = {}  # matrix shape -> flat index of the selection
-
-    def measure(st: SimulationState) -> float:
-        matrix = st.population.competences
-        if matrix.shape not in flat:
-            n, m = matrix.shape
-            if comp_idx.size and comp_idx[-1] >= m:
-                raise DiffusionError(f"probe competence id {comp_idx[-1]} is out of range for {m} competences")
-            if member_idx is not None and member_idx.size and member_idx[-1] >= n:
-                raise DiffusionError(f"probe node id {member_idx[-1]} is out of range for {n} workers")
-            rows = np.arange(n) if member_idx is None else member_idx
-            # Competence-major, the memory order of ``matrix[rows][:, comp_idx]``,
-            # so the pairwise sum adds the same values in the same order.
-            flat[matrix.shape] = np.ravel_multi_index((rows[None, :], comp_idx[:, None]), matrix.shape)
-        return _mean(matrix.take(flat[matrix.shape]))
-
-    return Probe(metric="average_competence", scope=f"mask:{name}", measure=measure)
+    return _cell_probe(f"mask:{name}", member_idx, _index("competence", competences))
 
 
 def collector_probes(collectors: Iterable[int]) -> list[Probe]:
-    """Cumulative intake per collector plus the grand total (scope ``all``)."""
-    ids = sorted(int(c) for c in collectors)
-    probes = [
-        Probe(
-            metric="collector_intake",
-            scope="all",
-            measure=lambda st: float(st.collector_ledger[sorted(st.collectors)].sum()) if st.collectors else 0.0,
-        )
+    """Cumulative intake per collector plus their total (scope ``all``)."""
+    ids = _index("node", collectors)
+
+    def ledgers(st: SimulationState) -> np.ndarray:
+        return st.collector_ledger.reshape(st.runs, -1)
+
+    total = Probe("collector_intake", "all", lambda st: np.add.reduce(ledgers(st).take(ids, axis=1), axis=1))
+    return [total] + [
+        Probe("collector_intake", f"collector:{c}", lambda st, c=c: ledgers(st)[:, c]) for c in ids.tolist()
     ]
-    for c in ids:
-        probes.append(
-            Probe(
-                metric="collector_intake",
-                scope=f"collector:{c}",
-                measure=(lambda cc: lambda st: float(st.collector_ledger[cc]))(c),
-            )
-        )
-    return probes
 
 
 class TimeSeries:
-    """Per-step probe values in a fixed column order, exportable as CSV."""
+    """One run's probe values at its recorded steps, in a fixed column order, exportable as CSV.
 
-    def __init__(self, columns: Sequence[tuple[str, str]]):
+    ``values`` is a (steps, columns) float array.
+    """
+
+    def __init__(self, columns: Sequence[tuple[str, str]], steps: Sequence[int], values: np.ndarray):
         if len(set(columns)) != len(columns):
             raise DiffusionError("duplicate (metric, scope) probe columns")
         self.columns: list[tuple[str, str]] = list(columns)
-        self.steps: list[int] = []
-        self._data: dict[tuple[str, str], list[float]] = {c: [] for c in self.columns}
-
-    def record(self, step_index: int, values: Mapping[tuple[str, str], float]) -> None:
-        self.steps.append(int(step_index))
-        for col in self.columns:
-            self._data[col].append(float(values[col]))
+        self.steps = steps
+        self.values = values
 
     def column(self, metric: str, scope: str = "all") -> np.ndarray:
-        key = (metric, scope)
-        if key not in self._data:
+        if (metric, scope) not in self.columns:
             raise DiffusionError(f"no recorded column for metric={metric!r} scope={scope!r}")
-        return np.asarray(self._data[key], dtype=float)
+        return self.values[:, self.columns.index((metric, scope))]
 
     def __len__(self) -> int:
         return len(self.steps)
 
     def csv_lines(self) -> list[str]:
         """Long-format rows ``step,metric,scope,value``; shortest round-trip floats."""
-        lines = ["step,metric,scope,value"]
-        for i, t in enumerate(self.steps):
-            for metric, scope in self.columns:
-                lines.append(f"{t},{metric},{scope},{self._data[(metric, scope)][i]!r}")
-        return lines
+        labels = [f"{metric},{scope}" for metric, scope in self.columns]
+        cells = zip(itertools.product(self.steps, labels), self.values.ravel().tolist())  # row-major: step, column
+        return ["step,metric,scope,value"] + [f"{t},{label},{v!r}" for (t, label), v in cells]
 
 
 def run(
@@ -313,9 +310,9 @@ def run(
     probes: Sequence[Probe],
     config: DiffusionConfig = DEFAULT_CONFIG,
     interventions: Mapping[int, Callable[[SimulationState], SimulationState]] | None = None,
-) -> tuple[SimulationState, TimeSeries]:
+) -> tuple[SimulationState, list[TimeSeries]]:
     """Advance ``steps`` times, recording probes at the initial state and after
-    every step (a zero-step run yields a length-1 series).
+    every step (a zero-step run yields a length-1 series); one series per run.
 
     ``interventions`` maps a step index to a state transform applied after the
     probe record at that index, i.e. between steps. The run validates its
@@ -325,12 +322,16 @@ def run(
     if steps < 0:
         raise DiffusionError(f"step count must be >= 0, got {steps}")
     actions = dict(interventions) if interventions else {}
-    series = TimeSeries([(p.metric, p.scope) for p in probes])
+    values = np.empty((state.runs, steps + 1, len(probes)))
+    recorded: list[int] = []
+    series = [TimeSeries([(p.metric, p.scope) for p in probes], recorded, v) for v in values]
 
-    def snapshot_values(st: SimulationState) -> dict[tuple[str, str], float]:
-        return {(p.metric, p.scope): float(p.measure(st)) for p in probes}
+    def record(st: SimulationState) -> None:
+        for j, p in enumerate(probes):
+            values[:, len(recorded), j] = p.measure(st)
+        recorded.append(st.step)
 
-    series.record(state.step, snapshot_values(state))
+    record(state)
     plan = None
     for _ in range(steps):
         if state.step in actions:
@@ -341,5 +342,7 @@ def run(
         if plan is None:
             plan = _RunPlan(state, config)
         state = step(state, config, _plan=plan)
-        series.record(state.step, snapshot_values(state))
+        record(state)
+    for s in series:
+        s.values.flags.writeable = False
     return state, series

@@ -25,7 +25,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +83,10 @@ _ROLE_KEYS = {"boost_range": "expert", "boost_all": "expert", "weight_factor": "
 
 # One independent random stream per concern, all derived from the master seed.
 _STREAMS = {"topology": 0, "weights": 1, "population": 2, "strategy": 3, "boost": 4, "ties": 5}
+
+# Cells (runs x nodes x competences) stepped as one batch. Small runs share a
+# step's fixed cost; a union of large runs was slower and used more memory.
+_BATCH_CELLS = 1 << 13
 
 
 def stream_rng(seed: int, concern: str) -> np.random.Generator:
@@ -564,17 +568,17 @@ def _communities_for(plan: CommunityPlan, workers: Population) -> list[Community
 
 
 def _apply_tie_plan(
-    plan: CommunityPlan,
-    g: WeightedGraph,
-    workers: Population,
-    communities: list[Community],
-    seed: int,
+    plan: CommunityPlan, g: WeightedGraph, workers: Population, seed: int
 ) -> tuple[WeightedGraph, list[dict]]:
-    """The graph with the plan's ties inserted, and one record per inserted tie."""
+    """The graph with the plan's ties inserted, and one record per inserted tie.
+
+    Communities are detected only for the modes that place ties inside one.
+    """
     if plan.ties == "none":
         return g, []
     single = plan.division == "single"
     proposals: list[TieProposal] = []
+    communities = _communities_for(plan, workers) if plan.ties != "manual" else []
     if plan.ties != "manual" and plan.community_index >= len(communities):
         raise ConfigError(
             f"community_plan.community_index: only {len(communities)} communities detected, "
@@ -631,44 +635,67 @@ def _build_probes(config: ScenarioConfig, collector_ids: Sequence[int]) -> list[
     return probes
 
 
-def _intervention(plan: RolePlan, selected: tuple[int, ...], seed: int) -> Callable[[SimulationState], SimulationState]:
-    """The plan's role action on the selected nodes, as a state transform."""
+def _intervention(
+    plan: RolePlan, targets: Sequence[tuple[tuple[int, ...], int]]
+) -> Callable[[SimulationState], SimulationState]:
+    """The plan's role action on each (selected nodes, seed) target in turn, as one state transform."""
 
     def intervene(state: SimulationState) -> SimulationState:
-        if plan.role == "expert":
-            rng = stream_rng(seed, "boost")
-            boosted = apply_expert(state.population, selected, plan.boost_range, rng, plan.boost_all)  # type: ignore[arg-type]
-            return dc_replace(state, population=boosted)
-        if plan.role == "facilitator":
-            graph = apply_facilitator(state.graph, selected, plan.weight_factor)  # type: ignore[arg-type]
-            return dc_replace(state, graph=graph)
-        return apply_collector(state, selected)
+        for selected, seed in targets:
+            if plan.role == "expert":
+                rng = stream_rng(seed, "boost")
+                boosted = apply_expert(
+                    state.population, selected, plan.boost_range, rng, plan.boost_all  # type: ignore[arg-type]
+                )
+                state = dc_replace(state, population=boosted)
+            elif plan.role == "facilitator":
+                graph = apply_facilitator(state.graph, selected, plan.weight_factor)  # type: ignore[arg-type]
+                state = dc_replace(state, graph=graph)
+            else:
+                state = apply_collector(state, selected)
+        return state
 
     return intervene
 
 
-def _single_run(
-    config: ScenarioConfig, variant: str, seed: int, g: WeightedGraph
-) -> tuple[TimeSeries, list[dict], RoleAssignment | None]:
-    """One (variant, seed) run: its series, its inserted-tie records and its role assignment."""
-    pop = _population_for(config.population, config.network.nodes, seed)
-    plan = config.role_plan
-    assignment: RoleAssignment | None = None
-    interventions: dict[int, Callable[[SimulationState], SimulationState]] = {}
-    if plan is not None and variant != REFERENCE_TOKEN:
-        ranking = rank_nodes(g, variant, rng=stream_rng(seed, "strategy") if variant == Strategy.RANDOM.value else None)
-        portion: int | float = plan.count if plan.count is not None else plan.fraction  # type: ignore[assignment]
-        assignment = RoleAssignment(role=plan.role, nodes=tuple(select_top(ranking, portion)))
-        interventions[plan.step] = _intervention(plan, assignment.nodes, seed)
-    ties: list[dict] = []
-    if config.community_plan is not None:
-        communities = _communities_for(config.community_plan, pop)
-        g, ties = _apply_tie_plan(config.community_plan, g, pop, communities, seed)
-    collector_ids = assignment.nodes if assignment is not None and assignment.role == "collector" else ()
-    probes = _build_probes(config, collector_ids)
-    state = SimulationState.initial(g, pop)
+def _assignment(plan: RolePlan | None, variant: str, g: WeightedGraph, seed: int) -> RoleAssignment | None:
+    """The variant's role nodes, ranked on the seed's graph before any tie; None for the reference run."""
+    if plan is None or variant == REFERENCE_TOKEN:
+        return None
+    ranking = rank_nodes(g, variant, rng=stream_rng(seed, "strategy") if variant == Strategy.RANDOM.value else None)
+    portion: int | float = plan.count if plan.count is not None else plan.fraction  # type: ignore[assignment]
+    return RoleAssignment(role=plan.role, nodes=tuple(select_top(ranking, portion)))
+
+
+class _Run(NamedTuple):
+    """One prepared (variant, seed) run: its graph after ties, its population and its role assignment."""
+
+    variant: str
+    seed: int
+    graph: WeightedGraph
+    population: Population
+    assignment: RoleAssignment | None
+
+
+def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[int, ...]) -> list[TimeSeries]:
+    """The runs, which share their collector ids, stepped as one block-diagonal state; each run's series.
+
+    Each run's role intervention acts on its own block: its nodes are offset
+    by the run's position times the network size.
+    """
+    n, plan = config.network.nodes, config.role_plan
+    targets = [
+        (tuple(r * n + v for v in run_.assignment.nodes), run_.seed)
+        for r, run_ in enumerate(runs)
+        if run_.assignment is not None
+    ]
+    interventions = {plan.step: _intervention(plan, targets)} if targets else {}  # type: ignore[union-attr, arg-type]
+    for run_ in runs:
+        logger.info("running %s variant=%s seed=%d", config.name, run_.variant, run_.seed)
+    state = SimulationState.batch([(run_.graph, run_.population) for run_ in runs])
+    probes = _build_probes(config, collectors)
     _, series = run(state, config.run.steps, probes, config=config.diffusion, interventions=interventions)
-    return series, ties, assignment
+    return series
 
 
 @dataclass
@@ -711,18 +738,45 @@ class ExperimentReport:
 
 
 def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -> ExperimentReport:
-    """Run every (variant, seed) combination and aggregate across seeds."""
+    """Run every (variant, seed) combination and aggregate across seeds.
+
+    The variants of a seed share its graph, population and ties. Runs that
+    record the same columns are stepped together, in batches of up to
+    ``_BATCH_CELLS`` cells (runs x nodes x competences), and a batch runs as
+    soon as it is full; a run larger than half the budget goes alone.
+    """
     seed_list = tuple(int(s) for s in (seeds if seeds is not None else config.run.seeds))
     if not seed_list:
         raise ConfigError("run.seeds: need at least one seed")
     names = config.role_plan.strategies if config.role_plan is not None else ("default",)
-    series, ties, assignments = ({name: {} for name in names} for _ in range(3))
+    series: dict[tuple[str, int], TimeSeries] = {}
+    assignments: dict[str, dict[int, RoleAssignment | None]] = {name: {} for name in names}
+    ties: dict[int, list[dict]] = {}
+    pending: dict[tuple[int, ...], list[_Run]] = {}  # by collector ids: runs that record the same columns
+    size = max(1, _BATCH_CELLS // (config.network.nodes * config.population.competences))
+
+    def flush(collectors: tuple[int, ...]) -> None:
+        batch = pending.pop(collectors)
+        for run_, run_series in zip(batch, _run_batch(config, batch, collectors)):
+            series[run_.variant, run_.seed] = run_series
+
+    community = config.community_plan
     for seed in seed_list:
         g = _graph_for(config.network, seed)
+        pop = _population_for(config.population, config.network.nodes, seed)
+        tied, ties[seed] = (g, []) if community is None else _apply_tie_plan(community, g, pop, seed)
         for name in names:
-            logger.info("running %s variant=%s seed=%d", config.name, name, seed)
-            series[name][seed], ties[name][seed], assignments[name][seed] = _single_run(config, name, seed, g)
-    variants = {name: VariantResult(name, seed_list, series[name], ties[name], assignments[name]) for name in names}
+            assignment = assignments[name][seed] = _assignment(config.role_plan, name, g, seed)
+            collectors = assignment.nodes if assignment is not None and assignment.role == "collector" else ()
+            pending.setdefault(collectors, []).append(_Run(name, seed, tied, pop, assignment))
+            if len(pending[collectors]) == size:
+                flush(collectors)
+    for collectors in list(pending):
+        flush(collectors)
+    variants = {
+        name: VariantResult(name, seed_list, {s: series[name, s] for s in seed_list}, dict(ties), assignments[name])
+        for name in names
+    }
     return ExperimentReport(config=config, config_hash=config_hash(config), seeds=seed_list, variants=variants)
 
 
@@ -746,8 +800,7 @@ def propose_ties(
     run_seed = int(config.run.seeds[0] if seed is None else seed)
     g = _graph_for(config.network, run_seed)
     pop = _population_for(config.population, config.network.nodes, run_seed)
-    communities = _communities_for(plan, pop)
-    _, records = _apply_tie_plan(plan, g, pop, communities, run_seed)
+    _, records = _apply_tie_plan(plan, g, pop, run_seed)
     return records
 
 

@@ -265,11 +265,11 @@ def test_collector_ledger_bytes_are_pinned():
 def test_probe_values():
     state = random_state(5)
     pop = state.population
-    assert probe_average().measure(state) == pytest.approx(pop.competences.mean())
-    assert probe_node(3).measure(state) == pytest.approx(pop.competences[3].mean())
+    assert probe_average().measure(state).item() == pytest.approx(pop.competences.mean())
+    assert probe_node(3).measure(state).item() == pytest.approx(pop.competences[3].mean())
     p = probe_mask("core", [1, 4], members=[0, 2, 6])
     assert p.scope == "mask:core"
-    assert p.measure(state) == pytest.approx(pop.competences[[0, 2, 6]][:, [1, 4]].mean())
+    assert p.measure(state).item() == pytest.approx(pop.competences[[0, 2, 6]][:, [1, 4]].mean())
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,9 +284,9 @@ def test_probes_equal_ndarray_mean_bit_for_bit(seed, n, m, all_members):
     comps = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
     members = None if all_members else sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
     expected = c[:, comps].mean() if members is None else c[members][:, comps].mean()
-    assert probe_mask("x", comps, members).measure(state) == float(expected)
-    assert probe_average().measure(state) == float(c.mean())
-    assert probe_node(n - 1).measure(state) == float(c[n - 1].mean())
+    assert probe_mask("x", comps, members).measure(state).item() == float(expected)
+    assert probe_average().measure(state).item() == float(c.mean())
+    assert probe_node(n - 1).measure(state).item() == float(c[n - 1].mean())
 
 
 def test_probes_reject_out_of_range_ids():
@@ -306,7 +306,8 @@ def test_probes_reject_out_of_range_ids():
         probe_mask("x", [1, 8]).measure(state)
     with pytest.raises(DiffusionError, match="node id 6 .* 6 workers"):
         probe_mask("x", [1], members=[2, 6]).measure(state)
-    assert probe_node(5).measure(state) == probe_node(np.int64(5)).measure(state) == float(state.population.competences[5].mean())
+    expected = float(state.population.competences[5].mean())
+    assert probe_node(5).measure(state).item() == probe_node(np.int64(5)).measure(state).item() == expected
 
 
 def test_mask_probes_reject_ids_that_are_not_integers():
@@ -318,8 +319,8 @@ def test_mask_probes_reject_ids_that_are_not_integers():
             probe_mask("x", [0], members=[bad, 3])
     with pytest.raises(DiffusionError, match=f"competence id {2**63} is out of range"):
         probe_mask("x", [0, 2**63])
-    exact = probe_mask("x", [1, 4], members=[0, 5]).measure(state)
-    assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state) == exact
+    exact = probe_mask("x", [1, 4], members=[0, 5]).measure(state).item()
+    assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state).item() == exact
 
 
 def test_collector_probes_total_is_sum_of_parts():
@@ -327,16 +328,15 @@ def test_collector_probes_total_is_sum_of_parts():
     for _ in range(10):
         state = step(state)
     probes = collector_probes([1, 3, 8])
-    total = probes[0].measure(state)
-    parts = [p.measure(state) for p in probes[1:]]
+    total = probes[0].measure(state).item()
+    parts = [p.measure(state).item() for p in probes[1:]]
     assert total == pytest.approx(sum(parts))
     assert [p.scope for p in probes] == ["all", "collector:1", "collector:3", "collector:8"]
 
 
 def test_timeseries_records_and_exports():
-    ts = TimeSeries([("average_competence", "all"), ("collector_intake", "all")])
-    ts.record(0, {("average_competence", "all"): 1.5, ("collector_intake", "all"): 0.0})
-    ts.record(1, {("average_competence", "all"): 1.25, ("collector_intake", "all"): 0.5})
+    columns = [("average_competence", "all"), ("collector_intake", "all")]
+    ts = TimeSeries(columns, [0, 1], np.array([[1.5, 0.0], [1.25, 0.5]]))
     assert len(ts) == 2
     assert ts.column("average_competence").tolist() == [1.5, 1.25]
     assert ts.csv_lines() == [
@@ -349,19 +349,19 @@ def test_timeseries_records_and_exports():
     with pytest.raises(DiffusionError):
         ts.column("average_competence", "node:0")
     with pytest.raises(DiffusionError):
-        TimeSeries([("a", "all"), ("a", "all")])
+        TimeSeries([("a", "all"), ("a", "all")], [0], np.zeros((1, 2)))
 
 
 def test_run_records_initial_state_and_counts_steps():
     state = random_state(19)
-    final, series = run(state, 10, [probe_average()])
+    final, [series] = run(state, 10, [probe_average()])
     assert len(series) == 11
     assert series.steps == list(range(11))
     assert series.column("average_competence")[0] == pytest.approx(
         state.population.competences.mean()
     )
     assert final.step == 10
-    _, empty = run(state, 0, [probe_average()])
+    _, [empty] = run(state, 0, [probe_average()])
     assert len(empty) == 1
     with pytest.raises(DiffusionError):
         run(state, -1, [probe_average()])
@@ -374,7 +374,7 @@ def test_run_applies_interventions_between_records():
         st_.population.competences[0, 0] = 7.0
         return st_
 
-    _, series = run(state, 2, [probe_node(0)], interventions={0: boost})
+    _, [series] = run(state, 2, [probe_node(0)], interventions={0: boost})
     curve = series.column("average_competence", "node:0")
     assert curve[0] == 2.0  # recorded before the intervention kicks in
     assert curve[1] == 7.0
@@ -404,6 +404,85 @@ def test_run_matches_bare_steps_across_a_mid_run_intervention(role):
         state = step(state)
     assert np.array_equal(final.population.competences, state.population.competences)
     assert np.array_equal(final.collector_ledger, state.collector_ledger)
+
+
+def _role_act(role: str, nodes: list[int], offset: int, seed: int):
+    """A role intervention on the block of a batch that starts at node ``offset``."""
+    ids = [offset + v for v in nodes]
+
+    def act(st_: SimulationState) -> SimulationState:
+        if role == "expert":
+            return replace(st_, population=apply_expert(st_.population, ids, (10.0, 50.0), np.random.default_rng(seed)))
+        if role == "facilitator":
+            return replace(st_, graph=apply_facilitator(st_.graph, ids, 1.5))
+        return apply_collector(st_, ids)
+
+    return act
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(2, 12), st.integers(1, 6), st.integers(0, 8), st.booleans()
+)
+def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(seed, runs, n, m, at, gain):
+    # Each run gets its own graph, population and (maybe) role intervention at
+    # a mid-run step; every probe kind is recorded.
+    rng = np.random.default_rng(seed)
+    members, roles = [], []
+    for r in range(runs):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        graph = WeightedGraph(n, [(u, v, float(rng.uniform(0.1, 1.0))) for u, v in pairs])
+        members.append((graph, init_workers(n, m, (0.0, 10.0), 0.6, (0.2, 0.9), (0.2, 0.9), 0.006, rng)))
+        nodes = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        roles.append((["expert", "facilitator", "collector", None][int(rng.integers(4))], nodes))
+    probes = [
+        probe_average(),
+        probe_node(n - 1),
+        probe_mask("x", sorted({0, m - 1}), members=sorted({0, n // 2})),
+        *collector_probes(range(0, n, 2)),
+    ]
+    config = DiffusionConfig(cognitive_gain=gain)
+    acts = [_role_act(role, nodes, r * n, seed + r) for r, (role, nodes) in enumerate(roles) if role is not None]
+
+    def act_all(st_: SimulationState) -> SimulationState:
+        for act in acts:
+            st_ = act(st_)
+        return st_
+
+    batch = SimulationState.batch(members)
+    assert batch.runs == runs and len(batch.population) == runs * n
+    final, series = run(batch, 10, probes, config, {at: act_all})
+    assert len(series) == runs
+    for r, ((graph, pop), (role, nodes)) in enumerate(zip(members, roles)):
+        alone = {at: _role_act(role, nodes, 0, seed + r)} if role is not None else None
+        final_r, [series_r] = run(SimulationState.initial(graph, pop), 10, probes, config, alone)
+        assert series[r].steps == series_r.steps and series[r].columns == series_r.columns
+        assert series[r].values.tobytes() == series_r.values.tobytes()
+        assert series[r].csv_lines() == series_r.csv_lines()
+        block = slice(r * n, (r + 1) * n)
+        assert final.population.competences[block].tobytes() == final_r.population.competences.tobytes()
+        assert final.collector_ledger[block].tobytes() == final_r.collector_ledger.tobytes()
+        assert {c - r * n for c in final.collectors if r * n <= c < (r + 1) * n} == final_r.collectors
+
+
+def test_probes_in_a_batch_read_and_check_ids_per_run():
+    a, b = random_state(5, n=6), random_state(6, n=6)
+    batch = SimulationState.batch([(a.graph, a.population), (b.graph, b.population)])
+    # Node 6 of a 12-row union is run 1's node 0; a probe must refuse it, not read it.
+    with pytest.raises(DiffusionError, match="node id 6 is out of range for 6 workers"):
+        probe_node(6).measure(batch)
+    with pytest.raises(DiffusionError, match="node id 6 is out of range for 6 workers"):
+        probe_mask("x", [1], members=[2, 6]).measure(batch)
+    with pytest.raises(DiffusionError, match="competence id 8 is out of range for 8 competences"):
+        probe_mask("x", [1, 8]).measure(batch)
+    rows = [a.population.competences, b.population.competences]
+    assert probe_node(5).measure(batch).tolist() == [float(c[5].mean()) for c in rows]
+    masked = probe_mask("x", [1, 4], members=[0, 5]).measure(batch)
+    assert masked.tolist() == [float(c[[0, 5]][:, [1, 4]].mean()) for c in rows]
+    assert probe_average().measure(batch).tolist() == [float(c.mean()) for c in rows]
+    c = random_state(7, n=7)
+    with pytest.raises(DiffusionError, match="runs of 6 workers x 8 competences only"):
+        SimulationState.batch([(a.graph, a.population), (c.graph, c.population)])
 
 
 def test_state_initial_validates_sizes():

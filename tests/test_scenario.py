@@ -25,6 +25,7 @@ from knowflow import (
     stream_rng,
     transfer_efficiency,
 )
+from knowflow import scenario
 from knowflow.cli import main
 from knowflow.scenario import _graph_for, _population_for
 
@@ -452,6 +453,60 @@ def test_collector_variants_share_competence_dynamics():
     assert not np.array_equal(
         a.series[1].column("collector_intake"), b.series[1].column("collector_intake")
     )
+
+
+@pytest.mark.parametrize(
+    "fixture, strategies, detections_per_seed",
+    [("fig6", None, 0), ("fig7", None, 0), ("fig9", None, 1), ("fig9", ["none", "degree", "random"], 1)],
+)
+def test_communities_and_ties_are_planned_once_per_seed(monkeypatch, fixture, strategies, detections_per_seed):
+    # fig6 inserts no ties and fig7 manual ones: neither reads a community.
+    calls = {"detect": 0, "accelerate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(scenario, "detect_communities", counted("detect", scenario.detect_communities))
+    monkeypatch.setattr(scenario, "accelerate_loop", counted("accelerate", scenario.accelerate_loop))
+    data = load_fixture(fixture).to_dict()
+    data["run"]["steps"] = 3
+    if strategies is not None:
+        data["role_plan"] = {"role": "expert", "strategies": strategies, "count": 3, "boost_range": [10, 50]}
+    run_experiment(parse_config(data), seeds=[1, 2, 3])
+    assert calls["detect"] == 3 * detections_per_seed
+    assert calls["accelerate"] == (3 if fixture == "fig9" else 0)
+
+
+@pytest.mark.parametrize("role", ["expert", "facilitator", "collector"])
+def test_batched_runs_report_the_bytes_of_runs_one_by_one(tmp_path, monkeypatch, role):
+    extra = {"expert": {"boost_range": [10.0, 50.0]}, "facilitator": {"weight_factor": 1.5}, "collector": {}}[role]
+    probes = ["average_competence", {"node": 11}, {"mask": {"name": "m", "competences": [0, 3], "members": [2, 5, 7]}}]
+    data = tiny_config(
+        role_plan={"role": role, "strategies": ["none", "degree", "random"], "count": 3, "step": 4, **extra},
+        run={"steps": 15, "seeds": [1, 2, 3], "probes": probes + (["collector_intake"] if role == "collector" else [])},
+    )
+    cfg = parse_config(data)
+    sizes: list[int] = []
+
+    real_run = scenario.run
+
+    def sized_run(state, steps, *args, **kwargs):
+        sizes.append(state.runs)
+        return real_run(state, steps, *args, **kwargs)
+
+    monkeypatch.setattr(scenario, "run", sized_run)
+    batched = emit_report(run_experiment(cfg), tmp_path / "batched")
+    assert sum(sizes) == 9 and max(sizes) > 1
+    monkeypatch.setattr(scenario, "_BATCH_CELLS", 1)
+    sizes.clear()
+    alone = emit_report(run_experiment(cfg), tmp_path / "alone")
+    assert sizes == [1] * 9
+    assert [p.name for p in batched] == [p.name for p in alone]
+    assert [p.read_bytes() for p in batched] == [p.read_bytes() for p in alone]
 
 
 # sha256 of the joined csv_lines() of seed 1, recorded from the np.add.at
