@@ -107,10 +107,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seeds = _seed_override(args, config)
     report = run_experiment(config, seeds=seeds)
     out_dir = args.out or config.output.directory or "out"
-    formats = None
-    if args.format is not None:
-        formats = ["csv", "json"] if args.format == "both" else [args.format]
-    for path in emit_report(report, out_dir, formats):
+    for path in emit_report(report, out_dir, None if args.format is None else [args.format]):
         print(path)
     return 0
 

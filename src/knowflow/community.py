@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netgraph import WeightedGraph, add_edge, average_edge_weight, shortest_hop_path
+from .netgraph import WeightedGraph, _is_int, add_edge, average_edge_weight, shortest_hop_path
 from .workforce import KnowledgeWorker, Population
 
 __all__ = [
@@ -87,19 +87,19 @@ def detect_communities(
             raise CommunityError("fixture method needs explicit (members, core indices) entries")
         out: list[Community] = []
         for z, (members, core_indices) in enumerate(fixture):
+            for v in members:
+                if not (_is_int(v) and 0 <= v < n):
+                    raise CommunityError(f"community {z} member {v!r} is not a worker id")
             member_ids = tuple(sorted(int(v) for v in members))
             if not member_ids:
                 raise CommunityError(f"community {z} has no members")
-            for v in member_ids:
-                if not (0 <= v < n):
-                    raise CommunityError(f"community {z} member {v} is not a worker id")
             if len(set(member_ids)) != len(member_ids):
                 raise CommunityError(f"community {z} repeats a member")
             core = np.zeros(m)
             for c in core_indices:
-                if not (0 <= int(c) < m):
-                    raise CommunityError(f"community {z} core index {c} outside competence vector")
-                core[int(c)] = 1.0
+                if not (_is_int(c) and 0 <= c < m):
+                    raise CommunityError(f"community {z} core index {c!r} outside competence vector")
+                core[c] = 1.0
             out.append(Community(id=z, members=member_ids, core_mask=core))
         return out
 

@@ -298,7 +298,7 @@ class TimeSeries:
         return len(self.steps)
 
     def csv_lines(self) -> list[str]:
-        """Long-format rows ``step,metric,scope,value``; shortest round-trip floats."""
+        """A header, then one long-format row per step and column; shortest round-trip floats."""
         labels = [f"{metric},{scope}" for metric, scope in self.columns]
         cells = zip(itertools.product(self.steps, labels), self.values.ravel().tolist())  # row-major: step, column
         return ["step,metric,scope,value"] + [f"{t},{label},{v!r}" for (t, label), v in cells]

@@ -13,6 +13,7 @@ from .diffusion import SimulationState
 from .netgraph import (
     GraphError,
     WeightedGraph,
+    _is_int,
     coauthor_utility,
     weighted_betweenness_all,
     weighted_closeness_all,
@@ -122,6 +123,15 @@ def select_top(ranking: Sequence[int], count_or_fraction: int | float) -> list[i
     return list(ranking[:count])
 
 
+def _node_ids(nodes: Sequence[int], n: int) -> list[int]:
+    """The selected ids as ints, each an integer (not a boolean) id of one of the ``n`` nodes."""
+    ids = list(nodes)
+    for v in ids:
+        if not (_is_int(v) and 0 <= v < n):
+            raise RoleError(f"unknown node {v!r}: expected an integer id below {n}")
+    return [int(v) for v in ids]
+
+
 def apply_expert(
     workers: Population,
     nodes: Sequence[int],
@@ -138,11 +148,8 @@ def apply_expert(
     lo, hi = float(boost_range[0]), float(boost_range[1])
     if lo < 0.0 or hi < lo:
         raise RoleError(f"boost range must satisfy 0 <= low <= high, got [{lo}, {hi}]")
-    n = len(workers)
     competences = workers.competences.copy()
-    for v in nodes:
-        if not (0 <= v < n):
-            raise RoleError(f"unknown worker id {v}")
+    for v in _node_ids(nodes, len(workers)):
         if boost_all:
             idx = np.arange(workers.n_competences)
         else:
@@ -161,10 +168,7 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
     if not (factor > 0.0):
         raise RoleError(f"facilitator weight factor must be > 0, got {factor}")
     selected = np.zeros(g.node_count, dtype=bool)
-    for v in nodes:
-        if not (0 <= v < g.node_count):
-            raise RoleError(f"unknown node {v}")
-        selected[v] = True
+    selected[_node_ids(nodes, g.node_count)] = True
     senders, receivers, weights = g.directed_edge_arrays()
     with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is rejected below
         scaled = np.where(selected[senders] | selected[receivers], weights * factor, weights)
@@ -178,10 +182,4 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
 
 def apply_collector(state: SimulationState, nodes: Sequence[int]) -> SimulationState:
     """Flag nodes as collectors; the engine accrues their per-step intake."""
-    n = state.graph.node_count
-    flagged = set()
-    for v in nodes:
-        if not (0 <= v < n):
-            raise RoleError(f"unknown node {v}")
-        flagged.add(int(v))
-    return replace(state, collectors=frozenset(state.collectors | flagged))
+    return replace(state, collectors=state.collectors.union(_node_ids(nodes, state.graph.node_count)))

@@ -42,6 +42,7 @@ from .diffusion import (
     run,
 )
 from .netgraph import (
+    GraphError,
     WeightedGraph,
     WeightSpec,
     add_edge,
@@ -635,21 +636,27 @@ def _build_probes(config: ScenarioConfig, collector_ids: Sequence[int]) -> list[
     return probes
 
 
-def _intervention(
-    plan: RolePlan, targets: Sequence[tuple[tuple[int, ...], int]]
-) -> Callable[[SimulationState], SimulationState]:
-    """The plan's role action on each (selected nodes, seed) target in turn, as one state transform."""
+def _intervention(plan: RolePlan, targets: Sequence[tuple[int, _Run]]) -> Callable[[SimulationState], SimulationState]:
+    """The plan's role action on each (node offset, run) target in turn, as one state transform."""
 
     def intervene(state: SimulationState) -> SimulationState:
-        for selected, seed in targets:
+        for offset, run_ in targets:
+            nodes = run_.assignment.nodes  # type: ignore[union-attr]
+            selected = tuple(offset + v for v in nodes)
             if plan.role == "expert":
-                rng = stream_rng(seed, "boost")
+                rng = stream_rng(run_.seed, "boost")
                 boosted = apply_expert(
                     state.population, selected, plan.boost_range, rng, plan.boost_all  # type: ignore[arg-type]
                 )
                 state = dc_replace(state, population=boosted)
             elif plan.role == "facilitator":
-                graph = apply_facilitator(state.graph, selected, plan.weight_factor)  # type: ignore[arg-type]
+                try:
+                    graph = apply_facilitator(state.graph, selected, plan.weight_factor)  # type: ignore[arg-type]
+                except GraphError:
+                    # Until its own target is applied, the run's block is its graph: the run
+                    # alone raises the error again with the run's own node ids.
+                    apply_facilitator(run_.graph, nodes, plan.weight_factor)  # type: ignore[arg-type]
+                    raise
                 state = dc_replace(state, graph=graph)
             else:
                 state = apply_collector(state, selected)
@@ -684,11 +691,7 @@ def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[i
     by the run's position times the network size.
     """
     n, plan = config.network.nodes, config.role_plan
-    targets = [
-        (tuple(r * n + v for v in run_.assignment.nodes), run_.seed)
-        for r, run_ in enumerate(runs)
-        if run_.assignment is not None
-    ]
+    targets = [(r * n, run_) for r, run_ in enumerate(runs) if run_.assignment is not None]
     interventions = {plan.step: _intervention(plan, targets)} if targets else {}  # type: ignore[union-attr, arg-type]
     for run_ in runs:
         logger.info("running %s variant=%s seed=%d", config.name, run_.variant, run_.seed)
@@ -700,7 +703,8 @@ def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[i
 
 @dataclass
 class VariantResult:
-    """All per-seed series for one variant plus cross-seed aggregates."""
+    """All per-seed series for one variant plus their cross-seed ``aggregate``, one more series: a
+    ``metric:mean`` and a ``metric:std`` column (ddof=1, 0 for one seed) per column every seed recorded."""
 
     name: str
     seeds: tuple[int, ...]
@@ -708,25 +712,31 @@ class VariantResult:
     ties: dict[int, list[dict]]
     assignments: dict[int, RoleAssignment | None]
     steps: list[int] = field(init=False)
-    aggregates: dict[tuple[str, str], dict[str, np.ndarray]] = field(init=False)
+    aggregate: TimeSeries = field(init=False)
 
     def __post_init__(self) -> None:
-        """The recorded steps, and the cross-seed mean and std of each column every seed recorded."""
         per_seed = [self.series[s] for s in self.seeds]
-        self.steps = list(per_seed[0].steps)
-        self.aggregates = {}
-        for col in per_seed[0].columns:
-            if all(col in series.columns for series in per_seed):
-                matrix = np.stack([series.column(*col) for series in per_seed])
-                std = matrix.std(axis=0, ddof=1) if matrix.shape[0] > 1 else np.zeros(matrix.shape[1])
-                self.aggregates[col] = {"mean": matrix.mean(axis=0), "std": std}
+        first = per_seed[0]
+        self.steps = list(first.steps)
+        columns = [col for col in first.columns if all(col in s.columns for s in per_seed)]
+        # (columns, seeds, steps), reduced one contiguous (seeds, steps) block at a time. numpy sums
+        # a one-step block pairwise but the rows of a longer one in turn; one reduction over all
+        # columns would sum row by row and change a one-step aggregate of eight seeds or more.
+        stack = np.stack([s.values[:, [s.columns.index(col) for col in columns]].T for s in per_seed], axis=1)
+        values = np.zeros((len(first), 2 * len(columns)))
+        for j, block in enumerate(stack):
+            values[:, 2 * j] = block.mean(axis=0)
+            values[:, 2 * j + 1] = block.std(axis=0, ddof=1) if len(per_seed) > 1 else 0.0
+        values.flags.writeable = False
+        labels = [(f"{metric}:{stat}", scope) for metric, scope in columns for stat in ("mean", "std")]
+        self.aggregate = TimeSeries(labels, first.steps, values)
 
     def final_values(self, metric: str = "average_competence", scope: str = "all") -> np.ndarray:
         """Final recorded value per seed, in the experiment's seed order."""
         return np.array([self.series[s].column(metric, scope)[-1] for s in self.seeds])
 
     def mean_curve(self, metric: str = "average_competence", scope: str = "all") -> np.ndarray:
-        return self.aggregates[(metric, scope)]["mean"]
+        return self.aggregate.column(f"{metric}:mean", scope)
 
 
 @dataclass
@@ -833,27 +843,20 @@ def emit_report(
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fmts = tuple(formats) if formats is not None else report.config.output.formats
+    fmts = _expand_formats(formats) if formats is not None else report.config.output.formats
     for fmt in fmts:
         if fmt not in ("csv", "json"):
-            raise ConfigError(f"output format must be 'csv' or 'json', got {fmt!r}")
+            raise ConfigError(f"output format must be 'csv', 'json' or 'both', got {fmt!r}")
     written: list[Path] = []
     name = report.config.name
 
     if "csv" in fmts:
         for vname, result in report.variants.items():
-            for seed in result.seeds:
-                path = out / f"{name}__{vname}__seed{seed}.csv"
-                path.write_text("\n".join(result.series[seed].csv_lines()) + "\n")
+            tables = [(f"seed{s}", result.series[s]) for s in result.seeds] + [("aggregate", result.aggregate)]
+            for label, table in tables:
+                path = out / f"{name}__{vname}__{label}.csv"
+                path.write_text("\n".join(table.csv_lines()) + "\n")
                 written.append(path)
-            agg_lines = ["step,metric,scope,value"]
-            for i, t in enumerate(result.steps):
-                for (metric, scope), stats in result.aggregates.items():
-                    agg_lines.append(f"{t},{metric}:mean,{scope},{float(stats['mean'][i])!r}")
-                    agg_lines.append(f"{t},{metric}:std,{scope},{float(stats['std'][i])!r}")
-            path = out / f"{name}__{vname}__aggregate.csv"
-            path.write_text("\n".join(agg_lines) + "\n")
-            written.append(path)
 
     if "json" in fmts:
         summary: dict[str, Any] = {
@@ -864,17 +867,13 @@ def emit_report(
             "variants": {},
         }
         for vname, result in report.variants.items():
-            final: dict[str, Any] = {}
-            stabilization: dict[str, Any] = {}
-            for (metric, scope), stats in result.aggregates.items():
-                key = f"{metric}|{scope}"
-                per_seed = {str(s): float(result.series[s].column(metric, scope)[-1]) for s in result.seeds}
-                final[key] = {
-                    "mean": float(stats["mean"][-1]),
-                    "std": float(stats["std"][-1]),
-                    "per_seed": per_seed,
-                }
-                stabilization[key] = stabilization_step(stats["mean"])
+            agg, final, stabilization = result.aggregate, {}, {}
+            finals = agg.values[-1].tolist()  # each column's mean and std, interleaved
+            for j, (label, scope) in enumerate(agg.columns[::2]):
+                metric = label.removesuffix(":mean")
+                per_seed = dict(zip(map(str, result.seeds), result.final_values(metric, scope).tolist()))
+                final[f"{metric}|{scope}"] = {"mean": finals[2 * j], "std": finals[2 * j + 1], "per_seed": per_seed}
+                stabilization[f"{metric}|{scope}"] = stabilization_step(agg.values[:, 2 * j])
             summary["variants"][vname] = {
                 "final": final,
                 "stabilization_step": stabilization,

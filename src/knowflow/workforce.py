@@ -7,6 +7,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .netgraph import _is_int
+
 __all__ = [
     "KnowledgeWorker",
     "Population",
@@ -96,8 +98,8 @@ class Population(Sequence[KnowledgeWorker]):
         return self.competences.shape[1]
 
     def worker(self, i: int) -> KnowledgeWorker:
-        if not (0 <= i < len(self)):
-            raise WorkforceError(f"unknown worker id {i}")
+        if not (_is_int(i) and 0 <= i < len(self)):
+            raise WorkforceError(f"unknown worker id {i!r}: expected an integer below {len(self)}")
         return KnowledgeWorker(
             id=i,
             competences=self.competences[i],

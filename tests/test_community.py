@@ -70,6 +70,21 @@ def test_fixture_validation():
         detect_communities(pop, method="louvain")
 
 
+def test_fixture_ids_are_integers():
+    pop = population_with(np.ones((4, 3)))
+    for members, core, message in [
+        ([0, 1.5], [0], "member 1.5 "),
+        ([True, 1], [0], "member True "),
+        ([0, 1], [0.7], "core index 0.7 "),
+        ([0, 1], [True], "core index True "),
+    ]:
+        with pytest.raises(CommunityError, match=message):
+            detect_communities(pop, method="fixture", fixture=[(members, core)])
+    (community,) = detect_communities(pop, method="fixture", fixture=[([np.int64(2), 0], [np.int32(1)])])
+    assert community.members == (0, 2) and all(type(v) is int for v in community.members)
+    assert community.core_mask.tolist() == [0.0, 1.0, 0.0]
+
+
 def test_jaccard_detection_groups_shared_interests():
     masks = [
         [1, 1, 0, 0],

@@ -490,6 +490,49 @@ def test_path_counts_past_2_53_are_summed_in_the_heap_order():
     assert np.array_equal(weighted_betweenness_all(g), oracles.two_sweep_betweenness_all(g))
 
 
+def _absorbing_tie_past_2_53() -> tuple[WeightedGraph, int, list[int]]:
+    """A graph whose node ``x`` has four predecessors at one distance, with path counts past 2**53.
+
+    Seen from node 0, 34 diamonds of width 3 lead to a hub, and three more
+    diamonds end in ``a``, ``b`` and ``p``. Node ``u`` has a smaller id than
+    those three and hangs off ``p`` by a weight of 1e300, whose edge cost
+    1e-300 the distance absorbs. So ``u`` is pushed only once ``p`` pops: the
+    heap pops x's predecessors in the order a, b, p, u, not in id order.
+    """
+    edges: list[tuple[int, int, float]] = []
+
+    def diamond(hub: int, first: int, width: int) -> int:
+        end = first + width
+        edges.extend(e for k in range(first, end) for e in ((hub, k, 1.0), (k, end, 1.0)))
+        return end
+
+    hub = 0
+    for _ in range(34):
+        hub = diamond(hub, hub + 1, 3)
+    u = hub + 1
+    a = diamond(hub, u + 1, 3)
+    b = diamond(hub, a + 1, 4)
+    p = diamond(hub, b + 1, 2)
+    x = p + 1
+    edges += [(a, x, 1.0), (b, x, 1.0), (p, x, 1.0), (u, x, 1.0), (p, u, 1e300)]
+    return WeightedGraph(x + 1, edges), x, [a, b, p, u]
+
+
+def test_centralities_keep_the_heap_order_where_a_distance_absorbs_an_edge():
+    # A sweep without the heap must pop a stalled row's least (distance, id)
+    # entry alone, count late increments to nodes settled at the same
+    # distance, and pull predecessors in settle order to match this graph.
+    g, x, preds = _absorbing_tie_past_2_53()
+    assert (g.node_count, x, preds) == (151, 150, [141, 146, 149, 137])
+    dist, sigma, pred_lists, _ = oracles._dijkstra(oracles._inverse_adjacency(g), 0)
+    assert [dist[v] for v in preds] == [70.0] * 4 and dist[x] == 71.0
+    assert dist[preds[2]] + 1e-300 == dist[preds[2]]  # the edge p-u is absorbed
+    assert pred_lists[x] == preds and all(sigma[v] > 2**53 for v in preds)
+    closeness, betweenness = netgraph._centralities(g)
+    assert np.array_equal(closeness, oracles.two_sweep_closeness_all(g))
+    assert np.array_equal(betweenness, oracles.two_sweep_betweenness_all(g))
+
+
 def test_one_sweep_per_graph_serves_both_centralities(monkeypatch):
     sweeps = []
     sweep = netgraph._centralities

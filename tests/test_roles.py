@@ -1,5 +1,6 @@
 """Role allocation: ranking strategies, top-k selection, role application."""
 
+import re
 import warnings
 
 import numpy as np
@@ -200,6 +201,28 @@ def test_apply_facilitator_validation():
                 apply_facilitator(heavy, [1, 2], factor)
         with pytest.raises(GraphError, match=r"edge \(1, 2, nan\) rejected"):
             apply_facilitator(heavy, [2], np.inf)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, np.float64(1.0), np.bool_(True), -1, 5, "1"])
+def test_role_actions_take_only_integer_node_ids(bad):
+    pop = small_population(n=5)
+    g = generate_watts_strogatz(5, 2, 0.0, np.random.default_rng(0))
+    state = SimulationState.initial(g, pop)
+    actions = [
+        lambda ids: apply_collector(state, ids),
+        lambda ids: apply_facilitator(g, ids, 2.0),
+        lambda ids: apply_expert(pop, ids, (10.0, 20.0), np.random.default_rng(0)),
+    ]
+    for act in actions:
+        with pytest.raises(RoleError, match=re.escape(f"unknown node {bad!r}")):
+            act([0, bad])
+    # numpy integers are ids like ints
+    numpy_ids = [np.int64(1), np.int32(3)]
+    assert apply_collector(state, numpy_ids).collectors == frozenset({1, 3})
+    scaled = apply_facilitator(g, numpy_ids, 2.0).directed_edge_arrays()
+    assert all(map(np.array_equal, scaled, apply_facilitator(g, [1, 3], 2.0).directed_edge_arrays()))
+    boosted = [apply_expert(pop, ids, (10.0, 20.0), np.random.default_rng(0)) for ids in (numpy_ids, [1, 3])]
+    assert np.array_equal(boosted[0].competences, boosted[1].competences)
 
 
 def test_apply_collector_unions_flags():

@@ -11,6 +11,9 @@ import pytest
 
 from knowflow import (
     ConfigError,
+    GraphError,
+    RoleAssignment,
+    WeightedGraph,
     add_edge,
     average_edge_weight,
     config_hash,
@@ -509,6 +512,25 @@ def test_batched_runs_report_the_bytes_of_runs_one_by_one(tmp_path, monkeypatch,
     assert [p.read_bytes() for p in batched] == [p.read_bytes() for p in alone]
 
 
+def test_a_batched_facilitator_error_names_the_runs_own_node_ids():
+    cfg = parse_config(
+        tiny_config(
+            network={"nodes": 3, "ring_degree": 2},
+            role_plan={"role": "facilitator", "strategies": ["degree"], "count": 1, "weight_factor": 1e10},
+        )
+    )
+    pop = _population_for(cfg.population, 3, 1)
+    paths = [WeightedGraph(3, [(0, 1, w), (1, 2, 1.0)]) for w in (1.0, 1e300)]
+    role = RoleAssignment("facilitator", (0,))
+    runs = [scenario._Run("degree", seed, g, pop, role) for seed, g in zip((1, 2), paths)]
+    with pytest.raises(GraphError) as alone:
+        scenario._run_batch(cfg, runs[1:], ())
+    with pytest.raises(GraphError) as batched:
+        scenario._run_batch(cfg, runs, ())
+    assert str(alone.value).startswith("edge (0, 1, inf) rejected")
+    assert str(batched.value) == str(alone.value)
+
+
 # sha256 of the joined csv_lines() of seed 1, recorded from the np.add.at
 # kernel that the bincount scatter replaced (fig3, fig4) and from the kernel
 # that streamed all E x m pairs (fig2, fig9): a diffusion kernel that drifts
@@ -641,6 +663,47 @@ def test_emit_report_writes_deterministic_files(tmp_path):
     emit_report(run_experiment(parse_config(tiny_config(output={"formats": ["both"]}))), second)
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("steps", [0, 3])
+def test_the_aggregate_is_a_series_of_each_common_columns_mean_and_std(tmp_path, steps):
+    # Collector columns differ by seed, so only the columns every seed recorded are aggregated.
+    # Eleven seeds of one step: numpy sums such a column pairwise, unlike a longer one.
+    probes = ["average_competence", "collector_intake", {"node": 3}]
+    cfg = parse_config(
+        tiny_config(
+            role_plan={"role": "collector", "strategies": ["degree"], "count": 2},
+            run={"steps": steps, "seeds": list(range(1, 12)), "probes": probes},
+        )
+    )
+    result = run_experiment(cfg).variants["degree"]
+    per_seed = [result.series[s] for s in result.seeds]
+    common = [("average_competence", "all"), ("collector_intake", "all"), ("average_competence", "node:3")]
+    assert [c for c in per_seed[0].columns if all(c in s.columns for s in per_seed)] == common
+    aggregate = result.aggregate
+    assert aggregate.columns == [(f"{metric}:{stat}", scope) for metric, scope in common for stat in ("mean", "std")]
+    assert aggregate.steps == result.steps == list(range(steps + 1))
+    assert not aggregate.values.flags.writeable
+    for j, col in enumerate(common):
+        matrix = np.stack([s.column(*col) for s in per_seed])
+        assert np.array_equal(aggregate.values[:, 2 * j], matrix.mean(axis=0))
+        assert np.array_equal(aggregate.values[:, 2 * j + 1], matrix.std(axis=0, ddof=1))
+    assert np.array_equal(result.mean_curve("collector_intake"), aggregate.values[:, 2])
+    emit_report(run_experiment(cfg), tmp_path, formats=["csv"])
+    written = (tmp_path / "tiny__degree__aggregate.csv").read_text()
+    assert written == "\n".join(aggregate.csv_lines()) + "\n"
+    single = run_experiment(cfg, seeds=[4]).variants["degree"].aggregate
+    assert len(single.columns) == 2 * (3 + 2) and not single.values[:, 1::2].any()  # each seed has its 2 collectors
+
+
+def test_emit_report_expands_both_as_the_config_does(tmp_path):
+    report = run_experiment(parse_config(tiny_config()), seeds=[1])
+    both = emit_report(report, tmp_path / "both", formats=["both"])
+    listed = emit_report(report, tmp_path / "listed", formats=["csv", "json"])
+    assert [p.name for p in both] == [p.name for p in listed]
+    assert [p.read_bytes() for p in both] == [p.read_bytes() for p in listed]
+    twice = emit_report(report, tmp_path / "twice", formats=["json", "both"])
+    assert [p.name for p in twice] == [p.name for p in listed]
 
 
 def test_emit_report_respects_format_selection(tmp_path):

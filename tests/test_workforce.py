@@ -1,5 +1,7 @@
 """Worker population: initialization and invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,6 +102,14 @@ def test_worker_rows_are_views():
     assert pop.competences[2, 0] == 99.0  # shared storage, not a copy
     with pytest.raises(WorkforceError):
         pop.worker(len(pop))
+
+
+def test_worker_takes_only_integer_ids():
+    pop = make_population(n=4)
+    assert pop.worker(np.int64(3)).id == 3
+    for bad in (1.5, True, np.float64(2.0), -1, 4):
+        with pytest.raises(WorkforceError, match=f"unknown worker id {re.escape(repr(bad))}"):
+            pop.worker(bad)
 
 
 def test_population_sequence_protocol():
