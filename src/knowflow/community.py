@@ -9,7 +9,6 @@ a new tie at the network's average tie strength.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -108,21 +107,18 @@ def detect_communities(
     if not (0.0 < threshold <= 1.0):
         raise CommunityError(f"similarity threshold must lie in (0, 1], got {threshold}")
 
-    groups: list[dict] = []
+    members: list[list[int]] = []
+    cores: list[np.ndarray] = []
     for v in range(n):
-        mask_v = workers.masks[v]
-        joined = False
-        for grp in groups:
-            if jaccard_similarity(mask_v, grp["core"]) >= threshold:
-                grp["members"].append(v)
-                grp["core"] = _core_mask(workers.masks[grp["members"]], core_rule, core_theta)
-                joined = True
+        # A join changes only the joined community's core, so each test reads the core it would see in turn.
+        joined = [z for z, core in enumerate(cores) if jaccard_similarity(workers.masks[v], core) >= threshold]
+        for z in joined:
+            members[z].append(v)
+            cores[z] = _core_mask(workers.masks[members[z]], core_rule, core_theta)
         if not joined:
-            groups.append({"members": [v], "core": mask_v.copy()})
-    return [
-        Community(id=z, members=tuple(grp["members"]), core_mask=np.asarray(grp["core"], dtype=float))
-        for z, grp in enumerate(groups)
-    ]
+            members.append([v])
+            cores.append(workers.masks[v].copy())
+    return [Community(z, tuple(ids), np.asarray(core, dtype=float)) for z, (ids, core) in enumerate(zip(members, cores))]
 
 
 # -- energy and efficiency ----------------------------------------------------------
@@ -142,8 +138,14 @@ def energy_ranking(community: Community, workers: Population) -> list[tuple[int,
     return sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 
+def _check_sizes(g: WeightedGraph, workers: Population) -> None:
+    if len(workers) != g.node_count:
+        raise CommunityError(f"population has {len(workers)} workers but the graph has {g.node_count} nodes")
+
+
 def edge_efficiency(g: WeightedGraph, workers: Population, u: int, v: int) -> float:
     """Directional one-hop transfer quality: social(u) * weight(u, v) * cognitive(v)."""
+    _check_sizes(g, workers)
     if u == v:
         raise CommunityError("edge efficiency needs distinct endpoints")
     return float(workers.social[u] * g.weight(u, v) * workers.cognitive[v])
@@ -162,18 +164,14 @@ def transfer_efficiency(
     the edge count twice (default) or once (``single_division``). Adjacent
     pairs reduce to the plain edge efficiency. None when v is unreachable.
     """
-    score = partial(edge_efficiency, g, workers)
-    path = shortest_hop_path(g, u, v, edge_score=score)
+    _check_sizes(g, workers)
+    senders, receivers, weights = g.directed_edge_arrays()
+    # Every directed edge's edge_efficiency, with its operand order, so the values are the same.
+    path = shortest_hop_path(g, u, v, edge_score=workers.social[receivers] * weights * workers.cognitive[senders])
     if path is None:
         return None
-    total = 0.0
-    seq = path.nodes
-    for a, b in zip(seq, seq[1:]):
-        total += score(a, b)
     hops = path.edge_count
-    if single_division:
-        return total / hops
-    return total / hops / hops
+    return path.score / hops if single_division else path.score / hops / hops
 
 
 @dataclass(frozen=True)
@@ -190,13 +188,8 @@ class TieProposal:
     efficiency_before: float | None
 
     def as_record(self) -> dict:
-        return {
-            "community": self.community,
-            "from": self.source,
-            "to": self.target,
-            "weight": self.weight,
-            "efficiency_before": self.efficiency_before,
-        }
+        return {"community": self.community, "from": self.source, "to": self.target,
+                "weight": self.weight, "efficiency_before": self.efficiency_before}
 
 
 def accelerate(
@@ -213,21 +206,13 @@ def accelerate(
     efficiency ties break toward the smaller source id, then target id. The
     tie weight defaults to the network's average tie strength.
     """
+    _check_sizes(g, workers)
     ranking = energy_ranking(community, workers)
-    best: tuple[float, int, int] | None = None
-    for u, eu in ranking:
-        for v, ev in ranking:
-            if u == v or not (eu > ev) or g.has_edge(u, v):
-                continue
-            eff = transfer_efficiency(g, workers, u, v, single_division=single_division)
-            if eff is None:
-                continue
-            key = (eff, u, v)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    pairs = [(u, v) for u, eu in ranking for v, ev in ranking if eu > ev and not g.has_edge(u, v)]
+    scored = [(eff, u, v) for u, v in pairs if (eff := transfer_efficiency(g, workers, u, v, single_division)) is not None]
+    if not scored:
         return None
-    eff, u, v = best
+    eff, u, v = min(scored)
     weight = float(tie_weight) if tie_weight is not None else average_edge_weight(g)
     return TieProposal(community=community.id, source=u, target=v, weight=weight, efficiency_before=eff)
 
@@ -246,6 +231,7 @@ def accelerate_loop(
     Stops early when no pair qualifies or when the next candidate's efficiency
     already reaches ``min_efficiency``.
     """
+    _check_sizes(g, workers)
     if budget < 0:
         raise CommunityError(f"tie budget must be >= 0, got {budget}")
     proposals: list[TieProposal] = []

@@ -216,7 +216,7 @@ def probe_average() -> Probe:
 
 
 def _index(kind: str, ids: Iterable[int]) -> np.ndarray:
-    """The ids, each a non-negative integer and not a boolean, as a sorted index array."""
+    """The ids, each a non-negative integer, not a boolean and named once, as a sorted index array."""
     ids = list(ids)
     for i in ids:
         if isinstance(i, bool) or not isinstance(i, numbers.Integral):
@@ -224,9 +224,13 @@ def _index(kind: str, ids: Iterable[int]) -> np.ndarray:
         if i < 0:
             raise DiffusionError(f"probe {kind} id {i} is negative")
     try:
-        return np.asarray(sorted(ids), dtype=np.intp)
+        index = np.asarray(sorted(ids), dtype=np.intp)
     except OverflowError:
         raise DiffusionError(f"probe {kind} id {max(ids)} is out of range for any population") from None
+    repeated = index[1:][index[1:] == index[:-1]]
+    if repeated.size:  # it would count twice
+        raise DiffusionError(f"probe {kind} id {repeated[0]} is repeated")
+    return index
 
 
 def _cell_probe(scope: str, members: np.ndarray | None, competences: np.ndarray | None) -> Probe:

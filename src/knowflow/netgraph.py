@@ -11,9 +11,10 @@ import heapq
 import itertools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -78,13 +79,14 @@ class WeightSpec:
 
 @dataclass(frozen=True)
 class PathResult:
-    """A concrete node sequence between two endpoints.
+    """A concrete node sequence between two endpoints, with its summed edge score.
 
-    ``hop_length`` counts nodes (>= 2 for distinct endpoints); ``edge_count``
-    counts edges, i.e. ``hop_length - 1``.
+    ``hop_length`` counts nodes (>= 2 for distinct endpoints), ``edge_count``
+    edges; ``score`` sums the path's edge scores left to right from 0.0.
     """
 
     nodes: tuple[int, ...]
+    score: float
 
     @property
     def hop_length(self) -> int:
@@ -593,36 +595,43 @@ def shortest_hop_path(
     g: WeightedGraph,
     source: int,
     target: int,
-    edge_score: Callable[[int, int], float] | None = None,
+    edge_score: np.ndarray | None = None,
 ) -> PathResult | None:
-    """Deterministic minimum-hop path from source to target.
+    """Deterministic minimum-hop path from source to target, with its score; None when unreachable.
 
-    Among all minimum-hop paths the one maximizing the summed ``edge_score``
-    (default: edge weight) wins; remaining ties go to the lexicographically
-    smallest node sequence. Returns None when target is unreachable.
+    ``edge_score`` (default: the weights) is a float array aligned with
+    ``g.directed_edge_arrays()``: slot i of node p's row scores the step
+    p -> senders[i]. Going out one hop at a time, each node keeps one path:
+    its predecessors' kept paths extended to it, the largest score sum
+    (left to right from 0.0) first, then the smallest node sequence. With
+    exact sums that is the best of all minimum-hop paths; under rounding, a
+    prefix dropped for a smaller sum can tie the kept one at the target.
     """
     source, target = _check_node(g.node_count, source), _check_node(g.node_count, target)
     if source == target:
         raise GraphError("path endpoints must be distinct")
-    score = edge_score if edge_score is not None else g.weight
-    # The rows as Python lists, which many small slices read faster than arrays.
-    indptr, senders = g._indptr.tolist(), g._senders.tolist()
-    # Layer by layer, per node the best score sum and the lexicographically
-    # smallest path achieving it; optimal substructure holds for this order.
-    best = {source: (0.0, (source,))}
+    scores = np.asarray(g._weights if edge_score is None else edge_score)
+    if scores.shape != g._weights.shape or scores.dtype.kind != "f":
+        raise GraphError(f"edge scores must be a float array of shape {g._weights.shape}, got {scores.dtype} {scores.shape}")
+    # The rows as Python lists, whose items the sweep reads one at a time faster than an array's.
+    indptr, senders, scores = g._indptr.tolist(), g._senders.tolist(), scores.tolist()
+    kept: list[tuple[float, tuple[int, ...]] | None] = [None] * g.node_count  # per node reached: score sum, path
+    kept[source] = (0.0, (source,))
     layer = [source]
-    while layer and target not in best:
+    while layer and kept[target] is None:
         reached: dict[int, tuple[float, tuple[int, ...]]] = {}
         for p in layer:
-            for v in senders[indptr[p] : indptr[p + 1]]:
-                if v not in best:
-                    total, path = best[p][0] + score(p, v), best[p][1]
-                    top = reached.get(v)
+            base, path = kept[p]
+            for i in range(indptr[p], indptr[p + 1]):
+                v = senders[i]
+                if kept[v] is None:
+                    total, top = base + scores[i], reached.get(v)
                     if top is None or total > top[0] or (total == top[0] and path < top[1]):
                         reached[v] = total, path
-        best.update((v, (total, path + (v,))) for v, (total, path) in reached.items())
+        for v, (total, path) in reached.items():
+            kept[v] = total, path + (v,)
         layer = list(reached)
-    return PathResult(best[target][1]) if target in best else None
+    return None if kept[target] is None else PathResult(kept[target][1], kept[target][0])
 
 
 # -- text interchange ----------------------------------------------------------
@@ -634,6 +643,20 @@ def write_edge_list(g: WeightedGraph, path: str | Path) -> None:
     for u, v, w in g.edges():
         lines.append(f"{u},{v},{w!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+# The ASCII numerals that ``write_edge_list`` writes, signed or not, with
+# spaces around them: ``int`` and ``float`` alone would also read "1_0" and
+# non-ASCII digits. A weight may be "inf" or "nan", which the graph rejects.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+_REAL = re.compile(r"\s*[+-]?(inf|nan|([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?)\s*", re.ASCII)
+
+
+def _numeral(text: str, pattern: re.Pattern) -> int | float:
+    """``text`` as an int (``_INTEGER``) or a float (``_REAL``) when ``pattern`` accepts it; a ValueError otherwise."""
+    if pattern.fullmatch(text) is None:
+        raise ValueError(f"not a numeral: {text!r}")
+    return int(text) if pattern is _INTEGER else float(text)
 
 
 def read_edge_list(path: str | Path) -> WeightedGraph:
@@ -655,7 +678,7 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
                 if node_count is not None:
                     raise GraphError(f"{path}: second '# nodes=N' header on line {lineno}")
                 try:
-                    node_count = int(body[len("nodes="):])
+                    node_count = _numeral(body[len("nodes="):], _INTEGER)
                 except ValueError:
                     raise GraphError(f"{path}: expected an integer node count on line {lineno}, got {line!r}") from None
             continue
@@ -665,7 +688,7 @@ def read_edge_list(path: str | Path) -> WeightedGraph:
         if len(parts) != 3:
             raise GraphError(f"{path}: expected 'u,v,weight' on line {lineno}, got {line!r}")
         try:
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+            edges.append((_numeral(parts[0], _INTEGER), _numeral(parts[1], _INTEGER), _numeral(parts[2], _REAL)))
         except ValueError:
             raise GraphError(f"{path}: expected 'u,v,weight' numbers on line {lineno}, got {line!r}") from None
         lines.append(lineno)

@@ -390,7 +390,7 @@ class CommunityPlan:
 class MaskProbe:
     name: str = field(metadata=_key(_as_name))
     competences: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, then=lambda ids: _sorted(set(ids))))
-    members: tuple[int, ...] | None = field(default=None, metadata=_key(_as_list, item=_ID))
+    members: tuple[int, ...] | None = field(default=None, metadata=_key(_as_list, item=_ID, unique="member"))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,56 @@ def oracle_hop_path(n: int, adj: dict, s: int, t: int, score=None):
     return best
 
 
+# -- callable-scored hop paths -----------------------------------------------------
+# The package's former hop-path sweep, which asked a callable for the score of
+# each step it looked at, and its transfer efficiency, which summed the winning
+# path a second time through the same callable. The array-scored forms must
+# reproduce both bit for bit. Unlike ``oracle_hop_path``, which applies the
+# rule "largest summed score, then smallest node sequence" to every path, the
+# sweep keeps one path per node, so the two agree only where path sums are exact.
+
+
+def callable_hop_path(g, source: int, target: int, score=None):
+    """Minimum-hop path as a node tuple, None if unreachable; ``score(p, v)`` (default: the weight) scores the step p -> v."""
+    score = g.weight if score is None else score
+    best = {source: (0.0, (source,))}
+    layer = [source]
+    while layer and target not in best:
+        reached = {}
+        for p in layer:
+            for v in g.neighbors(p):
+                if v not in best:
+                    total, path = best[p][0] + score(p, v), best[p][1]
+                    top = reached.get(v)
+                    if top is None or total > top[0] or (total == top[0] and path < top[1]):
+                        reached[v] = total, path
+        best.update((v, (total, path + (v,))) for v, (total, path) in reached.items())
+        layer = list(reached)
+    return best[target][1] if target in best else None
+
+
+def path_score(path, score) -> float:
+    """The path's step scores summed left to right from 0.0."""
+    total = 0.0
+    for a, b in zip(path, path[1:]):
+        total += score(a, b)
+    return total
+
+
+def resummed_transfer_efficiency(g, workers, u: int, v: int, single_division: bool = False):
+    """Transfer efficiency with a scalar edge efficiency per step, its path summed a second time."""
+
+    def score(a, b):
+        return float(workers.social[a] * g.weight(a, b) * workers.cognitive[b])
+
+    path = callable_hop_path(g, u, v, score)
+    if path is None:
+        return None
+    hops = len(path) - 1
+    total = path_score(path, score)
+    return total / hops if single_division else total / hops / hops
+
+
 # -- sequential graph loops -------------------------------------------------------
 # The package's former per-node and per-edge loops. Its array forms must
 # reproduce them bit for bit: the sums run in the same order.

@@ -1,6 +1,8 @@
 """Interest communities: detection, knowledge energy, transfer efficiency, and
 the tie accelerator."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,8 +25,11 @@ from knowflow import (
     init_workers,
     jaccard_similarity,
     knowledge_energy,
+    shortest_hop_path,
     transfer_efficiency,
 )
+
+import oracles
 
 
 def population_with(masks, competences=None, social=None, cognitive=None):
@@ -190,6 +195,50 @@ def test_transfer_route_maximizes_transfer_score_not_weight():
         g = add_edge(g, u, v, 1.0)
     via_3 = (0.5 * 1.0 * 0.9) + (0.5 * 1.0 * 0.5)
     assert transfer_efficiency(g, pop, 0, 2) == pytest.approx(via_3 / 4)
+
+
+@st.composite
+def scored_graphs(draw):
+    """A graph on 2-8 nodes and a population of its size, from value sets that make equal path sums likely."""
+    n = draw(st.integers(2, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weight = draw(st.sampled_from([st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 10.0)]))
+    ability = draw(st.sampled_from([st.sampled_from([0.25, 0.5, 1.0]), st.floats(0.0, 1.0)]))
+    g = WeightedGraph(n, [(u, v, draw(weight)) for (u, v), k in zip(pairs, keep) if k])
+    social, cognitive = ([draw(ability) for _ in range(n)] for _ in range(2))
+    return g, population_with(np.ones((n, 1)), social=social, cognitive=cognitive)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scored_graphs())
+def test_array_scored_paths_equal_the_callable_scored_oracle_bit_for_bit(case):
+    g, pop = case
+    for u, v in itertools.permutations(range(g.node_count), 2):
+        path = shortest_hop_path(g, u, v)
+        want = oracles.callable_hop_path(g, u, v)
+        assert (None if path is None else path.nodes) == want
+        assert path is None or path.score == oracles.path_score(want, g.weight)
+        for single in (False, True):
+            got = transfer_efficiency(g, pop, u, v, single_division=single)
+            assert got == oracles.resummed_transfer_efficiency(g, pop, u, v, single_division=single)
+
+
+def test_community_functions_need_one_worker_per_node():
+    g = add_edge(add_edge(add_edge(WeightedGraph(4), 0, 1, 1.0), 1, 2, 1.0), 2, 3, 1.0)
+    community = Community(id=0, members=(0, 1, 2), core_mask=np.array([1.0]))
+    for size in (3, 5):
+        pop = population_with(np.ones((size, 1)), competences=[[float(size - i)] for i in range(size)])
+        message = f"population has {size} workers but the graph has 4 nodes"
+        calls = [
+            lambda: transfer_efficiency(g, pop, 0, 3),
+            lambda: edge_efficiency(g, pop, 2, 3),
+            lambda: accelerate(community, g, pop),
+            lambda: accelerate_loop(community, g, pop, budget=0),
+        ]
+        for call in calls:
+            with pytest.raises(CommunityError, match=message):
+                call()
 
 
 # -- the accelerator ------------------------------------------------------------

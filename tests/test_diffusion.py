@@ -323,6 +323,16 @@ def test_mask_probes_reject_ids_that_are_not_integers():
     assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state).item() == exact
 
 
+def test_mask_probes_reject_repeated_ids():
+    state = random_state(5, n=6)
+    with pytest.raises(DiffusionError, match="node id 0 is repeated"):
+        probe_mask("x", [0], members=[0, 0, 1])
+    with pytest.raises(DiffusionError, match="competence id 2 is repeated"):
+        probe_mask("x", [2, 0, np.int64(2)])
+    distinct = probe_mask("x", [0], members=[0, 1]).measure(state).item()
+    assert distinct == float(state.population.competences[[0, 1], 0].mean())
+
+
 def test_collector_probes_total_is_sum_of_parts():
     state = apply_collector(random_state(17), [1, 3, 8])
     for _ in range(10):

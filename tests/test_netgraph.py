@@ -608,10 +608,32 @@ def test_hop_path_breaks_hop_ties_by_score_then_lex():
 
 def test_hop_path_custom_score_and_result_shape():
     g = build(4, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0, (2, 3): 1.0})
-    res = shortest_hop_path(g, 0, 2, edge_score=lambda a, b: float(a + b))
+    senders, receivers, _ = g.directed_edge_arrays()
+    res = shortest_hop_path(g, 0, 2, edge_score=(receivers + senders).astype(float))  # a + b for the step a -> b
     assert res.nodes == (0, 3, 2)
     assert res.hop_length == 3
     assert res.edge_count == 2
+
+
+def test_hop_path_keeps_one_path_per_node_even_where_rounding_ties_the_sums():
+    # At node 3 the sweep keeps (0, 2, 3), whose sum 1 + 2**-52 beats the 1.0
+    # of (0, 1, 3). One more step rounds both sums to 2.0, so the rule
+    # "largest sum, then smallest node sequence" over whole paths would take
+    # (0, 1, 3, 4), and the oracle that applies it does.
+    weights = {(0, 2): 0.5, (2, 3): 0.5 + 2.0**-52, (0, 1): 0.5, (1, 3): 0.5, (3, 4): 1.0}
+    g = build(5, weights)
+    path = shortest_hop_path(g, 0, 4)
+    assert (path.nodes, path.score) == ((0, 2, 3, 4), 2.0)
+    assert oracles.callable_hop_path(g, 0, 4) == (0, 2, 3, 4)
+    assert oracles.oracle_hop_path(5, oracles.adjacency(5, weights), 0, 4) == (0, 1, 3, 4)
+
+
+def test_hop_path_scores_are_one_float_per_directed_edge():
+    g = build(3, {(0, 1): 1.0, (1, 2): 2.0})
+    assert shortest_hop_path(g, 0, 2).score == 3.0
+    for bad in (np.ones(3), np.ones(4, dtype=int), lambda a, b: 1.0):
+        with pytest.raises(GraphError, match=r"edge scores must be a float array of shape \(4,\)"):
+            shortest_hop_path(g, 0, 2, edge_score=bad)
 
 
 def test_hop_path_unreachable_and_bad_endpoints():
@@ -706,6 +728,23 @@ def test_edge_list_diagnostics(tmp_path):
     p.write_text("# nodes=-1\n")
     with pytest.raises(GraphError, match="bad.txt: node count must be >= 0"):
         read_edge_list(p)
+
+
+def test_edge_lists_take_the_ascii_numerals_that_write_edge_list_writes(tmp_path):
+    p = tmp_path / "g.txt"
+    p.write_text("# nodes= 4 \n 0 , 1 , 1.5 \n+1,2,2.\n2,3,.25\n0,3,1e-3\n")
+    assert list(read_edge_list(p).edges()) == [(0, 1, 1.5), (0, 3, 0.001), (1, 2, 2.0), (2, 3, 0.25)]
+    for text, line in [
+        ("# nodes=3\n0,1,1_0\n", 2),
+        ("# nodes=3\n0,1,\uff11\n", 2),  # a full-width digit one
+        ("# nodes=3\n0,1_0,1.0\n", 2),
+        ("# nodes=1_0\n", 1),
+        ("# nodes=\u0663\n", 1),  # an Arabic-Indic digit three
+        ("# nodes=3\n0,1,Infinity\n", 2),
+    ]:
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(GraphError, match=f"g.txt: expected .* on line {line}"):
+            read_edge_list(p)
 
 
 def test_isolated_nodes_survive_round_trip(tmp_path):

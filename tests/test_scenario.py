@@ -4,6 +4,7 @@ files, and the command line interface."""
 import hashlib
 import json
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from knowflow import (
     parse_config,
     propose_ties,
     run_experiment,
+    shortest_hop_path,
     stabilization_step,
     stream_rng,
     transfer_efficiency,
@@ -251,6 +253,14 @@ def test_load_config_errors(tmp_path):
     deep.write_text("[" * 100_000)
     with pytest.raises(ConfigError, match="deep.json: invalid JSON: nested too deeply"):
         load_config(deep)
+
+
+def test_mask_probe_members_may_not_repeat(tmp_path, capsys):
+    probes = [{"mask": {"name": "m", "competences": [0], "members": [3, 3, 5]}}]
+    with pytest.raises(ConfigError, match=re.escape("run.probes[0].mask.members[1]: duplicate member 3")):
+        parse_config(tiny_config(run={"steps": 5, "seeds": [1], "probes": probes}))
+    assert main(["run", str(write_tiny(tmp_path, run={"steps": 5, "seeds": [1], "probes": probes}))]) == 2
+    assert "config error: run.probes[0].mask.members[1]" in capsys.readouterr().err
 
 
 # -- round trips and fixtures -----------------------------------------------------
@@ -562,6 +572,60 @@ def test_series_bytes_are_pinned(fixture):
     assert digests == {key: h for key, h in SERIES_SHA256.items() if key[0] == fixture}
 
 
+# sha256 of the tie records in the summary JSON at the config seeds (json.dumps
+# with sorted keys, over {variant: {seed: records}}) and of propose_ties with
+# a budget of 3, recorded while the hop-path sweep asked a callable for every
+# edge score and transfer_efficiency summed the path a second time.
+TIES_SHA256 = {
+    "fig7": "d7005cd4b40b6bac9aa0bd2ee01eda15fa41cc38e68717328ae33104dca30805",
+    "fig8": "3e41463aa041bb82c04593d96cee348336a6cb45740a8e29b5172afa3d918805",
+    "fig9": "7914690ad41f7484a3d8130e161433f8bf925863860b843d2ed09be010d530ac",
+}
+PROPOSALS_SHA256 = {
+    1: "12f219427ce4d53482c8cab8e1e4be3638e5947b594b4bee2921abefc3613f5a",
+    2: "575905206d9b78e3968ba5ef80f9c7d066b4c56d8d3dc528dc4079ad47d344ac",
+    3: "9ae7e26a347a39279274f697938881521cc53006056ef58e3e03efabfd1df1e3",
+}
+
+
+def _sha256_of_json(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture", ["fig7", "fig8", "fig9"])
+def test_tie_records_are_pinned(fixture, tmp_path):
+    raw = load_fixture(fixture).to_dict()
+    raw["run"]["steps"] = 0  # ties are planned before the first step
+    emit_report(run_experiment(parse_config(raw)), tmp_path, formats=["json"])
+    summary = json.loads((tmp_path / f"{fixture}__summary.json").read_text())
+    assert _sha256_of_json({name: var["ties"] for name, var in summary["variants"].items()}) == TIES_SHA256[fixture]
+
+
+def test_tie_proposals_are_pinned():
+    cfg = load_fixture("fig9")
+    assert {seed: _sha256_of_json(propose_ties(cfg, seed=seed, budget=3)) for seed in PROPOSALS_SHA256} == PROPOSALS_SHA256
+
+
+def test_fig9_plans_its_ties_through_the_module_bindings_of_both_path_functions(monkeypatch):
+    # A wrapper at every module binding sees each call, as the benchmark's
+    # tracer does; a tie planner that bypassed these two functions would
+    # leave its traced fig9 run without their spans.
+    calls = dict.fromkeys(("transfer_efficiency", "shortest_hop_path"), 0)
+    modules = [m for name, m in list(sys.modules.items()) if name == "knowflow" or name.startswith("knowflow.")]
+    for fn in (transfer_efficiency, shortest_hop_path):
+
+        def counted(*args, fn=fn, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    run_experiment(load_fixture("fig9"), seeds=[1])
+    assert calls["transfer_efficiency"] > 0 and calls["shortest_hop_path"] > 0
+
+
 def test_manual_ties_are_inserted_and_logged():
     cfg = parse_config(
         tiny_config(
@@ -809,6 +873,23 @@ def test_cli_rank_malformed_edge_list_is_a_runtime_error(tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(graph) in err
     assert f"line {line}" in err if line is not None else "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("# nodes=3\n0,1,1_0\n", 2),
+        ("# nodes=3\n0,1,1.0\n1,2,\uff11\n", 3),  # a full-width digit one
+        ("# nodes=1_0\n0,1,1.0\n", 1),
+        ("# nodes=\u0663\n0,1,1.0\n", 1),  # an Arabic-Indic digit three
+    ],
+)
+def test_cli_rank_takes_only_ascii_numerals(tmp_path, capsys, text, line):
+    graph = tmp_path / "g.txt"
+    graph.write_text(text, encoding="utf-8")
+    assert main(["rank", str(graph), "--strategy", "degree"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(graph) in err and f"line {line}" in err
 
 
 def test_cli_rank_random_is_seeded(tmp_path, capsys):
