@@ -27,7 +27,7 @@ from .scenario import (
 )
 from .workforce import WorkforceError
 
-_RUNTIME_ERRORS = (GraphError, WorkforceError, DiffusionError, RoleError, CommunityError, OSError)
+_RUNTIME_ERRORS = (GraphError, WorkforceError, DiffusionError, RoleError, CommunityError, OSError, MemoryError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,6 @@ __all__ = [
     "accelerate",
     "accelerate_loop",
     "detect_communities",
-    "edge_efficiency",
     "energy_ranking",
     "jaccard_similarity",
     "knowledge_energy",
@@ -143,14 +142,6 @@ def _check_sizes(g: WeightedGraph, workers: Population) -> None:
         raise CommunityError(f"population has {len(workers)} workers but the graph has {g.node_count} nodes")
 
 
-def edge_efficiency(g: WeightedGraph, workers: Population, u: int, v: int) -> float:
-    """Directional one-hop transfer quality: social(u) * weight(u, v) * cognitive(v)."""
-    _check_sizes(g, workers)
-    if u == v:
-        raise CommunityError("edge efficiency needs distinct endpoints")
-    return float(workers.social[u] * g.weight(u, v) * workers.cognitive[v])
-
-
 def transfer_efficiency(
     g: WeightedGraph,
     workers: Population,
@@ -160,13 +151,14 @@ def transfer_efficiency(
 ) -> float | None:
     """Efficiency of pushing knowledge from u to v along the best hop-shortest path.
 
-    Sums the directional per-edge efficiencies along the path, then divides by
-    the edge count twice (default) or once (``single_division``). Adjacent
-    pairs reduce to the plain edge efficiency. None when v is unreachable.
+    A step p -> q scores its directional transfer quality, social(p) *
+    weight(p, q) * cognitive(q). The path's scores are summed, then divided
+    by the edge count twice (default) or once (``single_division``), so an
+    adjacent pair scores its one step. None when v is unreachable.
     """
     _check_sizes(g, workers)
     senders, receivers, weights = g.directed_edge_arrays()
-    # Every directed edge's edge_efficiency, with its operand order, so the values are the same.
+    # Slot i of node p's row scores the step p -> senders[i], in that operand order.
     path = shortest_hop_path(g, u, v, edge_score=workers.social[receivers] * weights * workers.cognitive[senders])
     if path is None:
         return None

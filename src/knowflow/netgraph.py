@@ -81,16 +81,12 @@ class WeightSpec:
 class PathResult:
     """A concrete node sequence between two endpoints, with its summed edge score.
 
-    ``hop_length`` counts nodes (>= 2 for distinct endpoints), ``edge_count``
-    edges; ``score`` sums the path's edge scores left to right from 0.0.
+    ``edge_count`` counts its edges; ``score`` sums the path's edge scores
+    left to right from 0.0.
     """
 
     nodes: tuple[int, ...]
     score: float
-
-    @property
-    def hop_length(self) -> int:
-        return len(self.nodes)
 
     @property
     def edge_count(self) -> int:
@@ -368,19 +364,17 @@ class _BlockSweep:
 
     The buffers hold one row per source: flat id ``row * n + node``.
     Distances settle in bucket rounds (Dinitz; Meyer & Sanders 2003). A
-    round settles every tentative distance strictly below ``fl(low + step)``,
-    ``low`` being the least unsettled one and ``step`` the least
-    ``1/weight``: as IEEE addition is monotone, no later relaxation can
-    undercut them, and as a minimum does not depend on order, they equal the
-    heap's. Each settled node pulls its path count from its predecessors,
-    the ``q`` with ``fl(d[q] + 1/w) == d[u]``, in ascending (distance, id)
-    order, which is the heap's settle order. Dependencies are passed back
-    round by round in reverse, each node adding its successors' shares in
-    descending (distance, id) order. Both orders are the heap's only while
-    no settled distance absorbs ``step`` (``fl(d + step) == d``). A round's
-    distances lie in ``[low, fl(low + step))``, which holds no such distance
-    unless ``low`` is one, and then the round cannot settle anything:
-    ``settle`` returns False.
+    round settles every tentative distance below ``fl(low + step)``, ``low``
+    being the block's least unsettled one and ``step`` the least ``1/weight``:
+    as IEEE addition is monotone, no later relaxation can undercut them, and
+    they equal the heap's. The round's frontier, sorted by (distance, flat
+    id), is the heap's settle order within a row. Each node pulls its path
+    count from its predecessors (the ``q`` with ``fl(d[q] + 1/w) == d[u]``,
+    all settled in earlier rounds) in that order, and dependencies are pushed
+    back round by round in reverse. Both orders are the heap's only while no
+    settled distance absorbs ``step`` (``fl(d + step) == d``); a round holds
+    none unless ``low`` is one, and then it settles nothing: ``settle``
+    returns False.
     """
 
     def __init__(self, g: WeightedGraph, rows: int):
@@ -389,44 +383,55 @@ class _BlockSweep:
         # The graph's rows, each listing its neighbors in ascending id. A zero
         # weight's inverse is inf, so its edge never shortens a distance.
         self.nbrs, self.inverse = senders, 1.0 / weights
-        self.starts, self.degree = g._indptr[:-1], np.diff(g._indptr)
+        self.stops, self.degree = g._indptr[1:], np.diff(g._indptr)
         self.step = self.inverse.min(initial=math.inf)
         self.rows = rows
         self.dist = np.empty(rows * n)  # settled distances; inf until settled
-        self.open = np.empty(rows * n)  # unsettled distances; then scratch, then dependencies
+        self.open = np.empty(rows * n)  # unsettled distances, NaN once settled; then scratch, then dependencies
         self.sigma = np.empty(rows * n)  # shortest-path counts
         self.sources = np.empty(0, dtype=np.intp)  # flat ids of the sources just settled
-        # Per round, its shortest-path edges as (predecessor, node) flat ids,
-        # each node's predecessors in ascending (distance, id) order.
-        self.rounds: list[tuple[np.ndarray, np.ndarray]] = []
+        # Per round, its shortest-path edges as (predecessor, node) flat ids, in
+        # reverse frontier order, and whether each node has just that one.
+        self.rounds: list[tuple[np.ndarray, np.ndarray, bool]] = []
+        self.copied = True  # whether sigma[pred] / sigma[node] == 1.0 for a lone predecessor
 
+    @np.errstate(invalid="ignore")  # NaN marks the settled entries
     def settle(self, sources: np.ndarray) -> bool:
         """Distances, path counts and shortest-path edges from ``sources``; False if a round stalls."""
-        size = sources.size * self.n
+        n, size = self.n, sources.size * self.n
         dist, tentative, sigma = self.dist[:size], self.open[:size], self.sigma[:size]
         dist.fill(math.inf)
         tentative.fill(math.inf)
         sigma.fill(0.0)
-        frontier = self.sources = np.arange(sources.size) * self.n + sources
-        tentative[frontier] = 0.0
-        sigma[frontier] = 1.0
-        grid = tentative.reshape(sources.size, self.n)
+        self.sources = np.arange(sources.size) * n + sources
+        tentative[self.sources] = 0.0
+        sigma[self.sources] = 1.0
         self.rounds = []
         while True:
-            low = grid.min(axis=1)
-            frontier = np.flatnonzero(grid < (low + self.step)[:, None])
+            low = np.fmin.reduce(tentative)  # NaN once every entry has settled
+            frontier = (tentative < low + self.step).nonzero()[0]
             if frontier.size == 0:  # done, unless a row stalls: fl(low + step) == low
-                return bool((low == math.inf).all())
-            here = dist[frontier] = tentative[frontier]
-            tentative[frontier] = math.inf
-            owner, there, inverse = self._around(frontier)
-            here, near = here[owner], dist[there]
-            pred = _in_order(np.flatnonzero(near + inverse == here), owner, near)  # ties keep ascending id
-            if pred.size:  # the sources, settled first, have none and keep their count of 1
-                sigma[frontier] = np.bincount(owner[pred], sigma[there[pred]], minlength=frontier.size)
-                self.rounds.append((there[pred], frontier[owner[pred]]))
-            fresh = near == math.inf  # a settled neighbor cannot improve
-            np.minimum.at(tentative, there[fresh], here[fresh] + inverse[fresh])
+                self.copied = bool(np.isfinite(sigma).all())
+                return not low < math.inf
+            order, here = _ascending(tentative[frontier])
+            tentative[frontier] = math.nan  # settled: np.minimum keeps it, and no bound exceeds it
+            frontier = frontier[order]
+            dist[frontier] = here
+            there, inverse, here, ends = self._around(frontier, here)
+            near = dist[there]
+            pred = (near + inverse == here).nonzero()[0]
+            if pred.size == frontier.size:  # one predecessor each, whose count passes on
+                preds = there[pred]
+                sigma[frontier] = sigma[preds]
+                self.rounds.append((preds[::-1], frontier[::-1], True))
+            elif pred.size:  # the sources, settled first, have none and keep their count of 1
+                owner = ends.searchsorted(pred, side="right")
+                if (owner[2:] == owner[:-2]).any():  # three or more: add them in the heap's settle order
+                    pred = pred[np.lexsort((near[pred], owner))]
+                preds = there[pred]
+                sigma[frontier] = np.bincount(owner, sigma[preds], minlength=frontier.size)
+                self.rounds.append((preds[::-1], frontier[owner][::-1], False))
+            np.minimum.at(tentative, there, here + inverse)
 
     def closeness(self) -> np.ndarray:
         """Closeness of the sources just settled; call it before ``dependencies``, which reuses its scratch."""
@@ -436,43 +441,43 @@ class _BlockSweep:
     def dependencies(self) -> np.ndarray:
         """Dependencies of every node (one row per source just settled); 0 at the source itself.
 
-        The shortest-path edges are taken round by round in reverse, so a
-        node's dependency is complete before it passes a share to its
-        predecessors, and each node adds its shares in descending
-        (distance, id) order of the successors, one at a time.
+        ``np.add.at`` adds each round's shares one at a time, in reverse settle order.
         """
         size = self.sources.size * self.n
-        dist, sigma, delta = self.dist[:size], self.sigma[:size], self.open[:size]
+        sigma, delta = self.sigma[:size], self.open[:size]
         delta.fill(0.0)
-        for preds, nodes in reversed(self.rounds):
-            preds, nodes = preds[::-1], nodes[::-1]  # descending id
-            first = np.argsort(-dist[nodes], kind="stable")
-            preds, nodes = preds[first], nodes[first]
-            np.add.at(delta, preds, sigma[preds] / sigma[nodes] * (1.0 + delta[nodes]))
+        for preds, nodes, lone in reversed(self.rounds):
+            share = 1.0 + delta[nodes]
+            np.add.at(delta, preds, share if lone and self.copied else sigma[preds] / sigma[nodes] * share)
         delta[self.sources] = 0.0
         return delta.reshape(-1, self.n)
 
-    def _around(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per edge incident to the flat ids: its owner's position in ``flat``, the neighbor's flat id and ``1/weight``."""
+    def _around(self, flat: np.ndarray, here: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per edge incident to the flat ids, in their order: the neighbor's flat id, ``1/weight``
+        and its owner's ``here``; then each flat id's cumulative edge count."""
         nodes = flat % self.n
         count = self.degree[nodes]
-        owner = np.repeat(np.arange(flat.size), count)
-        slots = np.repeat(self.starts[nodes] - (np.cumsum(count) - count), count) + np.arange(owner.size)
-        return owner, np.repeat(flat - nodes, count) + self.nbrs[slots], self.inverse[slots]
+        ends = count.cumsum()
+        slots = (self.stops[nodes] - ends).repeat(count) + np.arange(ends[-1])
+        return (flat - nodes).repeat(count) + self.nbrs[slots], self.inverse[slots], here.repeat(count), ends
 
 
-def _in_order(picked: np.ndarray, owner: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """``picked`` (ascending) stably reordered by ``key`` within each owner.
+def _ascending(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable argsort of ``values``, and ``values`` in that order.
 
-    Only owners with three or more entries are reordered: two numbers added
-    to zero give the same sum in either order.
+    Equal distances mostly come in pairs from different rows, so numpy's
+    faster quicksort is taken and each pair it returns out of order swapped
+    back; a run of three or more takes the stable sort.
     """
-    owners = owner[picked]
-    crowd = np.flatnonzero(np.bincount(owners)[owners] >= 3)
-    if crowd.size:
-        sub = picked[crowd]
-        picked[crowd] = sub[np.lexsort((key[sub], owners[crowd]))]
-    return picked
+    order = values.argsort()
+    ranked = values[order]
+    tie = (ranked[1:] == ranked[:-1]).nonzero()[0]
+    if tie.size:
+        if (tie[1:] == tie[:-1] + 1).any():
+            return values.argsort(kind="stable"), ranked
+        swap = tie[order[tie] > order[tie + 1]]
+        order[swap], order[swap + 1] = order[swap + 1], order[swap]
+    return order, ranked
 
 
 def _closeness(dist: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -156,6 +156,7 @@ def apply_expert(
             idx = np.flatnonzero(workers.masks[v] == 1.0)
         if idx.size:
             competences[v, idx] = rng.uniform(lo, hi, size=idx.size)
+    competences.flags.writeable = False  # a fresh copy: the new population keeps it
     return Population(competences, workers.masks, workers.cognitive, workers.social, workers.forgetting)
 
 

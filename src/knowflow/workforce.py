@@ -23,7 +23,7 @@ class WorkforceError(ValueError):
 
 @dataclass
 class KnowledgeWorker:
-    """One worker. ``competences`` and ``mask`` are row views into the population."""
+    """One worker. ``competences`` and ``mask`` are row views into the population, read-only where its arrays are."""
 
     id: int
     competences: np.ndarray
@@ -37,7 +37,10 @@ class Population(Sequence[KnowledgeWorker]):
     """Column-oriented store for a workforce of equal-length competence vectors.
 
     Invariants: competences finite and >= 0, mask entries in {0, 1}, abilities
-    in [0, 1], forgetting rate in [0, 1).
+    in [0, 1], forgetting rate in [0, 1). The constructor keeps read-only
+    copies of its inputs (an input already read-only and owning its memory
+    is kept as is), so a population it validated cannot change. ``_trusted``
+    keeps what it is given: the diffusion step's competences stay writable.
     """
 
     def __init__(
@@ -48,11 +51,9 @@ class Population(Sequence[KnowledgeWorker]):
         social: np.ndarray,
         forgetting: np.ndarray,
     ):
-        self.competences = np.asarray(competences, dtype=float)
-        self.masks = np.asarray(masks, dtype=float)
-        self.cognitive = np.asarray(cognitive, dtype=float)
-        self.social = np.asarray(social, dtype=float)
-        self.forgetting = np.asarray(forgetting, dtype=float)
+        self.competences, self.masks, self.cognitive, self.social, self.forgetting = (
+            _frozen(a) for a in (competences, masks, cognitive, social, forgetting)
+        )
         self._validate()
 
     @classmethod
@@ -120,6 +121,15 @@ class Population(Sequence[KnowledgeWorker]):
             yield self.worker(i)
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array that no one else can write into."""
+    array = np.asarray(values, dtype=float)
+    if array.flags.writeable or array.base is not None:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 def init_workers(
     n_workers: int,
     n_competences: int,
@@ -160,5 +170,7 @@ def init_workers(
     masks = (rng.random(size=(n_workers, n_competences)) < mask_density).astype(float)
     cognitive = rng.uniform(cognitive_range[0], cognitive_range[1], size=n_workers)
     social = rng.uniform(social_range[0], social_range[1], size=n_workers)
-    forgetting_vec = np.full(n_workers, float(forgetting))
-    return Population(competences, masks, cognitive, social, forgetting_vec)
+    columns = (competences, masks, cognitive, social, np.full(n_workers, float(forgetting)))
+    for column in columns:  # fresh arrays: the population keeps them rather than copies
+        column.flags.writeable = False
+    return Population(*columns)

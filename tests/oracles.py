@@ -211,6 +211,11 @@ def callable_hop_path(g, source: int, target: int, score=None):
     return best[target][1] if target in best else None
 
 
+def edge_efficiency(g, workers, u: int, v: int) -> float:
+    """Directional one-hop transfer quality: social(u) * weight(u, v) * cognitive(v)."""
+    return float(workers.social[u] * g.weight(u, v) * workers.cognitive[v])
+
+
 def path_score(path, score) -> float:
     """The path's step scores summed left to right from 0.0."""
     total = 0.0
@@ -223,7 +228,7 @@ def resummed_transfer_efficiency(g, workers, u: int, v: int, single_division: bo
     """Transfer efficiency with a scalar edge efficiency per step, its path summed a second time."""
 
     def score(a, b):
-        return float(workers.social[a] * g.weight(a, b) * workers.cognitive[b])
+        return edge_efficiency(g, workers, a, b)
 
     path = callable_hop_path(g, u, v, score)
     if path is None:

@@ -19,7 +19,6 @@ from knowflow import (
     add_edge,
     assign_weights,
     detect_communities,
-    edge_efficiency,
     energy_ranking,
     generate_watts_strogatz,
     init_workers,
@@ -154,9 +153,8 @@ def test_energy_ranking_breaks_ties_by_id():
 def test_edge_efficiency_hand_value():
     pop = population_with(np.ones((2, 1)))
     g = add_edge(WeightedGraph(2), 0, 1, 0.8)
-    assert edge_efficiency(g, pop, 0, 1) == pytest.approx(0.2)  # 0.5 * 0.8 * 0.5
-    with pytest.raises(CommunityError):
-        edge_efficiency(g, pop, 1, 1)
+    assert oracles.edge_efficiency(g, pop, 0, 1) == pytest.approx(0.2)  # 0.5 * 0.8 * 0.5
+    assert transfer_efficiency(g, pop, 0, 1) == oracles.edge_efficiency(g, pop, 0, 1)
 
 
 def test_transfer_efficiency_division_modes():
@@ -171,9 +169,9 @@ def test_transfer_efficiency_division_modes():
     assert transfer_efficiency(g, pop, 0, 2) == pytest.approx(0.3 / 4)
     assert transfer_efficiency(g, pop, 0, 2, single_division=True) == pytest.approx(0.3 / 2)
     # one hop reduces to the plain edge efficiency in either mode
-    assert transfer_efficiency(g, pop, 0, 1) == pytest.approx(edge_efficiency(g, pop, 0, 1))
+    assert transfer_efficiency(g, pop, 0, 1) == pytest.approx(oracles.edge_efficiency(g, pop, 0, 1))
     assert transfer_efficiency(g, pop, 0, 1, single_division=True) == pytest.approx(
-        edge_efficiency(g, pop, 0, 1)
+        oracles.edge_efficiency(g, pop, 0, 1)
     )
 
 
@@ -232,7 +230,6 @@ def test_community_functions_need_one_worker_per_node():
         message = f"population has {size} workers but the graph has 4 nodes"
         calls = [
             lambda: transfer_efficiency(g, pop, 0, 3),
-            lambda: edge_efficiency(g, pop, 2, 3),
             lambda: accelerate(community, g, pop),
             lambda: accelerate_loop(community, g, pop, budget=0),
         ]

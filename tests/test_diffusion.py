@@ -381,8 +381,10 @@ def test_run_applies_interventions_between_records():
     state = pair_state(2.0, 2.0, forgetting=0.0)
 
     def boost(st_: SimulationState) -> SimulationState:
-        st_.population.competences[0, 0] = 7.0
-        return st_
+        pop = st_.population
+        competences = pop.competences.copy()
+        competences[0, 0] = 7.0
+        return replace(st_, population=Population(competences, pop.masks, pop.cognitive, pop.social, pop.forgetting))
 
     _, [series] = run(state, 2, [probe_node(0)], interventions={0: boost})
     curve = series.column("average_competence", "node:0")

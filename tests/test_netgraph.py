@@ -420,6 +420,16 @@ def test_one_sweep_matches_the_two_sweep_reference_bit_for_bit(g, budget):
     assert np.array_equal(betweenness, oracles.two_sweep_betweenness_all(g))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5]) | st.floats(0.0, 100.0), max_size=300), st.randoms())
+def test_a_rounds_frontier_is_ordered_as_a_stable_sort_would(values, rnd):
+    # Equal distances must keep their flat-id order: pairs and runs alike.
+    values = np.array(values + values[: rnd.randint(0, len(values))])
+    rnd.shuffle(values)
+    order, ranked = netgraph._ascending(values)
+    assert np.array_equal(order, values.argsort(kind="stable")) and np.array_equal(ranked, values[order])
+
+
 def test_one_sweep_matches_the_reference_where_distances_tie_in_every_round():
     # The inverses of these weights round, and with 40 nodes many paths of
     # different hops tie in length: rounds then pass back large groups of
@@ -439,6 +449,26 @@ def test_only_a_graph_whose_distances_absorb_an_edge_takes_the_heap_loop(monkeyp
         weighted_closeness_all(g)
     # 1 + 1e-300 == 1; 1e-300 + 1e-300 is exact, so the third graph stays in the blocks.
     assert heap_sweeps == [ABSORBING]
+
+
+@pytest.mark.parametrize("budget", [1, 6, netgraph._BLOCK_ELEMENTS])
+def test_graphs_whose_distances_absorb_an_edge_match_the_reference_bit_for_bit(budget, monkeypatch):
+    # A block that stalls hands the whole graph to the heap loop, at any block
+    # size; 1e-300 + 1e-300 is exact, so the third graph never stalls. The
+    # last two graphs absorb at several distances and tie many paths.
+    rnd = random.Random(5)
+    pairs = [(u, v) for u, v in itertools.combinations(range(30), 2) if rnd.random() < 0.2]
+    monkeypatch.setattr(netgraph, "_BLOCK_ELEMENTS", budget)
+    for g in (
+        ABSORBING,
+        WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1e300), (2, 3, 1e300), (1, 3, 1e300), (3, 4, 0.5), (2, 5, 1.0), (4, 5, 1e300)]),
+        WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1e300)]),
+        WeightedGraph(30, [(u, v, rnd.choice([0.5, 1.0, 1e300])) for u, v in pairs]),
+        WeightedGraph(30, [(u, v, rnd.choice([1.0, 1e16, 1e300, 0.0])) for u, v in pairs]),
+    ):
+        closeness, betweenness = netgraph._centralities(g)
+        assert np.array_equal(closeness, oracles.two_sweep_closeness_all(g))
+        assert np.array_equal(betweenness, oracles.two_sweep_betweenness_all(g))
 
 
 def _counts_past_2_53() -> tuple[WeightedGraph, int, list[int]]:
@@ -488,6 +518,31 @@ def test_path_counts_past_2_53_are_summed_in_the_heap_order():
     assert sigma[u] > 2**53 and sigma[preds[0]] + sigma[preds[1]] + sigma[preds[2]] != sigma[u]
     assert [dist[p] for p in preds] == [dist[u] - 1.0, dist[u] - 2.0, dist[u] - 4.0]
     assert np.array_equal(weighted_betweenness_all(g), oracles.two_sweep_betweenness_all(g))
+
+
+def test_a_lone_predecessor_passes_an_overflowed_count_back_as_the_heap_does():
+    # Seen from node 0, 647 complete layers of width 3 lead to the node past
+    # them by 3**647 paths, beyond the largest float, so its count is inf.
+    # Each node after it has one predecessor, whose share inf / inf is NaN in
+    # the heap: the sweep may skip that division only while every count is finite.
+    width, layers = 3, 647
+    edges = [(0, k, 1.0) for k in range(1, width + 1)]
+    for first in range(1, 1 + (layers - 1) * width, width):
+        edges += [(first + a, first + width + b, 1.0) for a in range(width) for b in range(width)]
+    tail = 1 + layers * width
+    edges += [(tail - width + a, tail, 1.0) for a in range(width)] + [(tail, tail + 1, 1.0), (tail + 1, tail + 2, 1.0)]
+    g = WeightedGraph(tail + 3, edges)
+    _, sigma, preds, order = oracles._dijkstra(oracles._inverse_adjacency(g), 0)
+    expected = [0.0] * g.node_count
+    for v in reversed(order):
+        for p in preds[v]:
+            expected[p] += sigma[p] / sigma[v] * (1.0 + expected[v])
+    expected[0] = 0.0
+    assert sigma[tail - width] < math.inf and sigma[tail] == math.inf and math.isnan(expected[tail])
+    sweep = netgraph._BlockSweep(g, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sweep.settle(np.array([0]))
+        assert np.array_equal(sweep.dependencies()[0], expected, equal_nan=True)
 
 
 def _absorbing_tie_past_2_53() -> tuple[WeightedGraph, int, list[int]]:
@@ -551,6 +606,20 @@ def test_one_sweep_per_graph_serves_both_centralities(monkeypatch):
     assert not np.array_equal(weighted_closeness_all(sweeps[2]), closeness)
 
 
+def test_the_sweep_works_in_a_bounded_memory():
+    # The block budget bounds the sweep's working memory: on this graph it
+    # peaks near 1.1 MB (tracemalloc, numpy 2.4).
+    g = _graph_for(load_fixture("fig2").network, 1)
+    netgraph._centralities(g)  # first-use allocations out of the way
+    tracemalloc.start()
+    try:
+        netgraph._centralities(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
 def test_returned_centralities_are_copies():
     g = path3(1.0, 0.5)
     closeness, betweenness = weighted_closeness_all(g), weighted_betweenness_all(g)
@@ -611,7 +680,7 @@ def test_hop_path_custom_score_and_result_shape():
     senders, receivers, _ = g.directed_edge_arrays()
     res = shortest_hop_path(g, 0, 2, edge_score=(receivers + senders).astype(float))  # a + b for the step a -> b
     assert res.nodes == (0, 3, 2)
-    assert res.hop_length == 3
+    assert len(res.nodes) == 3
     assert res.edge_count == 2
 
 

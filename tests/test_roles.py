@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowflow import (
+    Population,
     ROLES,
     GraphError,
     RoleError,
@@ -142,8 +143,10 @@ def test_select_top_validation():
 
 
 def test_apply_expert_redraws_masked_slots_only():
-    pop = small_population()
-    pop.masks[2] = np.array([1.0, 0.0, 1.0, 0.0])
+    drawn = small_population()
+    masks = drawn.masks.copy()
+    masks[2] = [1.0, 0.0, 1.0, 0.0]
+    pop = Population(drawn.competences, masks, drawn.cognitive, drawn.social, drawn.forgetting)
     before = pop.competences.copy()
     out = apply_expert(pop, [2], (10.0, 50.0), np.random.default_rng(1))
     assert np.array_equal(pop.competences, before)  # the input is untouched

@@ -3,9 +3,12 @@ files, and the command line interface."""
 
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -839,6 +842,27 @@ def test_cli_run_rejects_a_facilitator_weight_overflow_naming_the_edge(tmp_path,
         warnings.simplefilter("error")  # the overflow itself warns nothing
         assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
     assert re.search(r"error: edge \(\d+, \d+, inf\) rejected: edge weight must be finite", capsys.readouterr().err)
+
+
+def test_cli_run_maps_running_out_of_memory_to_exit_3(tmp_path):
+    # The run's series alone would take petabytes. The child's address space
+    # is capped, so a run that allocates step by step cannot fill the host.
+    cfg_path = write_tiny(tmp_path, run={"steps": 10**15, "seeds": [1]})
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from knowflow.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(scenario.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", child, "run", str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 3
+    # numpy names the allocation it could not make.
+    assert done.stderr.startswith("error: Unable to allocate") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_rank_orders_nodes(tmp_path, capsys):

@@ -94,14 +94,39 @@ def test_population_invariants_enforced():
             Population(*args)
 
 
-def test_worker_rows_are_views():
+def test_worker_rows_are_read_only_views():
     pop = make_population()
     w = pop.worker(2)
     assert w.id == 2
-    w.competences[0] = 99.0
-    assert pop.competences[2, 0] == 99.0  # shared storage, not a copy
+    assert np.shares_memory(w.competences, pop.competences) and np.shares_memory(w.mask, pop.masks)
+    for row in (w.competences, w.mask):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 99.0
     with pytest.raises(WorkforceError):
         pop.worker(len(pop))
+
+
+def test_a_population_keeps_its_own_read_only_arrays():
+    drawn = make_population()
+    inputs = [a.copy() for a in (drawn.competences, drawn.masks, drawn.cognitive, drawn.social, drawn.forgetting)]
+    pop = Population(*inputs)
+    for given in inputs:  # the caller's arrays stay writable, and writing into them changes nothing
+        given[...] = np.nan if given.ndim == 2 else 7.0
+    for kept, original in zip(
+        (pop.competences, pop.masks, pop.cognitive, pop.social, pop.forgetting),
+        (drawn.competences, drawn.masks, drawn.cognitive, drawn.social, drawn.forgetting),
+    ):
+        assert np.array_equal(kept, original) and not kept.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 0.0
+    # A read-only view of a writable array is copied too; another population's arrays are shared.
+    base = drawn.competences.copy()
+    view = base[:]
+    view.flags.writeable = False
+    pop = Population(view, drawn.masks, drawn.cognitive, drawn.social, drawn.forgetting)
+    base[...] = np.nan
+    assert np.array_equal(pop.competences, drawn.competences)
+    assert all(kept is given for kept, given in ((pop.masks, drawn.masks), (pop.social, drawn.social)))
 
 
 def test_worker_takes_only_integer_ids():
