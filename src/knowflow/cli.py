@@ -14,6 +14,7 @@ from .diffusion import DiffusionError
 from .netgraph import GraphError, read_edge_list
 from .roles import RoleError, Strategy, rank_nodes, select_top
 from .scenario import (
+    _ID,
     ConfigError,
     ScenarioConfig,
     emit_report,
@@ -82,13 +83,14 @@ def _load_scenario(token: str) -> ScenarioConfig:
 def _seed_override(args: argparse.Namespace, config: ScenarioConfig) -> list[int] | None:
     if args.seed is None and args.seeds is None:
         return None
-    start = args.seed if args.seed is not None else config.run.seeds[0]
+    start = config.run.seeds[0] if args.seed is None else _ID(args.seed, "--seed")
     count = args.seeds if args.seeds is not None else 1
     if count < 1:
         raise ConfigError(f"--seeds: must be >= 1, got {count}")
-    if start < 0:
-        raise ConfigError(f"--seed: must be >= 0, got {start}")
-    return list(range(start, start + count))
+    try:
+        return list(range(start, start + count))
+    except OverflowError:  # more seeds than a list can index
+        raise ConfigError(f"--seeds: too many seeds, got {count}") from None
 
 
 def _parse_top(raw: str) -> int | float:

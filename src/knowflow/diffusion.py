@@ -20,7 +20,6 @@ from .netgraph import WeightedGraph
 from .workforce import Population
 
 __all__ = [
-    "DiffusionConfig",
     "DiffusionError",
     "Probe",
     "SimulationState",
@@ -39,21 +38,6 @@ class DiffusionError(ValueError):
 
 
 @dataclass(frozen=True)
-class DiffusionConfig:
-    """Engine flags.
-
-    ``cognitive_gain`` multiplies assimilated amounts by the receiver's
-    cognitive ability (the documented behavior); switching it off drops that
-    factor for sensitivity runs.
-    """
-
-    cognitive_gain: bool = True
-
-
-DEFAULT_CONFIG = DiffusionConfig()
-
-
-@dataclass(frozen=True)
 class SimulationState:
     """Snapshot between steps of a batch of runs: graph, population, collector ledger.
 
@@ -62,8 +46,9 @@ class SimulationState:
     the collector ids and the ledger alike. No edge joins two runs, so each
     evolves as it would alone; a single run is a batch of one. The dataclass
     is frozen and the graph is an immutable value: an intervention on the
-    network puts a new graph into a new state. Every step returns a state
-    whose competence matrix is a fresh array.
+    network puts a new graph into a new state. The arrays a batch joins and
+    every collector ledger are read-only; every step returns a state whose
+    competence matrix is a fresh array.
     """
 
     graph: WeightedGraph
@@ -72,10 +57,6 @@ class SimulationState:
     collectors: frozenset[int] = frozenset()
     collector_ledger: np.ndarray = field(default_factory=lambda: np.zeros(0))
     runs: int = 1
-
-    @classmethod
-    def initial(cls, graph: WeightedGraph, population: Population) -> "SimulationState":
-        return cls.batch([(graph, population)])
 
     @classmethod
     def batch(cls, runs: Sequence[tuple[WeightedGraph, Population]]) -> "SimulationState":
@@ -95,8 +76,14 @@ class SimulationState:
             senders, receivers = (np.concatenate([e[i] + r * n for r, e in enumerate(edges)]) for i in (0, 1))
             graph = WeightedGraph._from_arrays(n * len(runs), senders, receivers, np.concatenate([e[2] for e in edges]))
             columns = ("competences", "masks", "cognitive", "social", "forgetting")
-            population = Population._trusted(*(np.concatenate([getattr(p, a) for _, p in runs]) for a in columns))
-        return cls(graph, population, 0, frozenset(), np.zeros(len(population)), len(runs))
+            joined = [np.concatenate([getattr(p, a) for _, p in runs]) for a in columns]
+            population = Population._trusted(*map(_read_only, joined))
+        return cls(graph, population, 0, frozenset(), _read_only(np.zeros(len(population))), len(runs))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 # -- engine -----------------------------------------------------------------------
@@ -117,7 +104,7 @@ class _RunPlan:
     handed out in a state.
     """
 
-    def __init__(self, state: SimulationState, config: DiffusionConfig):
+    def __init__(self, state: SimulationState, cognitive_gain: bool):
         pop = state.population
         pop._validate()
         n, m = pop.competences.shape
@@ -133,7 +120,7 @@ class _RunPlan:
         # A live sender's mask is 1, so social * c is its social * mask * c.
         self.sender_social = pop.social[live_senders]
         self.live_weights = weights[edge]
-        self.absorb_mask = pop.cognitive[:, None] * pop.masks if config.cognitive_gain else pop.masks
+        self.absorb_mask = pop.cognitive[:, None] * pop.masks if cognitive_gain else pop.masks
         # Full rows: a (n, 1) factor makes the ufunc loop once per row of m.
         self.keep = np.repeat((1.0 - pop.forgetting)[:, None], m, axis=1)
         self.collectors = np.fromiter(state.collectors, dtype=np.intp)
@@ -150,23 +137,20 @@ class _RunPlan:
         self.decayed = np.empty((n, m))
 
 
-def step(
-    state: SimulationState,
-    config: DiffusionConfig = DEFAULT_CONFIG,
-    *,
-    _plan: _RunPlan | None = None,
-) -> SimulationState:
+def step(state: SimulationState, cognitive_gain: bool = True, *, _plan: _RunPlan | None = None) -> SimulationState:
     """One synchronous update of the whole population.
 
-    All gating decisions use the step-start competence matrix, so the result
-    does not depend on any processing order. Only the plan's live pairs are
-    gathered, gated and scattered: a pair outside the sender's mask would add
-    exactly ``+0.0`` to its bin, and a bin outside the receiver's mask is
-    multiplied by 0, so the result is bit-identical to streaming all E x m
-    pairs. ``run`` passes its plan; a bare call builds one for this step
-    alone.
+    ``cognitive_gain`` multiplies assimilated amounts by the receiver's
+    cognitive ability (the documented behavior); switching it off drops that
+    factor for sensitivity runs. All gating decisions use the step-start
+    competence matrix, so the result does not depend on any processing order.
+    Only the plan's live pairs are gathered, gated and scattered: a pair
+    outside the sender's mask would add exactly ``+0.0`` to its bin, and a bin
+    outside the receiver's mask is multiplied by 0, so the result is
+    bit-identical to streaming all E x m pairs. ``run`` passes its plan; a
+    bare call builds one for this step alone.
     """
-    plan = _RunPlan(state, config) if _plan is None else _plan
+    plan = _RunPlan(state, cognitive_gain) if _plan is None else _plan
     pop = state.population
     snapshot = pop.competences
 
@@ -177,6 +161,7 @@ def step(
         inflow = np.bincount(plan.into_receivers, weights=intake, minlength=len(pop))
         ledger = ledger.copy()
         ledger[plan.collectors] += inflow[plan.collectors]
+        ledger.flags.writeable = False
     # mode="clip" lets take write straight into ``out`` ("raise" copies through
     # a temporary); the indices come from a validated graph.
     sender_c = snapshot.ravel().take(plan.sender_flat, out=plan.sender_c, mode="clip")
@@ -283,14 +268,13 @@ def collector_probes(collectors: Iterable[int]) -> list[Probe]:
 class TimeSeries:
     """One run's probe values at its recorded steps, in a fixed column order, exportable as CSV.
 
-    ``values`` is a (steps, columns) float array.
+    ``steps`` and ``columns`` are tuples and ``values`` is a (steps, columns)
+    float array.
     """
 
     def __init__(self, columns: Sequence[tuple[str, str]], steps: Sequence[int], values: np.ndarray):
-        if len(set(columns)) != len(columns):
-            raise DiffusionError("duplicate (metric, scope) probe columns")
-        self.columns: list[tuple[str, str]] = list(columns)
-        self.steps = steps
+        self.columns = _columns(columns)
+        self.steps = tuple(steps)
         self.values = values
 
     def column(self, metric: str, scope: str = "all") -> np.ndarray:
@@ -308,27 +292,36 @@ class TimeSeries:
         return ["step,metric,scope,value"] + [f"{t},{label},{v!r}" for (t, label), v in cells]
 
 
+def _columns(columns: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    columns = tuple(columns)
+    if len(set(columns)) != len(columns):
+        raise DiffusionError("duplicate (metric, scope) probe columns")
+    return columns
+
+
 def run(
     state: SimulationState,
     steps: int,
     probes: Sequence[Probe],
-    config: DiffusionConfig = DEFAULT_CONFIG,
+    cognitive_gain: bool = True,
     interventions: Mapping[int, Callable[[SimulationState], SimulationState]] | None = None,
 ) -> tuple[SimulationState, list[TimeSeries]]:
     """Advance ``steps`` times, recording probes at the initial state and after
     every step (a zero-step run yields a length-1 series); one series per run.
 
-    ``interventions`` maps a step index to a state transform applied after the
-    probe record at that index, i.e. between steps. The run validates its
-    state and builds the plan its steps share once, and again right after
-    each intervention.
+    ``cognitive_gain`` is passed to every ``step``. ``interventions`` maps a
+    step index to a state transform applied after the probe record at that
+    index, i.e. between steps. The run validates its state and builds the
+    plan its steps share once, and again right after each intervention. The
+    series are built once recording has finished, over one read-only
+    (runs, steps + 1, probes) array.
     """
     if steps < 0:
         raise DiffusionError(f"step count must be >= 0, got {steps}")
+    columns = _columns((p.metric, p.scope) for p in probes)
     actions = dict(interventions) if interventions else {}
     values = np.empty((state.runs, steps + 1, len(probes)))
     recorded: list[int] = []
-    series = [TimeSeries([(p.metric, p.scope) for p in probes], recorded, v) for v in values]
 
     def record(st: SimulationState) -> None:
         for j, p in enumerate(probes):
@@ -344,9 +337,8 @@ def run(
             state = actions[state.step](state)
             plan = None
         if plan is None:
-            plan = _RunPlan(state, config)
-        state = step(state, config, _plan=plan)
+            plan = _RunPlan(state, cognitive_gain)
+        state = step(state, cognitive_gain, _plan=plan)
         record(state)
-    for s in series:
-        s.values.flags.writeable = False
-    return state, series
+    values.flags.writeable = False
+    return state, [TimeSeries(columns, recorded, v) for v in values]

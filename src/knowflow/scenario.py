@@ -30,21 +30,12 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .community import Community, TieProposal, accelerate_loop, detect_communities, transfer_efficiency
-from .diffusion import (
-    DiffusionConfig,
-    Probe,
-    SimulationState,
-    TimeSeries,
-    collector_probes,
-    probe_average,
-    probe_mask,
-    probe_node,
-    run,
-)
+from .diffusion import Probe, SimulationState, TimeSeries, collector_probes, probe_average, probe_mask, probe_node, run
 from .netgraph import (
     GraphError,
     WeightedGraph,
     WeightSpec,
+    _is_int,
     add_edge,
     assign_weights,
     average_edge_weight,
@@ -91,10 +82,13 @@ _BATCH_CELLS = 1 << 13
 
 
 def stream_rng(seed: int, concern: str) -> np.random.Generator:
-    """Generator for one named concern, derived from the master seed."""
+    """Generator for one named concern, derived from the master seed.
+
+    A seed is an int or a numpy integer, at least 0, and never a bool.
+    """
     if concern not in _STREAMS:
         raise ConfigError(f"unknown random stream {concern!r}")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_STREAMS[concern],)))
+    return np.random.default_rng(np.random.SeedSequence(_ID(seed, "seed"), spawn_key=(_STREAMS[concern],)))
 
 
 class ConfigError(ValueError):
@@ -128,9 +122,9 @@ def _bounded(value: Any, path: str, lo=None, hi=None, gt=None, lt=None) -> Any:
 
 
 def _as_int(value: Any, path: str, lo: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return _bounded(value, path, lo=lo)
+    return _bounded(int(value), path, lo=lo)
 
 
 _ID = partial(_as_int, lo=0)
@@ -256,18 +250,11 @@ def _as_probe(value: Any, path: str) -> ProbeSpec:
     )
 
 
-def _as_spec(
-    value: Any,
-    path: str,
-    spec: type,
-    prefix: str | None = None,
-    readers: Mapping[str, Callable[[Any, str], Any]] | None = None,
-) -> Any:
+def _as_spec(value: Any, path: str, spec: type, prefix: str | None = None) -> Any:
     """The JSON object for the dataclass ``spec``: one key per field, read by the field's reader.
 
     Unknown keys are rejected, required keys are fields without a default, and
-    absent keys take the field default. ``readers`` supplies readers for a
-    dataclass declared outside this module. The section's ``_checked`` then
+    absent keys take the field default. The section's ``_checked`` then
     applies the rules that link its keys.
     """
     if not isinstance(value, Mapping):
@@ -280,8 +267,7 @@ def _as_spec(
     for name, f in declared.items():
         if name not in value and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{prefix}{name}: required key missing")
-    read = {name: f.metadata.get("read") for name, f in declared.items()} | dict(readers or {})
-    parsed = spec(**{key: read[key](v, prefix + key) for key, v in value.items()})
+    parsed = spec(**{key: declared[key].metadata["read"](v, prefix + key) for key, v in value.items()})
     checked = getattr(parsed, "_checked", None)
     return checked(value, path) if checked is not None else parsed
 
@@ -415,6 +401,12 @@ class RunSpec:
 
 
 @dataclass(frozen=True)
+class DiffusionSpec:
+    # Scale what a worker absorbs by its cognitive ability; off for sensitivity runs.
+    cognitive_gain: bool = field(default=True, metadata=_key(_as_bool))
+
+
+@dataclass(frozen=True)
 class OutputSpec:
     directory: str | None = field(default=None, metadata=_key(_as_str))
     formats: tuple[str, ...] = field(
@@ -431,10 +423,7 @@ class ScenarioConfig:
     run: RunSpec = field(metadata=_key(_as_spec, spec=RunSpec))
     role_plan: RolePlan | None = field(default=None, metadata=_key(_as_spec, spec=RolePlan))
     community_plan: CommunityPlan | None = field(default=None, metadata=_key(_as_spec, spec=CommunityPlan))
-    diffusion: DiffusionConfig = field(
-        default_factory=DiffusionConfig,
-        metadata=_key(_as_spec, spec=DiffusionConfig, readers={"cognitive_gain": _as_bool}),
-    )
+    diffusion: DiffusionSpec = field(default_factory=DiffusionSpec, metadata=_key(_as_spec, spec=DiffusionSpec))
     output: OutputSpec = field(default_factory=OutputSpec, metadata=_key(_as_spec, spec=OutputSpec))
 
     def to_dict(self) -> dict:
@@ -697,7 +686,7 @@ def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[i
         logger.info("running %s variant=%s seed=%d", config.name, run_.variant, run_.seed)
     state = SimulationState.batch([(run_.graph, run_.population) for run_ in runs])
     probes = _build_probes(config, collectors)
-    _, series = run(state, config.run.steps, probes, config=config.diffusion, interventions=interventions)
+    _, series = run(state, config.run.steps, probes, config.diffusion.cognitive_gain, interventions)
     return series
 
 
@@ -711,13 +700,11 @@ class VariantResult:
     series: dict[int, TimeSeries]
     ties: dict[int, list[dict]]
     assignments: dict[int, RoleAssignment | None]
-    steps: list[int] = field(init=False)
     aggregate: TimeSeries = field(init=False)
 
     def __post_init__(self) -> None:
         per_seed = [self.series[s] for s in self.seeds]
         first = per_seed[0]
-        self.steps = list(first.steps)
         columns = [col for col in first.columns if all(col in s.columns for s in per_seed)]
         # (columns, seeds, steps), reduced one contiguous (seeds, steps) block at a time. numpy sums
         # a one-step block pairwise but the rows of a longer one in turn; one reduction over all
@@ -755,9 +742,7 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     ``_BATCH_CELLS`` cells (runs x nodes x competences), and a batch runs as
     soon as it is full; a run larger than half the budget goes alone.
     """
-    seed_list = tuple(int(s) for s in (seeds if seeds is not None else config.run.seeds))
-    if not seed_list:
-        raise ConfigError("run.seeds: need at least one seed")
+    seed_list = config.run.seeds if seeds is None else _as_list(list(seeds), "seeds", item=_ID, unique="seed")
     names = config.role_plan.strategies if config.role_plan is not None else ("default",)
     series: dict[tuple[str, int], TimeSeries] = {}
     assignments: dict[str, dict[int, RoleAssignment | None]] = {name: {} for name in names}
@@ -807,7 +792,7 @@ def propose_ties(
     )
     if plan.community_index < 0 or plan.budget < 0:
         raise ConfigError("community/budget overrides must be non-negative")
-    run_seed = int(config.run.seeds[0] if seed is None else seed)
+    run_seed = config.run.seeds[0] if seed is None else _ID(seed, "seed")
     g = _graph_for(config.network, run_seed)
     pop = _population_for(config.population, config.network.nodes, run_seed)
     _, records = _apply_tie_plan(plan, g, pop, run_seed)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -21,9 +21,12 @@ class WorkforceError(ValueError):
     """Invalid worker parameter."""
 
 
-@dataclass
+@dataclass(eq=False)
 class KnowledgeWorker:
-    """One worker. ``competences`` and ``mask`` are row views into the population, read-only where its arrays are."""
+    """One worker. ``competences`` and ``mask`` are row views into the population, read-only where its arrays are.
+
+    Equality is identity: arrays have no single truth value to compare by.
+    """
 
     id: int
     competences: np.ndarray
@@ -33,7 +36,7 @@ class KnowledgeWorker:
     forgetting: float
 
 
-class Population(Sequence[KnowledgeWorker]):
+class Population:
     """Column-oriented store for a workforce of equal-length competence vectors.
 
     Invariants: competences finite and >= 0, mask entries in {0, 1}, abilities
@@ -113,7 +116,7 @@ class Population(Sequence[KnowledgeWorker]):
     def __len__(self) -> int:
         return self.competences.shape[0]
 
-    def __getitem__(self, i: int) -> KnowledgeWorker:  # type: ignore[override]
+    def __getitem__(self, i: int) -> KnowledgeWorker:
         return self.worker(i)
 
     def __iter__(self) -> Iterator[KnowledgeWorker]:

@@ -63,7 +63,7 @@ def test_criterion_1_decay_closed_form():
         rng.uniform(0.0, 1.0, 484),
         np.full(484, 0.006),
     )
-    state = SimulationState.initial(g, silent)
+    state = SimulationState.batch([(g, silent)])
     start = time.perf_counter()
     for _ in range(500):
         state = step(state)
@@ -90,7 +90,7 @@ def test_criterion_2_gating_never_admits_weaker_senders():
         g = generate_watts_strogatz(50, 4, 0.3, rng)
         g = assign_weights(g, WeightSpec.uniform(0.1, 1.0), rng)
         pop = init_workers(50, 8, (0.0, 10.0), 0.6, (0.2, 0.9), (0.2, 0.9), 0.006, rng)
-        state = SimulationState.initial(g, pop)
+        state = SimulationState.batch([(g, pop)])
         adjacency = np.zeros((50, 50), dtype=bool)
         for u, v, _ in g.edges():
             adjacency[u, v] = adjacency[v, u] = True

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from knowflow import (
-    DiffusionConfig,
     DiffusionError,
     Population,
     Probe,
@@ -46,7 +45,7 @@ def pair_state(c_a, c_b, *, weight=0.5, social=(0.5, 0.5), cognitive=(1.0, 1.0),
         np.full(2, float(forgetting)),
     )
     g = add_edge(WeightedGraph(2), 0, 1, weight)
-    return SimulationState.initial(g, pop)
+    return SimulationState.batch([(g, pop)])
 
 
 def random_state(seed, n=30, k=4, p=0.3, density=0.6, forgetting=0.006):
@@ -54,7 +53,7 @@ def random_state(seed, n=30, k=4, p=0.3, density=0.6, forgetting=0.006):
     lattice = generate_watts_strogatz(n, k, p, rng)
     g = WeightedGraph(n, [(u, v, float(rng.uniform(0.1, 1.0))) for u, v, _ in lattice.edges()])
     pop = init_workers(n, 8, (0.0, 10.0), density, (0.2, 0.9), (0.2, 0.9), forgetting, rng)
-    return SimulationState.initial(g, pop)
+    return SimulationState.batch([(g, pop)])
 
 
 # -- kernels -------------------------------------------------------------------
@@ -73,9 +72,8 @@ def test_transmit_attenuates_by_tie_strength():
     out = transmit(res, st_.graph, 0)
     assert set(out) == {1}
     assert out[1].payload.tolist() == [pytest.approx(0.6)]
-    lonely = SimulationState.initial(
-        WeightedGraph(1),
-        Population(np.array([[1.0]]), np.array([[1.0]]), np.ones(1), np.ones(1), np.zeros(1)),
+    lonely = SimulationState.batch(
+        [(WeightedGraph(1), Population(np.array([[1.0]]), np.array([[1.0]]), np.ones(1), np.ones(1), np.zeros(1)))]
     )
     assert transmit(create_resource(lonely.population.worker(0)), lonely.graph, 0) == {}
 
@@ -143,7 +141,7 @@ def test_pure_decay_closed_form():
     # zero masks silence every broadcast and every assimilation
     pop = state.population
     silent = Population(pop.competences.copy(), np.zeros_like(pop.masks), pop.cognitive, pop.social, pop.forgetting)
-    state = SimulationState.initial(state.graph, silent)
+    state = SimulationState.batch([(state.graph, silent)])
     c0 = silent.competences.copy()
     for _ in range(100):
         state = step(state)
@@ -279,7 +277,7 @@ def test_probes_equal_ndarray_mean_bit_for_bit(seed, n, m, all_members):
     # pairwise sums, and the report values, are those of ndarray.mean.
     rng = np.random.default_rng(seed)
     pop = init_workers(n, m, (0.0, 10.0), 0.6, (0.2, 0.9), (0.2, 0.9), 0.006, rng)
-    state = SimulationState.initial(WeightedGraph(n), pop)
+    state = SimulationState.batch([(WeightedGraph(n), pop)])
     c = pop.competences
     comps = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
     members = None if all_members else sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
@@ -366,7 +364,7 @@ def test_run_records_initial_state_and_counts_steps():
     state = random_state(19)
     final, [series] = run(state, 10, [probe_average()])
     assert len(series) == 11
-    assert series.steps == list(range(11))
+    assert series.steps == tuple(range(11))
     assert series.column("average_competence")[0] == pytest.approx(
         state.population.competences.mean()
     )
@@ -375,6 +373,9 @@ def test_run_records_initial_state_and_counts_steps():
     assert len(empty) == 1
     with pytest.raises(DiffusionError):
         run(state, -1, [probe_average()])
+    unread = Probe("average_competence", "all", lambda st_: pytest.fail("measured before the columns were checked"))
+    with pytest.raises(DiffusionError, match="duplicate"):
+        run(state, 3, [unread, unread])
 
 
 def test_run_applies_interventions_between_records():
@@ -453,7 +454,6 @@ def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(seed, runs, n, m, at, ga
         probe_mask("x", sorted({0, m - 1}), members=sorted({0, n // 2})),
         *collector_probes(range(0, n, 2)),
     ]
-    config = DiffusionConfig(cognitive_gain=gain)
     acts = [_role_act(role, nodes, r * n, seed + r) for r, (role, nodes) in enumerate(roles) if role is not None]
 
     def act_all(st_: SimulationState) -> SimulationState:
@@ -463,11 +463,11 @@ def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(seed, runs, n, m, at, ga
 
     batch = SimulationState.batch(members)
     assert batch.runs == runs and len(batch.population) == runs * n
-    final, series = run(batch, 10, probes, config, {at: act_all})
+    final, series = run(batch, 10, probes, gain, {at: act_all})
     assert len(series) == runs
     for r, ((graph, pop), (role, nodes)) in enumerate(zip(members, roles)):
         alone = {at: _role_act(role, nodes, 0, seed + r)} if role is not None else None
-        final_r, [series_r] = run(SimulationState.initial(graph, pop), 10, probes, config, alone)
+        final_r, [series_r] = run(SimulationState.batch([(graph, pop)]), 10, probes, gain, alone)
         assert series[r].steps == series_r.steps and series[r].columns == series_r.columns
         assert series[r].values.tobytes() == series_r.values.tobytes()
         assert series[r].csv_lines() == series_r.csv_lines()
@@ -497,11 +497,41 @@ def test_probes_in_a_batch_read_and_check_ids_per_run():
         SimulationState.batch([(a.graph, a.population), (c.graph, c.population)])
 
 
-def test_state_initial_validates_sizes():
+def _arrays(obj, path="", seen=None):
+    """(path, array) for every numpy array reachable from ``obj`` through knowflow objects and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield path, obj
+    elif isinstance(obj, (list, tuple, frozenset)):
+        for i, item in enumerate(obj):
+            yield from _arrays(item, f"{path}[{i}]", seen)
+    elif type(obj).__module__.startswith("knowflow"):
+        names = list(getattr(obj, "__dict__", {})) + list(getattr(type(obj), "__slots__", ()))
+        for name in names:
+            yield from _arrays(getattr(obj, name), f"{path}.{name}", seen)
+
+
+def test_a_batched_collector_runs_states_and_series_are_read_only():
+    # The step's competence matrix is the one array still written in place.
+    a, b = random_state(31, n=8), random_state(32, n=8)
+    batch = SimulationState.batch([(a.graph, a.population), (b.graph, b.population)])
+    collect = {2: lambda st_: apply_collector(st_, [1, 8, 12])}
+    final, series = run(batch, 5, [probe_average(), *collector_probes([1, 4])], interventions=collect)
+    found = dict(_arrays((batch, final, series), "result"))
+    assert "result[1].collector_ledger" in found and "result[2][1].values" in found
+    assert "result[0].population.masks" in found and "result[0].graph._weights" in found
+    writable = [path for path, array in found.items() if array.flags.writeable]
+    assert writable == ["result[1].population.competences"]
+
+
+def test_state_batch_validates_sizes():
     g = WeightedGraph(3)
     pop = Population(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), np.ones(2), np.zeros(2))
     with pytest.raises(DiffusionError):
-        SimulationState.initial(g, pop)
+        SimulationState.batch([(g, pop)])
 
 
 # -- properties ---------------------------------------------------------------------
@@ -519,9 +549,8 @@ def test_competences_never_go_negative(seed):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000), st.booleans())
 def test_reference_agreement_holds_for_both_gain_modes(seed, gain):
-    config = DiffusionConfig(cognitive_gain=gain)
     state = random_state(seed, n=15)
-    a = step(state, config)
+    a = step(state, gain)
     expected, _ = reference_step(state, gain)
     assert np.array_equal(a.population.competences, expected)
 
@@ -545,15 +574,14 @@ def edge_case_states(draw):
     forgetting = rng.choice([0.0, 0.006, 0.1], size=n)
     pop = Population(competences, masks, cognitive, social, forgetting)
     collectors = sorted(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist())
-    return apply_collector(SimulationState.initial(graph, pop), collectors)
+    return apply_collector(SimulationState.batch([(graph, pop)]), collectors)
 
 
 @settings(max_examples=60, deadline=None)
 @given(edge_case_states(), st.booleans())
 def test_live_pair_step_matches_reference_bit_for_bit(state, gain):
-    config = DiffusionConfig(cognitive_gain=gain)
     for _ in range(4):
         expected, ledger = reference_step(state, gain)
-        state = step(state, config)
+        state = step(state, gain)
         assert np.array_equal(state.population.competences, expected)
         assert np.array_equal(state.collector_ledger, ledger)

@@ -210,7 +210,7 @@ def test_apply_facilitator_validation():
 def test_role_actions_take_only_integer_node_ids(bad):
     pop = small_population(n=5)
     g = generate_watts_strogatz(5, 2, 0.0, np.random.default_rng(0))
-    state = SimulationState.initial(g, pop)
+    state = SimulationState.batch([(g, pop)])
     actions = [
         lambda ids: apply_collector(state, ids),
         lambda ids: apply_facilitator(g, ids, 2.0),
@@ -231,7 +231,7 @@ def test_role_actions_take_only_integer_node_ids(bad):
 def test_apply_collector_unions_flags():
     pop = small_population(n=5)
     g = generate_watts_strogatz(5, 2, 0.0, np.random.default_rng(0))
-    state = SimulationState.initial(g, pop)
+    state = SimulationState.batch([(g, pop)])
     state = apply_collector(state, [1, 3])
     state = apply_collector(state, [3, 4])
     assert state.collectors == frozenset({1, 3, 4})

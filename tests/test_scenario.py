@@ -436,7 +436,7 @@ def test_run_experiment_shapes_and_reference_variant():
     assert set(report.variants) == {"none", "degree"}
     assert report.seeds == (1, 2)
     ref = report.variants["none"]
-    assert len(ref.steps) == 16
+    assert len(ref.aggregate.steps) == 16
     curve = ref.mean_curve()
     assert curve.shape == (16,)
     assert np.all(np.isfinite(curve)) and np.all(curve >= 0.0)
@@ -732,6 +732,16 @@ def test_emit_report_writes_deterministic_files(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_a_variants_series_and_aggregate_are_values():
+    # Both seeds run in one batch, whose series once shared one mutable list of steps with the aggregate.
+    result = run_experiment(parse_config(tiny_config())).variants["default"]
+    for table in (result.series[1], result.series[2], result.aggregate):
+        assert table.steps == tuple(range(16)) and type(table.columns) is tuple
+        assert not table.values.flags.writeable
+    with pytest.raises(AttributeError):
+        result.series[1].steps.append(9)
+
+
 @pytest.mark.parametrize("steps", [0, 3])
 def test_the_aggregate_is_a_series_of_each_common_columns_mean_and_std(tmp_path, steps):
     # Collector columns differ by seed, so only the columns every seed recorded are aggregated.
@@ -748,8 +758,8 @@ def test_the_aggregate_is_a_series_of_each_common_columns_mean_and_std(tmp_path,
     common = [("average_competence", "all"), ("collector_intake", "all"), ("average_competence", "node:3")]
     assert [c for c in per_seed[0].columns if all(c in s.columns for s in per_seed)] == common
     aggregate = result.aggregate
-    assert aggregate.columns == [(f"{metric}:{stat}", scope) for metric, scope in common for stat in ("mean", "std")]
-    assert aggregate.steps == result.steps == list(range(steps + 1))
+    assert aggregate.columns == tuple((f"{metric}:{stat}", scope) for metric, scope in common for stat in ("mean", "std"))
+    assert aggregate.steps == tuple(range(steps + 1))
     assert not aggregate.values.flags.writeable
     for j, col in enumerate(common):
         matrix = np.stack([s.column(*col) for s in per_seed])
@@ -930,6 +940,51 @@ def test_cli_accelerate_prints_proposals(capsys):
     assert main(["accelerate", "fig9", "--seed", "1"]) == 0
     records = json.loads(capsys.readouterr().out)
     assert records[0]["from"] == 13 and records[0]["to"] == 23
+
+
+@pytest.mark.parametrize("bad", [1.7, True, -1, np.int64(-1), np.float64(3.0), "1"])
+def test_every_library_seed_is_a_non_negative_integer(bad):
+    cfg = parse_config(tiny_config())
+    with pytest.raises(ConfigError, match=re.escape("seeds[1]: ")):
+        run_experiment(cfg, seeds=[2, bad])
+    with pytest.raises(ConfigError, match="^seed: "):
+        propose_ties(load_fixture("fig9"), seed=bad)
+    with pytest.raises(ConfigError, match="^seed: "):
+        stream_rng(bad, "topology")
+
+
+def test_library_seeds_take_numpy_integers_and_no_repeats():
+    cfg = parse_config(tiny_config())
+    report = run_experiment(cfg, seeds=np.array([2, 1]))
+    assert report.seeds == (2, 1) and all(type(s) is int for s in report.seeds)
+    assert report.variants["default"].final_values().tolist() == [
+        run_experiment(cfg, seeds=[s]).variants["default"].final_values()[0] for s in (2, 1)
+    ]
+    assert propose_ties(load_fixture("fig9"), seed=np.int64(1)) == propose_ties(load_fixture("fig9"), seed=1)
+    with pytest.raises(ConfigError, match=re.escape("seeds[1]: duplicate seed 2")):
+        run_experiment(cfg, seeds=[2, 2])
+    with pytest.raises(ConfigError, match="seeds: expected a non-empty list"):
+        run_experiment(cfg, seeds=[])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "fig9", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["run", "fig9", "--seed", "3", "--seeds", "100000000000000000000"], "--seeds: too many seeds"),
+        (["run", "fig9", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
+        (["accelerate", "fig9", "--seed", "-1"], "seed: must be >= 0, got -1"),
+        (["rank", "GRAPH", "--strategy", "random", "--seed", "-1"], "seed: must be >= 0, got -1"),
+    ],
+)
+def test_cli_seed_options_are_config_errors(tmp_path, capsys, argv, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text("# nodes=3\n0,1,1.0\n1,2,1.0\n")
+    argv = [str(graph) if a == "GRAPH" else a for a in argv]
+    assert main(argv + (["--out", str(tmp_path / "out")] if argv[0] == "run" else [])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {message}") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_fixtures_list_and_export(tmp_path, capsys):

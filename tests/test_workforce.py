@@ -143,6 +143,15 @@ def test_population_sequence_protocol():
     assert pop[3].id == 3
 
 
+def test_workers_and_populations_compare_by_identity_without_raising():
+    # Element-wise array equality has no single truth value; workers compare by identity.
+    pop = make_population(n=4)
+    worker = pop.worker(1)
+    assert worker == worker and worker != pop.worker(1)
+    assert worker not in pop and 3 not in pop
+    assert not hasattr(pop, "index") and not hasattr(pop, "count")
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 1.0))
 def test_mask_density_is_respected_on_average(seed, density):
