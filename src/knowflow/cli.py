@@ -93,15 +93,19 @@ def _seed_override(args: argparse.Namespace, config: ScenarioConfig) -> list[int
         raise ConfigError(f"--seeds: too many seeds, got {count}") from None
 
 
-def _parse_top(raw: str) -> int | float:
+def _parse_top(raw: str, nodes: int) -> int:
+    """The number of ranked nodes ``--top`` keeps: an int count, or a float fraction of ``nodes``."""
     try:
-        return int(raw)
+        portion: int | float = int(raw)
     except ValueError:
-        pass
+        try:
+            portion = float(raw)
+        except ValueError:
+            raise ConfigError(f"--top: expected an int count or float fraction, got {raw!r}") from None
     try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"--top: expected an int count or float fraction, got {raw!r}") from None
+        return len(select_top(range(nodes), portion))
+    except RoleError as exc:
+        raise ConfigError(f"--top: {exc}") from None
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -117,11 +121,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     g = read_edge_list(args.graph)
     strategy = Strategy.parse(args.strategy)
+    top = None if args.top is None else _parse_top(args.top, g.node_count)
     rng = stream_rng(args.seed, "strategy") if strategy is Strategy.RANDOM else None
-    ranking = rank_nodes(g, strategy, rng=rng)
-    if args.top is not None:
-        ranking = select_top(ranking, _parse_top(args.top))
-    for node in ranking:
+    for node in rank_nodes(g, strategy, rng=rng)[:top]:
         print(node)
     return 0
 

@@ -14,13 +14,12 @@ from typing import Sequence
 import numpy as np
 
 from .netgraph import WeightedGraph, _is_int, add_edge, average_edge_weight, shortest_hop_path
-from .workforce import KnowledgeWorker, Population
+from .workforce import Population
 
 __all__ = [
     "Community",
     "CommunityError",
     "TieProposal",
-    "accelerate",
     "accelerate_loop",
     "detect_communities",
     "energy_ranking",
@@ -123,17 +122,19 @@ def detect_communities(
 # -- energy and efficiency ----------------------------------------------------------
 
 
-def knowledge_energy(worker: KnowledgeWorker, core_mask: np.ndarray) -> float:
-    """Potential of a worker to push core knowledge: core competences x s x o."""
+def knowledge_energy(workers: Population, v: int, core_mask: np.ndarray) -> float:
+    """Potential of worker v to push core knowledge: core competences x s x o."""
+    if not (_is_int(v) and 0 <= v < len(workers)):
+        raise CommunityError(f"unknown worker id {v!r}: expected an integer below {len(workers)}")
     core = np.asarray(core_mask, dtype=float)
-    if core.shape != worker.competences.shape:
+    if core.shape != (workers.n_competences,):
         raise CommunityError("core mask length does not match competence vector")
-    return float(np.dot(worker.competences, core) * worker.social * worker.cognitive)
+    return float(np.dot(workers.competences[v], core) * workers.social[v] * workers.cognitive[v])
 
 
 def energy_ranking(community: Community, workers: Population) -> list[tuple[int, float]]:
     """Members by descending knowledge energy; energy ties break toward lower id."""
-    pairs = [(v, knowledge_energy(workers.worker(v), community.core_mask)) for v in community.members]
+    pairs = [(v, knowledge_energy(workers, v, community.core_mask)) for v in community.members]
     return sorted(pairs, key=lambda item: (-item[1], item[0]))
 
 
@@ -184,31 +185,6 @@ class TieProposal:
                 "weight": self.weight, "efficiency_before": self.efficiency_before}
 
 
-def accelerate(
-    community: Community,
-    g: WeightedGraph,
-    workers: Population,
-    tie_weight: float | None = None,
-    single_division: bool = False,
-) -> TieProposal | None:
-    """Propose one new tie inside a community, or None when no pair qualifies.
-
-    Candidate pairs (u, v) need strictly higher knowledge energy at u than at
-    v and no existing edge. The pair with the lowest transfer efficiency wins;
-    efficiency ties break toward the smaller source id, then target id. The
-    tie weight defaults to the network's average tie strength.
-    """
-    _check_sizes(g, workers)
-    ranking = energy_ranking(community, workers)
-    pairs = [(u, v) for u, eu in ranking for v, ev in ranking if eu > ev and not g.has_edge(u, v)]
-    scored = [(eff, u, v) for u, v in pairs if (eff := transfer_efficiency(g, workers, u, v, single_division)) is not None]
-    if not scored:
-        return None
-    eff, u, v = min(scored)
-    weight = float(tie_weight) if tie_weight is not None else average_edge_weight(g)
-    return TieProposal(community=community.id, source=u, target=v, weight=weight, efficiency_before=eff)
-
-
 def accelerate_loop(
     community: Community,
     g: WeightedGraph,
@@ -218,23 +194,33 @@ def accelerate_loop(
     min_efficiency: float | None = None,
     single_division: bool = False,
 ) -> tuple[WeightedGraph, list[TieProposal]]:
-    """Insert up to ``budget`` accelerator ties, re-evaluating after each one.
+    """Insert up to ``budget`` accelerator ties inside a community, re-evaluating after each one.
 
-    Stops early when no pair qualifies or when the next candidate's efficiency
-    already reaches ``min_efficiency``.
+    Candidate pairs (u, v) need strictly higher knowledge energy at u than at
+    v and no edge in the current graph. The pair with the lowest transfer
+    efficiency wins; efficiency ties break toward the smaller source id, then
+    target id. The tie weight defaults to the current graph's average tie
+    strength. Stops early when no pair qualifies or when the next
+    candidate's efficiency already reaches ``min_efficiency``.
     """
     _check_sizes(g, workers)
     if budget < 0:
         raise CommunityError(f"tie budget must be >= 0, got {budget}")
+    # Energies depend on the population alone, which no tie changes.
+    ranking = energy_ranking(community, workers)
+    ordered = [(u, v) for u, eu in ranking for v, ev in ranking if eu > ev]
     proposals: list[TieProposal] = []
     for _ in range(budget):
-        proposal = accelerate(
-            community, g, workers, tie_weight=tie_weight, single_division=single_division
-        )
-        if proposal is None:
+        pairs = [(u, v) for u, v in ordered if not g.has_edge(u, v)]
+        scored = [
+            (e, u, v) for u, v in pairs if (e := transfer_efficiency(g, workers, u, v, single_division)) is not None
+        ]
+        if not scored:
             break
-        if min_efficiency is not None and proposal.efficiency_before >= min_efficiency:
+        eff, u, v = min(scored)
+        if min_efficiency is not None and eff >= min_efficiency:
             break
-        g = add_edge(g, proposal.source, proposal.target, proposal.weight)
-        proposals.append(proposal)
+        weight = float(tie_weight) if tie_weight is not None else average_edge_weight(g)
+        proposals.append(TieProposal(community=community.id, source=u, target=v, weight=weight, efficiency_before=eff))
+        g = add_edge(g, u, v, weight)
     return g, proposals

@@ -46,9 +46,9 @@ class SimulationState:
     the collector ids and the ledger alike. No edge joins two runs, so each
     evolves as it would alone; a single run is a batch of one. The dataclass
     is frozen and the graph is an immutable value: an intervention on the
-    network puts a new graph into a new state. The arrays a batch joins and
-    every collector ledger are read-only; every step returns a state whose
-    competence matrix is a fresh array.
+    network puts a new graph into a new state. The arrays a batch joins,
+    every collector ledger and every step's fresh competence matrix are
+    read-only.
     """
 
     graph: WeightedGraph
@@ -99,14 +99,11 @@ class _RunPlan:
     the sender's social ability and the edge weight. It also holds the step
     invariants ``cognitive * mask`` (``mask`` without cognitive gain) and
     ``1 - f``, the collectors' incoming edges, and work buffers that each
-    step overwrites. Building it validates the population, so a run checks
-    its state at its boundaries instead of on every step. No buffer is ever
-    handed out in a state.
+    step overwrites. No buffer is ever handed out in a state.
     """
 
     def __init__(self, state: SimulationState, cognitive_gain: bool):
         pop = state.population
-        pop._validate()
         n, m = pop.competences.shape
         senders, receivers, weights = state.graph.directed_edge_arrays()
         held = pop.masks != 0.0
@@ -174,6 +171,7 @@ def step(state: SimulationState, cognitive_gain: bool = True, *, _plan: _RunPlan
     competences = gains.reshape(snapshot.shape)
     np.multiply(plan.absorb_mask, competences, out=competences)
     np.add(np.multiply(plan.keep, snapshot, out=plan.decayed), competences, out=competences)
+    competences.setflags(write=False)  # half the cost of a ``flags.writeable`` assignment
 
     new_pop = Population._trusted(competences, pop.masks, pop.cognitive, pop.social, pop.forgetting)
     return SimulationState(state.graph, new_pop, state.step + 1, state.collectors, ledger, state.runs)
@@ -311,10 +309,16 @@ def run(
 
     ``cognitive_gain`` is passed to every ``step``. ``interventions`` maps a
     step index to a state transform applied after the probe record at that
-    index, i.e. between steps. The run validates its state and builds the
-    plan its steps share once, and again right after each intervention. The
-    series are built once recording has finished, over one read-only
-    (runs, steps + 1, probes) array.
+    index, i.e. between steps. The run builds the plan its steps share once,
+    and again right after each intervention. The series are built once
+    recording has finished, over one read-only (runs, steps + 1, probes)
+    array.
+
+    A step can break one invariant of a valid state: competences may
+    overflow to inf, and then to NaN. The loop runs with numpy's overflow
+    and invalid-operation warnings off. Once it has finished, a value that
+    is not finite raises a ``DiffusionError`` naming the first step that
+    recorded one, or the last step if only a final competence is one.
     """
     if steps < 0:
         raise DiffusionError(f"step count must be >= 0, got {steps}")
@@ -328,17 +332,22 @@ def run(
             values[:, len(recorded), j] = p.measure(st)
         recorded.append(st.step)
 
-    record(state)
-    plan = None
-    for _ in range(steps):
-        if state.step in actions:
-            # A facilitator changes the graph, an expert the competences and
-            # a collector the collector set: the plan no longer holds.
-            state = actions[state.step](state)
-            plan = None
-        if plan is None:
-            plan = _RunPlan(state, cognitive_gain)
-        state = step(state, cognitive_gain, _plan=plan)
+    with np.errstate(over="ignore", invalid="ignore"):
         record(state)
+        plan = None
+        for _ in range(steps):
+            if state.step in actions:
+                # A facilitator changes the graph, an expert the competences and
+                # a collector the collector set: the plan no longer holds.
+                state = actions[state.step](state)
+                plan = None
+            if plan is None:
+                plan = _RunPlan(state, cognitive_gain)
+            state = step(state, cognitive_gain, _plan=plan)
+            record(state)
+    finite = np.isfinite(values).all(axis=(0, 2))
+    if not (finite.all() and np.isfinite(state.population.competences).all()):
+        first = recorded[int(np.argmin(finite))] if not finite.all() else state.step
+        raise DiffusionError(f"knowledge overflowed: a competence or probe value is not finite by step {first}")
     values.flags.writeable = False
     return state, [TimeSeries(columns, recorded, v) for v in values]

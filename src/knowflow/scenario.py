@@ -399,6 +399,15 @@ class RunSpec:
     seeds: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, unique="seed"))
     probes: tuple[ProbeSpec, ...] = field(default=(ProbeSpec("average"),), metadata=_key(_as_list, item=_as_probe))
 
+    def _checked(self, data: Mapping, path: str) -> RunSpec:
+        # A probe's columns are fixed by its kind and its node or mask name, whatever the rest of its spec.
+        first: dict[tuple, int] = {}
+        for i, probe in enumerate(self.probes):
+            earlier = first.setdefault((probe.kind, probe.node, probe.mask and probe.mask.name), i)
+            if earlier != i:
+                raise ConfigError(f"{path}.probes[{i}]: records the same columns as {path}.probes[{earlier}]")
+        return self
+
 
 @dataclass(frozen=True)
 class DiffusionSpec:

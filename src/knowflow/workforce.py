@@ -2,15 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
-
 import numpy as np
 
-from .netgraph import _is_int
-
 __all__ = [
-    "KnowledgeWorker",
     "Population",
     "WorkforceError",
     "init_workers",
@@ -21,29 +15,16 @@ class WorkforceError(ValueError):
     """Invalid worker parameter."""
 
 
-@dataclass(eq=False)
-class KnowledgeWorker:
-    """One worker. ``competences`` and ``mask`` are row views into the population, read-only where its arrays are.
-
-    Equality is identity: arrays have no single truth value to compare by.
-    """
-
-    id: int
-    competences: np.ndarray
-    mask: np.ndarray
-    cognitive: float
-    social: float
-    forgetting: float
-
-
 class Population:
     """Column-oriented store for a workforce of equal-length competence vectors.
 
-    Invariants: competences finite and >= 0, mask entries in {0, 1}, abilities
-    in [0, 1], forgetting rate in [0, 1). The constructor keeps read-only
-    copies of its inputs (an input already read-only and owning its memory
-    is kept as is), so a population it validated cannot change. ``_trusted``
-    keeps what it is given: the diffusion step's competences stay writable.
+    Worker i is row i of every column: its competences, mask, cognitive and
+    social ability and forgetting rate. Invariants: competences finite and
+    >= 0, mask entries in {0, 1}, abilities in [0, 1], forgetting rate in
+    [0, 1). The constructor keeps read-only copies of its inputs (an input
+    already read-only and owning its memory is kept as is), so a population
+    it validated cannot change. ``_trusted`` keeps what it is given; the
+    diffusion step and a batch hand it read-only arrays.
     """
 
     def __init__(
@@ -57,24 +38,6 @@ class Population:
         self.competences, self.masks, self.cognitive, self.social, self.forgetting = (
             _frozen(a) for a in (competences, masks, cognitive, social, forgetting)
         )
-        self._validate()
-
-    @classmethod
-    def _trusted(
-        cls,
-        competences: np.ndarray,
-        masks: np.ndarray,
-        cognitive: np.ndarray,
-        social: np.ndarray,
-        forgetting: np.ndarray,
-    ) -> "Population":
-        """A population from float arrays that already satisfy the invariants; no checks."""
-        pop = cls.__new__(cls)
-        pop.competences, pop.masks = competences, masks
-        pop.cognitive, pop.social, pop.forgetting = cognitive, social, forgetting
-        return pop
-
-    def _validate(self) -> None:
         if self.competences.ndim != 2:
             raise WorkforceError("competences must be a 2-d array (workers x competences)")
         n, m = self.competences.shape
@@ -90,38 +53,25 @@ class Population:
             raise WorkforceError("competences must be finite and >= 0")
         if not np.all((self.masks == 0.0) | (self.masks == 1.0)):
             raise WorkforceError("mask entries must be 0 or 1")
-        if not np.all((self.cognitive >= 0.0) & (self.cognitive <= 1.0)):
-            raise WorkforceError("cognitive ability must lie in [0, 1]")
-        if not np.all((self.social >= 0.0) & (self.social <= 1.0)):
-            raise WorkforceError("social ability must lie in [0, 1]")
+        for name, arr in (("cognitive", self.cognitive), ("social", self.social)):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):
+                raise WorkforceError(f"{name} ability must lie in [0, 1]")
         if not np.all((self.forgetting >= 0.0) & (self.forgetting < 1.0)):
             raise WorkforceError("forgetting rate must lie in [0, 1)")
+
+    @classmethod
+    def _trusted(cls, *columns: np.ndarray) -> "Population":
+        """A population from its five columns, in the constructor's order and already valid; no checks."""
+        pop = cls.__new__(cls)
+        pop.competences, pop.masks, pop.cognitive, pop.social, pop.forgetting = columns
+        return pop
 
     @property
     def n_competences(self) -> int:
         return self.competences.shape[1]
 
-    def worker(self, i: int) -> KnowledgeWorker:
-        if not (_is_int(i) and 0 <= i < len(self)):
-            raise WorkforceError(f"unknown worker id {i!r}: expected an integer below {len(self)}")
-        return KnowledgeWorker(
-            id=i,
-            competences=self.competences[i],
-            mask=self.masks[i],
-            cognitive=float(self.cognitive[i]),
-            social=float(self.social[i]),
-            forgetting=float(self.forgetting[i]),
-        )
-
     def __len__(self) -> int:
         return self.competences.shape[0]
-
-    def __getitem__(self, i: int) -> KnowledgeWorker:
-        return self.worker(i)
-
-    def __iter__(self) -> Iterator[KnowledgeWorker]:
-        for i in range(len(self)):
-            yield self.worker(i)
 
 
 def _frozen(values) -> np.ndarray:

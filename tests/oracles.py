@@ -375,6 +375,24 @@ def two_sweep_betweenness_all(g) -> np.ndarray:
 # -- per-worker diffusion reference ------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class Worker:
+    """One worker read from a population's columns: row views and scalar abilities."""
+
+    id: int
+    competences: np.ndarray
+    mask: np.ndarray
+    cognitive: float
+    social: float
+    forgetting: float
+
+
+def worker(pop, i: int) -> Worker:
+    """Worker i of a population: row i of every column."""
+    abilities = (float(pop.cognitive[i]), float(pop.social[i]), float(pop.forgetting[i]))
+    return Worker(i, pop.competences[i], pop.masks[i], *abilities)
+
+
 @dataclass(frozen=True)
 class KnowledgeResource:
     """A broadcast payload: one value per competence, zero outside the mask."""
@@ -430,7 +448,7 @@ def reference_step(state, cognitive_gain: bool = True, node_order=None) -> tuple
     snapshot = pop.competences.copy()
     inboxes = {i: [] for i in range(n)}
     for sender in order:
-        resource = create_resource(pop.worker(sender))
+        resource = create_resource(worker(pop, sender))
         for receiver, delivered in transmit(resource, state.graph, sender).items():
             inboxes[receiver].append((delivered, snapshot[sender]))
 
@@ -438,7 +456,7 @@ def reference_step(state, cognitive_gain: bool = True, node_order=None) -> tuple
     ledger = state.collector_ledger.copy()
     for i in order:
         inbox = sorted(inboxes[i], key=lambda item: item[0].sender)
-        new_competences[i] = assimilate(pop.worker(i), inbox, cognitive_gain)
+        new_competences[i] = assimilate(worker(pop, i), inbox, cognitive_gain)
         if i in state.collectors:
             ledger[i] += sum(float(res.payload.sum()) for res, _ in inbox)
     return new_competences, ledger

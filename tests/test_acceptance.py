@@ -303,8 +303,8 @@ def _acceleration_win_rate(division: str) -> tuple[float, int]:
             u, v = rec["from"], rec["to"]
             assert u in community.members and v in community.members
             assert not g.has_edge(u, v), f"seed {seed}: proposed tie ({u}, {v}) already exists"
-            e_u = knowledge_energy(pop.worker(u), community.core_mask)
-            e_v = knowledge_energy(pop.worker(v), community.core_mask)
+            e_u = knowledge_energy(pop, u, community.core_mask)
+            e_v = knowledge_energy(pop, v, community.core_mask)
             assert e_u > e_v, f"seed {seed}: tie ({u}, {v}) violates the energy order ({e_u} <= {e_v})"
             ties_checked += 1
     return wins, ties_checked

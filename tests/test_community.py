@@ -2,6 +2,7 @@
 the tie accelerator."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from knowflow import (
     Population,
     WeightedGraph,
     WeightSpec,
-    accelerate,
     accelerate_loop,
     add_edge,
     assign_weights,
@@ -133,9 +133,19 @@ def test_majority_core_rule():
 def test_knowledge_energy_hand_value():
     pop = population_with(np.ones((1, 3)), competences=[[2.0, 3.0, 4.0]])
     # (2 + 4) * 0.5 * 0.5
-    assert knowledge_energy(pop.worker(0), np.array([1.0, 0.0, 1.0])) == pytest.approx(1.5)
+    assert knowledge_energy(pop, 0, np.array([1.0, 0.0, 1.0])) == pytest.approx(1.5)
     with pytest.raises(CommunityError):
-        knowledge_energy(pop.worker(0), np.array([1.0, 0.0]))
+        knowledge_energy(pop, 0, np.array([1.0, 0.0]))
+
+
+def test_knowledge_energy_takes_only_integer_ids():
+    pop = population_with(np.ones((4, 1)), competences=[[1.0], [2.0], [3.0], [4.0]])
+    assert knowledge_energy(pop, np.int64(3), np.ones(1)) == knowledge_energy(pop, 3, np.ones(1)) == 1.0
+    for bad in (1.5, True, np.float64(2.0), -1, 4):
+        with pytest.raises(CommunityError, match=f"unknown worker id {re.escape(repr(bad))}"):
+            knowledge_energy(pop, bad, np.ones(1))
+    with pytest.raises(CommunityError, match="unknown worker id 4"):
+        energy_ranking(Community(id=0, members=(0, 4), core_mask=np.ones(1)), pop)
 
 
 def test_energy_ranking_breaks_ties_by_id():
@@ -230,7 +240,7 @@ def test_community_functions_need_one_worker_per_node():
         message = f"population has {size} workers but the graph has 4 nodes"
         calls = [
             lambda: transfer_efficiency(g, pop, 0, 3),
-            lambda: accelerate(community, g, pop),
+            lambda: accelerate_loop(community, g, pop, budget=1),
             lambda: accelerate_loop(community, g, pop, budget=0),
         ]
         for call in calls:
@@ -239,6 +249,12 @@ def test_community_functions_need_one_worker_per_node():
 
 
 # -- the accelerator ------------------------------------------------------------
+
+
+def accelerate(community, g, pop, **options):
+    """The accelerator's first proposal, or None when no pair qualifies."""
+    _, proposals = accelerate_loop(community, g, pop, budget=1, **options)
+    return proposals[0] if proposals else None
 
 
 def bridge_setup():
@@ -320,7 +336,7 @@ def test_proposals_are_always_valid(seed, single):
     proposal = accelerate(community, g, pop, single_division=single)
     if proposal is not None:
         assert not g.has_edge(proposal.source, proposal.target)
-        e_src = knowledge_energy(pop.worker(proposal.source), community.core_mask)
-        e_dst = knowledge_energy(pop.worker(proposal.target), community.core_mask)
+        e_src = knowledge_energy(pop, proposal.source, community.core_mask)
+        e_dst = knowledge_energy(pop, proposal.target, community.core_mask)
         assert e_src > e_dst
         assert proposal.weight > 0.0

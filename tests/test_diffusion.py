@@ -3,6 +3,7 @@ collector accounting, probes, and the time series container."""
 
 import hashlib
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -24,13 +25,15 @@ from knowflow import (
     collector_probes,
     generate_watts_strogatz,
     init_workers,
+    parse_config,
     probe_average,
     probe_mask,
     probe_node,
     run,
+    run_experiment,
     step,
 )
-from oracles import KnowledgeResource, assimilate, create_resource, reference_step, transmit
+from oracles import KnowledgeResource, assimilate, create_resource, reference_step, transmit, worker
 
 
 def pair_state(c_a, c_b, *, weight=0.5, social=(0.5, 0.5), cognitive=(1.0, 1.0),
@@ -61,60 +64,60 @@ def random_state(seed, n=30, k=4, p=0.3, density=0.6, forgetting=0.006):
 
 def test_create_resource_scales_masked_competences():
     st_ = pair_state([4.0, 6.0], [1.0, 1.0], masks=[[1, 0], [1, 1]])
-    res = create_resource(st_.population.worker(0))
+    res = create_resource(worker(st_.population, 0))
     assert res.sender == 0
     assert res.payload.tolist() == [2.0, 0.0]  # 0.5 * 4, mask kills the second slot
 
 
 def test_transmit_attenuates_by_tie_strength():
     st_ = pair_state(4.0, 1.0, weight=0.3)
-    res = create_resource(st_.population.worker(0))
+    res = create_resource(worker(st_.population, 0))
     out = transmit(res, st_.graph, 0)
     assert set(out) == {1}
     assert out[1].payload.tolist() == [pytest.approx(0.6)]
     lonely = SimulationState.batch(
         [(WeightedGraph(1), Population(np.array([[1.0]]), np.array([[1.0]]), np.ones(1), np.ones(1), np.zeros(1)))]
     )
-    assert transmit(create_resource(lonely.population.worker(0)), lonely.graph, 0) == {}
+    assert transmit(create_resource(worker(lonely.population, 0)), lonely.graph, 0) == {}
 
 
 def test_assimilate_hand_example():
     # receiver at 2.0 gets a qualifying 1.5 from a sender at 5.0:
     # 0.994 * 2 + 1.5 = 3.488
     st_ = pair_state(5.0, 2.0, forgetting=0.006)
-    worker = st_.population.worker(1)
+    receiver = worker(st_.population, 1)
     inbox = [(KnowledgeResource(sender=0, payload=np.array([1.5])), np.array([5.0]))]
-    out = assimilate(worker, inbox)
+    out = assimilate(receiver, inbox)
     assert out[0] == pytest.approx(3.488, rel=1e-12)
 
 
 def test_assimilate_gate_is_strict_per_competence():
     st_ = pair_state([5.0, 2.0], [5.0, 1.0], forgetting=0.0)
-    worker = st_.population.worker(1)
+    receiver = worker(st_.population, 1)
     inbox = [(KnowledgeResource(sender=0, payload=np.array([9.0, 0.5])), np.array([5.0, 2.0]))]
-    out = assimilate(worker, inbox)
+    out = assimilate(receiver, inbox)
     assert out[0] == 5.0  # equal sender snapshot does not qualify
     assert out[1] == pytest.approx(1.5)
 
 
 def test_assimilate_sums_gains_across_senders():
     st_ = pair_state(0.0, 1.0, forgetting=0.0)
-    worker = st_.population.worker(1)
+    receiver = worker(st_.population, 1)
     inbox = [
         (KnowledgeResource(sender=0, payload=np.array([0.25])), np.array([2.0])),
         (KnowledgeResource(sender=2, payload=np.array([0.5])), np.array([3.0])),
     ]
-    assert assimilate(worker, inbox)[0] == pytest.approx(1.75)
+    assert assimilate(receiver, inbox)[0] == pytest.approx(1.75)
 
 
 def test_assimilate_respects_receiver_mask_and_cognitive():
     state = pair_state([2.0, 2.0], [0.0, 0.0], cognitive=(1.0, 0.4), masks=[[1, 1], [1, 0]])
-    worker = state.population.worker(1)
+    receiver = worker(state.population, 1)
     inbox = [(KnowledgeResource(sender=0, payload=np.array([1.0, 1.0])), np.array([2.0, 2.0]))]
-    out = assimilate(worker, inbox)
+    out = assimilate(receiver, inbox)
     assert out[0] == pytest.approx(0.4)  # cognitive ability scales the gain
     assert out[1] == 0.0  # masked-out slot ignores incoming knowledge
-    flat = assimilate(worker, inbox, cognitive_gain=False)
+    flat = assimilate(receiver, inbox, cognitive_gain=False)
     assert flat[0] == pytest.approx(1.0)
 
 
@@ -508,6 +511,9 @@ def _arrays(obj, path="", seen=None):
     elif isinstance(obj, (list, tuple, frozenset)):
         for i, item in enumerate(obj):
             yield from _arrays(item, f"{path}[{i}]", seen)
+    elif isinstance(obj, dict):
+        for key, item in obj.items():
+            yield from _arrays(item, f"{path}[{key!r}]", seen)
     elif type(obj).__module__.startswith("knowflow"):
         names = list(getattr(obj, "__dict__", {})) + list(getattr(type(obj), "__slots__", ()))
         for name in names:
@@ -515,7 +521,6 @@ def _arrays(obj, path="", seen=None):
 
 
 def test_a_batched_collector_runs_states_and_series_are_read_only():
-    # The step's competence matrix is the one array still written in place.
     a, b = random_state(31, n=8), random_state(32, n=8)
     batch = SimulationState.batch([(a.graph, a.population), (b.graph, b.population)])
     collect = {2: lambda st_: apply_collector(st_, [1, 8, 12])}
@@ -523,8 +528,42 @@ def test_a_batched_collector_runs_states_and_series_are_read_only():
     found = dict(_arrays((batch, final, series), "result"))
     assert "result[1].collector_ledger" in found and "result[2][1].values" in found
     assert "result[0].population.masks" in found and "result[0].graph._weights" in found
-    writable = [path for path, array in found.items() if array.flags.writeable]
-    assert writable == ["result[1].population.competences"]
+    assert "result[1].population.competences" in found
+    assert [path for path, array in found.items() if array.flags.writeable] == []
+
+
+def test_an_experiment_reports_arrays_are_read_only():
+    config = parse_config({
+        "name": "walk",
+        "network": {"nodes": 10, "ring_degree": 4},
+        "population": {"competences": 3},
+        "role_plan": {"role": "collector", "strategies": ["none", "degree"], "count": 2},
+        "run": {"steps": 4, "seeds": [1, 2], "probes": ["average_competence", "collector_intake"]},
+    })
+    found = dict(_arrays(run_experiment(config), "report"))
+    assert "report.variants['degree'].series[2].values" in found
+    assert "report.variants['none'].aggregate.values" in found
+    assert [path for path, array in found.items() if array.flags.writeable] == []
+
+
+def test_a_run_that_overflows_fails_naming_the_first_step_with_a_value_that_is_not_finite():
+    # 0.5 * 4 * 1e300 reaches worker 1 at step 1; twice that times 1e300 overflows worker 0 at step 2.
+    g = add_edge(WeightedGraph(3), 0, 1, 1e300)
+    pop = Population(np.array([[4.0], [1.0], [1.0]]), np.ones((3, 1)), np.ones(3), np.full(3, 0.5), np.zeros(3))
+    state = SimulationState.batch([(g, pop)])
+    facilitate = {3: lambda st_: replace(st_, graph=apply_facilitator(st_.graph, [2], 2.0))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings stay inside the run
+        with pytest.raises(DiffusionError, match="not finite by step 2$"):
+            run(state, 5, [probe_average()])
+        # An intervention after the overflow, which rebuilds the plan, changes nothing.
+        with pytest.raises(DiffusionError, match="not finite by step 2$"):
+            run(state, 5, [probe_average()], interventions=facilitate)
+        # A probe that never reads the overflowed rows: the final competences still fail the run.
+        with pytest.raises(DiffusionError, match="not finite by step 5$"):
+            run(state, 5, [probe_node(2)])
+    final, series = run(state, 1, [probe_average()])
+    assert np.isfinite(final.population.competences).all() and np.isfinite(series[0].values).all()
 
 
 def test_state_batch_validates_sizes():

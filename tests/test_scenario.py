@@ -875,6 +875,65 @@ def test_cli_run_maps_running_out_of_memory_to_exit_3(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_cli_run_fails_when_knowledge_overflows(tmp_path):
+    # fig9 with every tie at 1e300: competences overflow to inf at step 2, then to NaN.
+    data = json.loads((Path(scenario.__file__).parent / "fixtures" / "fig9.json").read_text())
+    data["network"]["weights"] = {"kind": "constant", "value": 1e300}
+    data["community_plan"]["ties"] = "none"
+    data["run"].update(steps=30, seeds=[1])
+    cfg_path, out_dir = tmp_path / "overflow.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(Path(scenario.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "knowflow.cli", "run", str(cfg_path), "--out", str(out_dir)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 3
+    assert done.stderr == "error: knowledge overflowed: a competence or probe value is not finite by step 2\n"
+    assert done.stdout == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "probes, role_plan",
+    [
+        (["average_competence", "average_competence"], None),
+        ([{"node": 3}, "average_competence", {"node": 3}], None),
+        # Two mask probes of one name record one column, whatever they select.
+        ([{"mask": {"name": "core", "competences": [1]}},
+          {"mask": {"name": "core", "competences": [2], "members": [0]}}], None),
+        (["collector_intake", "collector_intake"], {"role": "collector", "strategies": ["degree"], "count": 2}),
+    ],
+)
+def test_probes_that_repeat_a_column_are_config_errors(tmp_path, capsys, probes, role_plan):
+    extra = {} if role_plan is None else {"role_plan": role_plan}
+    data = tiny_config(run={"steps": 3, "seeds": [1], "probes": probes}, **extra)
+    message = f"run.probes[{len(probes) - 1}]: records the same columns as run.probes[0]"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(data)
+    cfg_path = write_tiny(tmp_path, run=data["run"], **extra)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    masks = [{"mask": {"name": name, "competences": [1]}} for name in ("a", "b")]
+    parse_config(tiny_config(run={"steps": 3, "seeds": [1], "probes": [{"node": 3}, {"node": 4}, *masks]}))
+
+
+@pytest.mark.parametrize(
+    "top, message",
+    [
+        ("0", "count must lie in [1, 3], got 0"),
+        ("-3", "count must lie in [1, 3], got -3"),
+        ("4", "count must lie in [1, 3], got 4"),
+        ("nan", "fraction must lie in (0, 1], got nan"),
+        ("1.5", "fraction must lie in (0, 1], got 1.5"),
+    ],
+)
+def test_cli_rank_top_out_of_range_is_a_config_error(tmp_path, capsys, top, message):
+    graph = tmp_path / "g.txt"
+    graph.write_text("# nodes=3\n0,1,1.0\n1,2,1.0\n")
+    assert main(["rank", str(graph), "--strategy", "degree", "--top", top]) == 2
+    assert capsys.readouterr() == ("", f"config error: --top: {message}\n")
+
+
 def test_cli_rank_orders_nodes(tmp_path, capsys):
     graph = tmp_path / "g.txt"
     graph.write_text("# nodes=3\n0,1,1.0\n1,2,1.0\n")

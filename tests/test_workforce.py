@@ -1,7 +1,5 @@
 """Worker population: initialization and invariants."""
 
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,14 +94,9 @@ def test_population_invariants_enforced():
 
 def test_worker_rows_are_read_only_views():
     pop = make_population()
-    w = pop.worker(2)
-    assert w.id == 2
-    assert np.shares_memory(w.competences, pop.competences) and np.shares_memory(w.mask, pop.masks)
-    for row in (w.competences, w.mask):
+    for row in (pop.competences[2], pop.masks[2]):
         with pytest.raises(ValueError, match="read-only"):
             row[0] = 99.0
-    with pytest.raises(WorkforceError):
-        pop.worker(len(pop))
 
 
 def test_a_population_keeps_its_own_read_only_arrays():
@@ -129,26 +122,19 @@ def test_a_population_keeps_its_own_read_only_arrays():
     assert all(kept is given for kept, given in ((pop.masks, drawn.masks), (pop.social, drawn.social)))
 
 
-def test_worker_takes_only_integer_ids():
-    pop = make_population(n=4)
-    assert pop.worker(np.int64(3)).id == 3
-    for bad in (1.5, True, np.float64(2.0), -1, 4):
-        with pytest.raises(WorkforceError, match=f"unknown worker id {re.escape(repr(bad))}"):
-            pop.worker(bad)
-
-
 def test_population_sequence_protocol():
+    # A worker is row i of every column; there is no per-worker view to index or iterate.
     pop = make_population(n=4)
-    assert [w.id for w in pop] == [0, 1, 2, 3]
-    assert pop[3].id == 3
+    assert len(pop) == 4 and pop.n_competences == 4
+    for attempt in (lambda: pop[3], lambda: list(pop), lambda: 3 in pop):
+        with pytest.raises(TypeError):
+            attempt()
 
 
 def test_workers_and_populations_compare_by_identity_without_raising():
-    # Element-wise array equality has no single truth value; workers compare by identity.
+    # Element-wise array equality has no single truth value; populations compare by identity.
     pop = make_population(n=4)
-    worker = pop.worker(1)
-    assert worker == worker and worker != pop.worker(1)
-    assert worker not in pop and 3 not in pop
+    assert pop == pop and pop != make_population(n=4)
     assert not hasattr(pop, "index") and not hasattr(pop, "count")
 
 
