@@ -12,7 +12,7 @@ from pathlib import Path
 from .community import CommunityError
 from .diffusion import DiffusionError
 from .netgraph import GraphError, read_edge_list
-from .roles import RoleError, Strategy, rank_nodes, select_top
+from .roles import STRATEGIES, RoleError, rank_nodes, select_top
 from .scenario import (
     _ID,
     ConfigError,
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rank = sub.add_parser("rank", help="rank nodes of an edge-list graph under a strategy")
     p_rank.add_argument("graph", help="edge-list file: '# nodes=N' header, then 'u,v,weight' lines")
-    p_rank.add_argument("--strategy", required=True, help="|".join(s.value for s in Strategy))
+    p_rank.add_argument("--strategy", required=True, help="|".join(STRATEGIES))
     p_rank.add_argument("--seed", type=int, default=0, help="seed for the random strategy")
     p_rank.add_argument("--top", default=None, help="keep an int count or a float fraction of the ranking")
 
@@ -119,11 +119,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    if args.strategy not in STRATEGIES:
+        raise ConfigError(f"--strategy: unknown strategy {args.strategy!r}; expected one of: {', '.join(STRATEGIES)}")
     g = read_edge_list(args.graph)
-    strategy = Strategy.parse(args.strategy)
     top = None if args.top is None else _parse_top(args.top, g.node_count)
-    rng = stream_rng(args.seed, "strategy") if strategy is Strategy.RANDOM else None
-    for node in rank_nodes(g, strategy, rng=rng)[:top]:
+    rng = stream_rng(args.seed, "strategy") if args.strategy == "random" else None
+    for node in rank_nodes(g, args.strategy, rng=rng)[:top]:
         print(node)
     return 0
 

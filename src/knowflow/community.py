@@ -163,8 +163,9 @@ def transfer_efficiency(
     path = shortest_hop_path(g, u, v, edge_score=workers.social[receivers] * weights * workers.cognitive[senders])
     if path is None:
         return None
-    hops = path.edge_count
-    return path.score / hops if single_division else path.score / hops / hops
+    nodes, score = path
+    hops = len(nodes) - 1
+    return score / hops if single_division else score / hops / hops
 
 
 @dataclass(frozen=True)

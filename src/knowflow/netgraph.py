@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "GraphError",
-    "PathResult",
     "WeightSpec",
     "WeightedGraph",
     "add_edge",
@@ -75,22 +74,6 @@ class WeightSpec:
         if self.kind == "constant" or self.low == self.high:
             return np.full(count, self.low, dtype=float)
         return rng.uniform(self.low, self.high, size=count)
-
-
-@dataclass(frozen=True)
-class PathResult:
-    """A concrete node sequence between two endpoints, with its summed edge score.
-
-    ``edge_count`` counts its edges; ``score`` sums the path's edge scores
-    left to right from 0.0.
-    """
-
-    nodes: tuple[int, ...]
-    score: float
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.nodes) - 1
 
 
 class WeightedGraph:
@@ -321,7 +304,13 @@ def average_edge_weight(g: WeightedGraph) -> float:
     if g.edge_count == 0:
         raise GraphError("average edge weight is undefined on a graph with no edges")
     senders, receivers, weights = g.directed_edge_arrays()
-    return float(np.cumsum(weights[senders > receivers])[-1] / g.edge_count)
+    weights = weights[senders > receivers]
+    with np.errstate(over="ignore"):
+        total = np.cumsum(weights)[-1]
+    if total == math.inf:  # finite weights whose sum overflows: sum them scaled by the largest
+        top = weights.max()
+        return float(np.cumsum(weights / top)[-1] / g.edge_count * top)
+    return float(total / g.edge_count)
 
 
 # -- distances and centralities ----------------------------------------------
@@ -601,8 +590,8 @@ def shortest_hop_path(
     source: int,
     target: int,
     edge_score: np.ndarray | None = None,
-) -> PathResult | None:
-    """Deterministic minimum-hop path from source to target, with its score; None when unreachable.
+) -> tuple[tuple[int, ...], float] | None:
+    """Deterministic minimum-hop path from source to target as (nodes, score); None when unreachable.
 
     ``edge_score`` (default: the weights) is a float array aligned with
     ``g.directed_edge_arrays()``: slot i of node p's row scores the step
@@ -636,7 +625,7 @@ def shortest_hop_path(
         for v, (total, path) in reached.items():
             kept[v] = total, path + (v,)
         layer = list(reached)
-    return None if kept[target] is None else PathResult(kept[target][1], kept[target][0])
+    return None if kept[target] is None else (kept[target][1], kept[target][0])
 
 
 # -- text interchange ----------------------------------------------------------

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from enum import Enum
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +21,8 @@ from .workforce import Population
 
 __all__ = [
     "ROLES",
-    "RoleAssignment",
     "RoleError",
-    "Strategy",
+    "STRATEGIES",
     "apply_collector",
     "apply_expert",
     "apply_facilitator",
@@ -37,39 +35,14 @@ class RoleError(ValueError):
     """Invalid role or selection parameter."""
 
 
-class Strategy(str, Enum):
-    """Node ranking strategies for picking role holders."""
-
-    RANDOM = "random"
-    DEGREE = "degree"
-    CLOSENESS = "closeness"
-    BETWEENNESS = "betweenness"
-    TIME_SHARING = "timesharing"
-    DISSEMINATION = "dissemination"
-
-    @classmethod
-    def parse(cls, token: str) -> "Strategy":
-        try:
-            return cls(token)
-        except ValueError:
-            valid = ", ".join(s.value for s in cls)
-            raise RoleError(f"unknown strategy {token!r}; expected one of: {valid}") from None
-
-
 ROLES = ("expert", "facilitator", "collector")
-
-
-@dataclass(frozen=True)
-class RoleAssignment:
-    """Outcome of a role plan: the role and the nodes that got it."""
-
-    role: str
-    nodes: tuple[int, ...]
+# Node ranking strategies for picking role holders.
+STRATEGIES = ("random", "degree", "closeness", "betweenness", "timesharing", "dissemination")
 
 
 def rank_nodes(
     g: WeightedGraph,
-    strategy: Strategy | str,
+    strategy: str,
     rng: np.random.Generator | None = None,
 ) -> list[int]:
     """Full node ranking under a strategy; deterministic given graph (and rng).
@@ -79,23 +52,24 @@ def rank_nodes(
     utility (exclusive attention), ``dissemination`` the lowest, i.e. nodes of
     modest degree attached to well-connected neighbors.
     """
-    strategy = Strategy.parse(strategy) if isinstance(strategy, str) else strategy
+    if strategy not in STRATEGIES:
+        raise RoleError(f"unknown strategy {strategy!r}; expected one of: {', '.join(STRATEGIES)}")
     nodes = list(g.nodes())
-    if strategy is Strategy.RANDOM:
+    if strategy == "random":
         if rng is None:
             raise RoleError("random strategy needs a seeded random generator")
         return [int(v) for v in rng.permutation(g.node_count)]
-    if strategy is Strategy.DEGREE:
+    if strategy == "degree":
         scores = np.bincount(g.directed_edge_arrays()[1], minlength=g.node_count).tolist()
-    elif strategy is Strategy.CLOSENESS:
+    elif strategy == "closeness":
         scores = list(weighted_closeness_all(g))
-    elif strategy is Strategy.BETWEENNESS:
+    elif strategy == "betweenness":
         scores = list(weighted_betweenness_all(g))
     else:
         utilities = coauthor_utility(g).tolist()
-        if strategy is Strategy.TIME_SHARING:
+        if strategy == "timesharing":
             scores = utilities
-        else:  # DISSEMINATION ranks ascending
+        else:  # dissemination ranks ascending
             scores = [-u for u in utilities]
     return sorted(nodes, key=lambda v: (-scores[v], v))
 
@@ -109,10 +83,10 @@ def select_top(ranking: Sequence[int], count_or_fraction: int | float) -> list[i
     n = len(ranking)
     if n == 0:
         raise RoleError("ranking is empty")
-    if isinstance(count_or_fraction, bool):
+    if isinstance(count_or_fraction, (bool, np.bool_)):
         raise RoleError("count must be an int or fraction, not bool")
-    if isinstance(count_or_fraction, int):
-        count = count_or_fraction
+    if _is_int(count_or_fraction):
+        count = int(count_or_fraction)
         if not (1 <= count <= n):
             raise RoleError(f"count must lie in [1, {n}], got {count}")
     else:
@@ -141,13 +115,14 @@ def apply_expert(
 ) -> Population:
     """Re-draw the selected workers' masked competences uniformly in boost_range.
 
-    Values are replaced, not added. ``boost_all`` ignores the mask and
+    Values are replaced, not added. ``boost_range`` is (low, high) with
+    ``0 <= low <= high``, both finite. ``boost_all`` ignores the mask and
     refreshes the whole vector. Returns a new population; ``workers`` is left
     untouched.
     """
     lo, hi = float(boost_range[0]), float(boost_range[1])
-    if lo < 0.0 or hi < lo:
-        raise RoleError(f"boost range must satisfy 0 <= low <= high, got [{lo}, {hi}]")
+    if not (0.0 <= lo <= hi < math.inf):
+        raise RoleError(f"boost range must satisfy 0 <= low <= high, both finite, got [{lo}, {hi}]")
     competences = workers.competences.copy()
     for v in _node_ids(nodes, len(workers)):
         if boost_all:
@@ -157,7 +132,9 @@ def apply_expert(
         if idx.size:
             competences[v, idx] = rng.uniform(lo, hi, size=idx.size)
     competences.flags.writeable = False  # a fresh copy: the new population keeps it
-    return Population(competences, workers.masks, workers.cognitive, workers.social, workers.forgetting)
+    # The input's own columns plus draws inside the range: valid, unless the input's competences
+    # already overflowed, which ``run`` reports with the step it happened at.
+    return Population._trusted(competences, workers.masks, workers.cognitive, workers.social, workers.forgetting)
 
 
 def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> WeightedGraph:

@@ -41,7 +41,7 @@ from .netgraph import (
     average_edge_weight,
     generate_watts_strogatz,
 )
-from .roles import ROLES, RoleAssignment, Strategy, apply_collector, apply_expert, apply_facilitator, rank_nodes, select_top
+from .roles import ROLES, STRATEGIES, apply_collector, apply_expert, apply_facilitator, rank_nodes, select_top
 from .workforce import Population, init_workers
 
 __all__ = [
@@ -67,7 +67,6 @@ logger = logging.getLogger("knowflow")
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 REFERENCE_TOKEN = "none"
-_STRATEGY_TOKENS = tuple(s.value for s in Strategy)
 _TIE_MODES = ("none", "manual", "algorithm", "random")
 _NAMED_PROBES = {"average_competence": "average", "collector_intake": "collector"}
 # Role-only keys and the role each belongs to.
@@ -305,7 +304,7 @@ class PopulationSpec:
 class RolePlan:
     role: str = field(metadata=_key(_as_str, choices=ROLES))
     strategies: tuple[str, ...] = field(
-        metadata=_key(_as_list, item=partial(_as_str, choices=(REFERENCE_TOKEN, *_STRATEGY_TOKENS)), unique="strategy")
+        metadata=_key(_as_list, item=partial(_as_str, choices=(REFERENCE_TOKEN, *STRATEGIES)), unique="strategy")
     )
     fraction: float | None = field(default=None, metadata=_key(_as_float, gt=0.0, hi=1.0))
     count: int | None = field(default=None, metadata=_key(_as_int, lo=1))
@@ -639,8 +638,8 @@ def _intervention(plan: RolePlan, targets: Sequence[tuple[int, _Run]]) -> Callab
 
     def intervene(state: SimulationState) -> SimulationState:
         for offset, run_ in targets:
-            nodes = run_.assignment.nodes  # type: ignore[union-attr]
-            selected = tuple(offset + v for v in nodes)
+            nodes = run_.role_nodes
+            selected = tuple(offset + v for v in nodes)  # type: ignore[union-attr]
             if plan.role == "expert":
                 rng = stream_rng(run_.seed, "boost")
                 boosted = apply_expert(
@@ -663,23 +662,23 @@ def _intervention(plan: RolePlan, targets: Sequence[tuple[int, _Run]]) -> Callab
     return intervene
 
 
-def _assignment(plan: RolePlan | None, variant: str, g: WeightedGraph, seed: int) -> RoleAssignment | None:
+def _role_nodes(plan: RolePlan | None, variant: str, g: WeightedGraph, seed: int) -> tuple[int, ...] | None:
     """The variant's role nodes, ranked on the seed's graph before any tie; None for the reference run."""
     if plan is None or variant == REFERENCE_TOKEN:
         return None
-    ranking = rank_nodes(g, variant, rng=stream_rng(seed, "strategy") if variant == Strategy.RANDOM.value else None)
+    ranking = rank_nodes(g, variant, rng=stream_rng(seed, "strategy") if variant == "random" else None)
     portion: int | float = plan.count if plan.count is not None else plan.fraction  # type: ignore[assignment]
-    return RoleAssignment(role=plan.role, nodes=tuple(select_top(ranking, portion)))
+    return tuple(select_top(ranking, portion))
 
 
 class _Run(NamedTuple):
-    """One prepared (variant, seed) run: its graph after ties, its population and its role assignment."""
+    """One prepared (variant, seed) run: its graph after ties, its population and its role nodes."""
 
     variant: str
     seed: int
     graph: WeightedGraph
     population: Population
-    assignment: RoleAssignment | None
+    role_nodes: tuple[int, ...] | None
 
 
 def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[int, ...]) -> list[TimeSeries]:
@@ -689,7 +688,7 @@ def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[i
     by the run's position times the network size.
     """
     n, plan = config.network.nodes, config.role_plan
-    targets = [(r * n, run_) for r, run_ in enumerate(runs) if run_.assignment is not None]
+    targets = [(r * n, run_) for r, run_ in enumerate(runs) if run_.role_nodes is not None]
     interventions = {plan.step: _intervention(plan, targets)} if targets else {}  # type: ignore[union-attr, arg-type]
     for run_ in runs:
         logger.info("running %s variant=%s seed=%d", config.name, run_.variant, run_.seed)
@@ -708,7 +707,7 @@ class VariantResult:
     seeds: tuple[int, ...]
     series: dict[int, TimeSeries]
     ties: dict[int, list[dict]]
-    assignments: dict[int, RoleAssignment | None]
+    role_nodes: dict[int, tuple[int, ...] | None]
     aggregate: TimeSeries = field(init=False)
 
     def __post_init__(self) -> None:
@@ -754,7 +753,7 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     seed_list = config.run.seeds if seeds is None else _as_list(list(seeds), "seeds", item=_ID, unique="seed")
     names = config.role_plan.strategies if config.role_plan is not None else ("default",)
     series: dict[tuple[str, int], TimeSeries] = {}
-    assignments: dict[str, dict[int, RoleAssignment | None]] = {name: {} for name in names}
+    role_nodes: dict[str, dict[int, tuple[int, ...] | None]] = {name: {} for name in names}
     ties: dict[int, list[dict]] = {}
     pending: dict[tuple[int, ...], list[_Run]] = {}  # by collector ids: runs that record the same columns
     size = max(1, _BATCH_CELLS // (config.network.nodes * config.population.competences))
@@ -770,15 +769,15 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
         pop = _population_for(config.population, config.network.nodes, seed)
         tied, ties[seed] = (g, []) if community is None else _apply_tie_plan(community, g, pop, seed)
         for name in names:
-            assignment = assignments[name][seed] = _assignment(config.role_plan, name, g, seed)
-            collectors = assignment.nodes if assignment is not None and assignment.role == "collector" else ()
-            pending.setdefault(collectors, []).append(_Run(name, seed, tied, pop, assignment))
+            nodes = role_nodes[name][seed] = _role_nodes(config.role_plan, name, g, seed)
+            collectors = nodes if nodes is not None and config.role_plan.role == "collector" else ()  # type: ignore[union-attr]
+            pending.setdefault(collectors, []).append(_Run(name, seed, tied, pop, nodes))
             if len(pending[collectors]) == size:
                 flush(collectors)
     for collectors in list(pending):
         flush(collectors)
     variants = {
-        name: VariantResult(name, seed_list, {s: series[name, s] for s in seed_list}, dict(ties), assignments[name])
+        name: VariantResult(name, seed_list, {s: series[name, s] for s in seed_list}, dict(ties), role_nodes[name])
         for name in names
     }
     return ExperimentReport(config=config, config_hash=config_hash(config), seeds=seed_list, variants=variants)
@@ -872,10 +871,7 @@ def emit_report(
                 "final": final,
                 "stabilization_step": stabilization,
                 "ties": {str(s): result.ties[s] for s in result.seeds},
-                "role_nodes": {
-                    str(s): (list(result.assignments[s].nodes) if result.assignments[s] else None)
-                    for s in result.seeds
-                },
+                "role_nodes": {str(s): result.role_nodes[s] for s in result.seeds},
             }
         path = out / f"{name}__summary.json"
         path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")

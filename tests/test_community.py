@@ -225,8 +225,7 @@ def test_array_scored_paths_equal_the_callable_scored_oracle_bit_for_bit(case):
     for u, v in itertools.permutations(range(g.node_count), 2):
         path = shortest_hop_path(g, u, v)
         want = oracles.callable_hop_path(g, u, v)
-        assert (None if path is None else path.nodes) == want
-        assert path is None or path.score == oracles.path_score(want, g.weight)
+        assert path == (None if want is None else (want, oracles.path_score(want, g.weight)))
         for single in (False, True):
             got = transfer_efficiency(g, pop, u, v, single_division=single)
             assert got == oracles.resummed_transfer_efficiency(g, pop, u, v, single_division=single)

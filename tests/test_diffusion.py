@@ -552,13 +552,15 @@ def test_a_run_that_overflows_fails_naming_the_first_step_with_a_value_that_is_n
     pop = Population(np.array([[4.0], [1.0], [1.0]]), np.ones((3, 1)), np.ones(3), np.full(3, 0.5), np.zeros(3))
     state = SimulationState.batch([(g, pop)])
     facilitate = {3: lambda st_: replace(st_, graph=apply_facilitator(st_.graph, [2], 2.0))}
+    boost = {3: lambda st_: replace(st_, population=apply_expert(st_.population, [2], (1.0, 2.0), np.random.default_rng(0)))}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings stay inside the run
         with pytest.raises(DiffusionError, match="not finite by step 2$"):
             run(state, 5, [probe_average()])
-        # An intervention after the overflow, which rebuilds the plan, changes nothing.
-        with pytest.raises(DiffusionError, match="not finite by step 2$"):
-            run(state, 5, [probe_average()], interventions=facilitate)
+        # An intervention after the overflow, which rebuilds the plan or the population, changes nothing.
+        for intervention in (facilitate, boost):
+            with pytest.raises(DiffusionError, match="not finite by step 2$"):
+                run(state, 5, [probe_average()], interventions=intervention)
         # A probe that never reads the overflowed rows: the final competences still fail the run.
         with pytest.raises(DiffusionError, match="not finite by step 5$"):
             run(state, 5, [probe_node(2)])

@@ -8,6 +8,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -96,7 +97,7 @@ def test_node_ids_must_be_integers():
             with pytest.raises(GraphError, match="node id must be an integer"):
                 query(bad)
     assert g.has_edge(np.int64(0), np.int32(1)) and g.neighbors(np.int64(1)) == [0, 2]
-    assert shortest_hop_path(g, np.int64(0), 2).nodes == (0, 1, 2)
+    assert shortest_hop_path(g, np.int64(0), 2) == ((0, 1, 2), 2.0)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -175,6 +176,16 @@ def test_average_edge_weight():
     assert average_edge_weight(g) == 2.0
     with pytest.raises(GraphError):
         average_edge_weight(WeightedGraph(3))
+
+
+def test_average_edge_weight_of_large_finite_weights_is_finite():
+    top = np.finfo(float).max
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the sum's overflow stays inside
+        assert average_edge_weight(build(3, {(0, 1): 1.7e308, (1, 2): 1.7e308})) == 1.7e308
+        assert average_edge_weight(build(4, {(0, 1): top, (1, 2): top, (2, 3): 0.0})) == 2 / 3 * top
+        ring = generate_watts_strogatz(40, 4, 0.0, np.random.default_rng(0))
+        assert average_edge_weight(WeightedGraph(40, [(u, v, top) for u, v, _ in ring.edges()])) == top
 
 
 def _scaled_network(fixture, nodes, seed):
@@ -665,23 +676,21 @@ def test_utility_ignores_weights():
 def test_hop_path_prefers_fewest_hops():
     # direct weak edge beats a strong 2-hop detour
     g = build(3, {(0, 2): 0.1, (0, 1): 5.0, (1, 2): 5.0})
-    assert shortest_hop_path(g, 0, 2).nodes == (0, 2)
+    assert shortest_hop_path(g, 0, 2)[0] == (0, 2)
 
 
 def test_hop_path_breaks_hop_ties_by_score_then_lex():
     sq = build(4, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0, (2, 3): 1.0})
-    assert shortest_hop_path(sq, 0, 2).nodes == (0, 1, 2)  # lexicographic tie
+    assert shortest_hop_path(sq, 0, 2)[0] == (0, 1, 2)  # lexicographic tie
     scored = build(4, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 2.0, (2, 3): 2.0})
-    assert shortest_hop_path(scored, 0, 2).nodes == (0, 3, 2)
+    assert shortest_hop_path(scored, 0, 2)[0] == (0, 3, 2)
 
 
 def test_hop_path_custom_score_and_result_shape():
     g = build(4, {(0, 1): 1.0, (1, 2): 1.0, (0, 3): 1.0, (2, 3): 1.0})
     senders, receivers, _ = g.directed_edge_arrays()
     res = shortest_hop_path(g, 0, 2, edge_score=(receivers + senders).astype(float))  # a + b for the step a -> b
-    assert res.nodes == (0, 3, 2)
-    assert len(res.nodes) == 3
-    assert res.edge_count == 2
+    assert res == ((0, 3, 2), 8.0)  # (nodes, score): (0 + 3) + (3 + 2) beats (0 + 1) + (1 + 2)
 
 
 def test_hop_path_keeps_one_path_per_node_even_where_rounding_ties_the_sums():
@@ -691,15 +700,14 @@ def test_hop_path_keeps_one_path_per_node_even_where_rounding_ties_the_sums():
     # (0, 1, 3, 4), and the oracle that applies it does.
     weights = {(0, 2): 0.5, (2, 3): 0.5 + 2.0**-52, (0, 1): 0.5, (1, 3): 0.5, (3, 4): 1.0}
     g = build(5, weights)
-    path = shortest_hop_path(g, 0, 4)
-    assert (path.nodes, path.score) == ((0, 2, 3, 4), 2.0)
+    assert shortest_hop_path(g, 0, 4) == ((0, 2, 3, 4), 2.0)
     assert oracles.callable_hop_path(g, 0, 4) == (0, 2, 3, 4)
     assert oracles.oracle_hop_path(5, oracles.adjacency(5, weights), 0, 4) == (0, 1, 3, 4)
 
 
 def test_hop_path_scores_are_one_float_per_directed_edge():
     g = build(3, {(0, 1): 1.0, (1, 2): 2.0})
-    assert shortest_hop_path(g, 0, 2).score == 3.0
+    assert shortest_hop_path(g, 0, 2) == ((0, 1, 2), 3.0)
     for bad in (np.ones(3), np.ones(4, dtype=int), lambda a, b: 1.0):
         with pytest.raises(GraphError, match=r"edge scores must be a float array of shape \(4,\)"):
             shortest_hop_path(g, 0, 2, edge_score=bad)
@@ -754,8 +762,8 @@ def test_hop_paths_match_oracle_on_random_five_node_graphs():
             for t in range(5):
                 if s == t:
                     continue
-                got = shortest_hop_path(g, s, t)
-                assert got.nodes == oracles.oracle_hop_path(5, adj, s, t)
+                nodes, _ = shortest_hop_path(g, s, t)
+                assert nodes == oracles.oracle_hop_path(5, adj, s, t)
 
 
 # -- interchange --------------------------------------------------------------

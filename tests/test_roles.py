@@ -13,7 +13,7 @@ from knowflow import (
     ROLES,
     GraphError,
     RoleError,
-    Strategy,
+    STRATEGIES,
     WeightedGraph,
     WeightSpec,
     add_edge,
@@ -49,55 +49,57 @@ def small_population(n=6, seed=0):
 
 
 def test_strategy_parsing():
-    assert Strategy.parse("timesharing") is Strategy.TIME_SHARING
-    assert Strategy.parse("random") is Strategy.RANDOM
-    with pytest.raises(RoleError, match="unknown strategy"):
-        Strategy.parse("popularity")
+    assert STRATEGIES == ("random", "degree", "closeness", "betweenness", "timesharing", "dissemination")
     assert ROLES == ("expert", "facilitator", "collector")
+    expected = "unknown strategy 'popularity'; expected one of: random, degree, closeness, betweenness, timesharing, dissemination"
+    with pytest.raises(RoleError, match=re.escape(expected)):
+        rank_nodes(star(5), "popularity")
+    for token in ("Degree", 3, None):  # names are exact strings
+        with pytest.raises(RoleError, match="unknown strategy"):
+            rank_nodes(star(5), token)
 
 
 def test_degree_ranking_puts_hub_first():
-    assert rank_nodes(star(5), Strategy.DEGREE)[0] == 0
+    assert rank_nodes(star(5), "degree")[0] == 0
     # leaves tie on degree -> ascending id
-    assert rank_nodes(star(5), Strategy.DEGREE) == [0, 1, 2, 3, 4]
+    assert rank_nodes(star(5), "degree") == [0, 1, 2, 3, 4]
 
 
 def test_degree_ranking_counts_every_edge():
     # A zero-weight edge still counts toward degree; an isolated node scores 0.
     g = WeightedGraph(6, [(0, 1, 0.0), (0, 4, 0.0), (1, 2, 1.0), (2, 3, 2.0)])
-    assert rank_nodes(g, Strategy.DEGREE) == sorted(g.nodes(), key=lambda v: (-g.degree(v), v)) == [0, 1, 2, 3, 4, 5]
+    assert rank_nodes(g, "degree") == sorted(g.nodes(), key=lambda v: (-g.degree(v), v)) == [0, 1, 2, 3, 4, 5]
 
 
 def test_centrality_rankings_on_a_path():
-    assert rank_nodes(path3(), Strategy.BETWEENNESS) == [1, 0, 2]
-    assert rank_nodes(path3(), Strategy.CLOSENESS) == [1, 0, 2]
+    assert rank_nodes(path3(), "betweenness") == [1, 0, 2]
+    assert rank_nodes(path3(), "closeness") == [1, 0, 2]
 
 
 def test_utility_rankings_on_a_path():
     # the middle node enjoys exclusive attention; the ends are cheap to reach
-    assert rank_nodes(path3(), Strategy.TIME_SHARING) == [1, 0, 2]
-    assert rank_nodes(path3(), Strategy.DISSEMINATION) == [0, 2, 1]
+    assert rank_nodes(path3(), "timesharing") == [1, 0, 2]
+    assert rank_nodes(path3(), "dissemination") == [0, 2, 1]
 
 
 def test_symmetric_ring_falls_back_to_id_order():
     # degree and the utility scores are exact on a ring; betweenness is left
     # out because its accumulation order perturbs the last float bits
     ring = generate_watts_strogatz(10, 4, 0.0, np.random.default_rng(0))
-    for strategy in (Strategy.DEGREE, Strategy.CLOSENESS,
-                     Strategy.TIME_SHARING, Strategy.DISSEMINATION):
+    for strategy in ("degree", "closeness", "timesharing", "dissemination"):
         assert rank_nodes(ring, strategy) == list(range(10))
     # exactly tied betweenness (all leaves at 0.0) also breaks toward low ids
-    assert rank_nodes(star(5), Strategy.BETWEENNESS) == [0, 1, 2, 3, 4]
+    assert rank_nodes(star(5), "betweenness") == [0, 1, 2, 3, 4]
 
 
 def test_random_ranking_is_a_seeded_permutation():
     g = star(6)
-    a = rank_nodes(g, Strategy.RANDOM, np.random.default_rng(4))
-    b = rank_nodes(g, Strategy.RANDOM, np.random.default_rng(4))
+    a = rank_nodes(g, "random", np.random.default_rng(4))
+    b = rank_nodes(g, "random", np.random.default_rng(4))
     assert a == b
     assert sorted(a) == list(range(6))
     with pytest.raises(RoleError):
-        rank_nodes(g, Strategy.RANDOM)
+        rank_nodes(g, "random")
 
 
 @settings(max_examples=25, deadline=None)
@@ -126,6 +128,8 @@ def test_select_top_counts_and_fractions():
     assert select_top(ranking, 1.0) == ranking
     assert select_top(list(range(5)), 0.5) == [0, 1, 2]
     assert select_top(list(range(30)), 0.001) == [0]  # never empty
+    assert select_top(range(10), np.int64(2)) == [0, 1]  # a numpy integer is a count
+    assert select_top(range(10), np.uint8(10)) == list(range(10))
 
 
 def test_select_top_validation():
@@ -138,6 +142,10 @@ def test_select_top_validation():
         select_top(ranking, 0.0)
     with pytest.raises(RoleError):
         select_top(ranking, True)
+    with pytest.raises(RoleError):
+        select_top(ranking, np.bool_(True))
+    with pytest.raises(RoleError, match=re.escape("count must lie in [1, 10], got 11")):
+        select_top(ranking, np.int64(11))
     with pytest.raises(RoleError):
         select_top([], 1)
 
@@ -169,6 +177,16 @@ def test_apply_expert_validation():
         apply_expert(pop, [0], (5.0, 1.0), np.random.default_rng(0))
     with pytest.raises(RoleError):
         apply_expert(pop, [99], (1.0, 2.0), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "boost_range", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, np.inf), (-1.0, 2.0), (-np.inf, 1.0)]
+)
+def test_apply_expert_takes_a_finite_boost_range(boost_range):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RoleError, match="0 <= low <= high, both finite"):
+            apply_expert(small_population(), [0], boost_range, np.random.default_rng(0))
 
 
 def test_apply_facilitator_scales_each_incident_edge_once():

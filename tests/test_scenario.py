@@ -16,7 +16,6 @@ import pytest
 from knowflow import (
     ConfigError,
     GraphError,
-    RoleAssignment,
     WeightedGraph,
     add_edge,
     average_edge_weight,
@@ -445,9 +444,8 @@ def test_run_experiment_shapes_and_reference_variant():
     bare = run_experiment(parse_config(tiny_config()))
     assert np.array_equal(bare.variants["default"].mean_curve(), curve)
     # the boosted variant recorded who got the role
-    degree_assignment = report.variants["degree"].assignments[1]
-    assert degree_assignment.role == "expert"
-    assert len(degree_assignment.nodes) == 2
+    assert len(report.variants["degree"].role_nodes[1]) == 2
+    assert report.variants["none"].role_nodes[1] is None
 
 
 def test_collector_variants_share_competence_dynamics():
@@ -534,8 +532,7 @@ def test_a_batched_facilitator_error_names_the_runs_own_node_ids():
     )
     pop = _population_for(cfg.population, 3, 1)
     paths = [WeightedGraph(3, [(0, 1, w), (1, 2, 1.0)]) for w in (1.0, 1e300)]
-    role = RoleAssignment("facilitator", (0,))
-    runs = [scenario._Run("degree", seed, g, pop, role) for seed, g in zip((1, 2), paths)]
+    runs = [scenario._Run("degree", seed, g, pop, (0,)) for seed, g in zip((1, 2), paths)]
     with pytest.raises(GraphError) as alone:
         scenario._run_batch(cfg, runs[1:], ())
     with pytest.raises(GraphError) as batched:
@@ -591,8 +588,45 @@ PROPOSALS_SHA256 = {
 }
 
 
+# sha256 of each variant's role_nodes in the summary JSON (json.dumps with
+# sorted keys, over {seed: nodes}) at seeds 1-3, recorded while a strategy was
+# an enum member and a variant's role holders a (role, nodes) record.
+ROLE_NODES_SHA256 = {
+    ("fig2", "betweenness"): "98379b712b6500334e434999c966b68c229451e0062e8df753dc19cbf18a07ac",
+    ("fig2", "closeness"): "dd485f74ac0265baafa8a30b225dff99bb9211b0c02298001a8f9f9d6307ff8c",
+    ("fig2", "degree"): "2348d6fccc27cd53147895f69654833cd1805a82802b034a278eaa3145eb8ec0",
+    ("fig2", "dissemination"): "5657ae21ed788bdee080e2eb127828c1f049949a62069e7c8ab15a0e0d9841b8",
+    ("fig2", "none"): "1f4a0f529319d176010749782acaa8a749c9824be069e0889b838b8da2abe2af",
+    ("fig2", "random"): "943efaec0fe01f7602cc01b771e838f8d2b8549de2f900a5b2ce0442d36d29bb",
+    ("fig2", "timesharing"): "80f1e7e0ed3ba74a3cb98b05c954bf80d6a05318df088cf1c8102c444b35d590",
+    ("fig3", "betweenness"): "119cdf540f2d6aae343775372688ca6bf57144399dc33abc9e12b97fa52f663c",
+    ("fig3", "closeness"): "7b7d02745399c1b2251186dc72612ec875a5b247d1fc7390c8671bae8425b4d6",
+    ("fig3", "degree"): "8324f54c9a76bd427aef5840c972a8aa6854746bc0b45d2634c5d952c4fd89d2",
+    ("fig3", "dissemination"): "93781fd4ac42b7c502bd41d57263fba75cfe3fcab05adb15590bf8ed88ad0db0",
+    ("fig3", "none"): "1f4a0f529319d176010749782acaa8a749c9824be069e0889b838b8da2abe2af",
+    ("fig3", "random"): "54adc387281710f5f8a2e594d1be8c8b595df5f7e52a380a1ef850388a4cc863",
+    ("fig3", "timesharing"): "5828579195e72f76c67f54264ff8f771d66e7b17d47bfc032f5640bc5376f606",
+    ("fig4", "betweenness"): "119cdf540f2d6aae343775372688ca6bf57144399dc33abc9e12b97fa52f663c",
+    ("fig4", "closeness"): "7b7d02745399c1b2251186dc72612ec875a5b247d1fc7390c8671bae8425b4d6",
+    ("fig4", "degree"): "8324f54c9a76bd427aef5840c972a8aa6854746bc0b45d2634c5d952c4fd89d2",
+    ("fig4", "dissemination"): "93781fd4ac42b7c502bd41d57263fba75cfe3fcab05adb15590bf8ed88ad0db0",
+    ("fig4", "random"): "54adc387281710f5f8a2e594d1be8c8b595df5f7e52a380a1ef850388a4cc863",
+    ("fig4", "timesharing"): "5828579195e72f76c67f54264ff8f771d66e7b17d47bfc032f5640bc5376f606",
+}
+
+
 def _sha256_of_json(value) -> str:
     return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fixture", ["fig2", "fig3", "fig4"])
+def test_role_nodes_are_pinned(fixture, tmp_path):
+    raw = load_fixture(fixture).to_dict()
+    raw["run"].update(steps=0, seeds=[1, 2, 3])  # role holders are ranked before the first step
+    emit_report(run_experiment(parse_config(raw)), tmp_path, formats=["json"])
+    summary = json.loads((tmp_path / f"{fixture}__summary.json").read_text())
+    digests = {(fixture, name): _sha256_of_json(var["role_nodes"]) for name, var in summary["variants"].items()}
+    assert digests == {key: h for key, h in ROLE_NODES_SHA256.items() if key[0] == fixture}
 
 
 @pytest.mark.parametrize("fixture", ["fig7", "fig8", "fig9"])
@@ -881,16 +915,36 @@ def test_cli_run_fails_when_knowledge_overflows(tmp_path):
     data["network"]["weights"] = {"kind": "constant", "value": 1e300}
     data["community_plan"]["ties"] = "none"
     data["run"].update(steps=30, seeds=[1])
-    cfg_path, out_dir = tmp_path / "overflow.json", tmp_path / "out"
-    cfg_path.write_text(json.dumps(data))
     env = {**os.environ, "PYTHONPATH": str(Path(scenario.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
-    done = subprocess.run(
-        [sys.executable, "-m", "knowflow.cli", "run", str(cfg_path), "--out", str(out_dir)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert done.returncode == 3
-    assert done.stderr == "error: knowledge overflowed: a competence or probe value is not finite by step 2\n"
-    assert done.stdout == "" and not out_dir.exists()
+    # An expert intervention after the overflow redraws finite values into an overflowed population.
+    expert = {"role": "expert", "strategies": ["degree"], "count": 2, "boost_range": [1, 2], "step": 20}
+    for label, config in (("alone", data), ("expert", {**data, "role_plan": expert})):
+        cfg_path, out_dir = tmp_path / f"{label}.json", tmp_path / label
+        cfg_path.write_text(json.dumps(config))
+        done = subprocess.run(
+            [sys.executable, "-m", "knowflow.cli", "run", str(cfg_path), "--out", str(out_dir)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 3
+        assert done.stderr == "error: knowledge overflowed: a competence or probe value is not finite by step 2\n"
+        assert done.stdout == "" and not out_dir.exists()
+
+
+def test_cli_accelerate_averages_large_finite_tie_weights(tmp_path, capsys):
+    # The weights' sum overflows, their mean does not.
+    data = json.loads((Path(scenario.__file__).parent / "fixtures" / "fig9.json").read_text())
+    data["network"]["weights"] = {"kind": "constant", "value": 1.7e308}
+    data["run"]["seeds"] = [1]
+    cfg_path = tmp_path / "heavy.json"
+    cfg_path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["accelerate", str(cfg_path)]) == 0
+        proposals = json.loads(capsys.readouterr().out)
+        assert [p["weight"] for p in proposals] == [1.7e308]
+        # Diffusion over such ties overflows at once.
+        assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == "error: knowledge overflowed: a competence or probe value is not finite by step 1\n"
 
 
 @pytest.mark.parametrize(
@@ -941,7 +995,10 @@ def test_cli_rank_orders_nodes(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1", "0", "2"]
     assert main(["rank", str(graph), "--strategy", "degree", "--top", "1"]) == 0
     assert capsys.readouterr().out.split() == ["1"]
-    assert main(["rank", str(graph), "--strategy", "nonsense"]) == 3
+    # An unknown strategy is checked before the graph is read.
+    assert main(["rank", str(tmp_path / "missing.txt"), "--strategy", "nonsense"]) == 2
+    expected = "random, degree, closeness, betweenness, timesharing, dissemination"
+    assert capsys.readouterr().err == f"config error: --strategy: unknown strategy 'nonsense'; expected one of: {expected}\n"
     assert main(["rank", str(graph), "--strategy", "degree", "--top", "x"]) == 2
     assert main(["rank", str(tmp_path / "missing.txt"), "--strategy", "degree"]) == 3
 
