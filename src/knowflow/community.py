@@ -19,7 +19,6 @@ from .workforce import Population
 __all__ = [
     "Community",
     "CommunityError",
-    "TieProposal",
     "accelerate_loop",
     "detect_communities",
     "energy_ranking",
@@ -168,22 +167,19 @@ def transfer_efficiency(
     return score / hops if single_division else score / hops / hops
 
 
-@dataclass(frozen=True)
-class TieProposal:
-    """A tie to insert, with its pre-insertion efficiency; ``community`` is None for a manual tie.
-
-    ``efficiency_before`` is None when the target was unreachable from the source.
-    """
-
-    community: int | None
-    source: int
-    target: int
-    weight: float
-    efficiency_before: float | None
-
-    def as_record(self) -> dict:
-        return {"community": self.community, "from": self.source, "to": self.target,
-                "weight": self.weight, "efficiency_before": self.efficiency_before}
+def _insert_tie(
+    g: WeightedGraph,
+    records: list[dict],
+    community: int | None,
+    u: int,
+    v: int,
+    tie_weight: float | None,
+    efficiency: float | None,
+) -> WeightedGraph:
+    """``g`` plus the tie (u, v) at ``tie_weight`` or else ``g``'s average, recorded in ``records``."""
+    weight = float(tie_weight) if tie_weight is not None else average_edge_weight(g)
+    records.append({"community": community, "from": u, "to": v, "weight": weight, "efficiency_before": efficiency})
+    return add_edge(g, u, v, weight)
 
 
 def accelerate_loop(
@@ -194,7 +190,7 @@ def accelerate_loop(
     tie_weight: float | None = None,
     min_efficiency: float | None = None,
     single_division: bool = False,
-) -> tuple[WeightedGraph, list[TieProposal]]:
+) -> tuple[WeightedGraph, list[dict]]:
     """Insert up to ``budget`` accelerator ties inside a community, re-evaluating after each one.
 
     Candidate pairs (u, v) need strictly higher knowledge energy at u than at
@@ -202,15 +198,16 @@ def accelerate_loop(
     efficiency wins; efficiency ties break toward the smaller source id, then
     target id. The tie weight defaults to the current graph's average tie
     strength. Stops early when no pair qualifies or when the next
-    candidate's efficiency already reaches ``min_efficiency``.
+    candidate's efficiency already reaches ``min_efficiency``. Returns the
+    graph and one record per inserted tie.
     """
     _check_sizes(g, workers)
-    if budget < 0:
-        raise CommunityError(f"tie budget must be >= 0, got {budget}")
+    if not (_is_int(budget) and budget >= 0):
+        raise CommunityError(f"tie budget must be an integer >= 0, got {budget!r}")
     # Energies depend on the population alone, which no tie changes.
     ranking = energy_ranking(community, workers)
     ordered = [(u, v) for u, eu in ranking for v, ev in ranking if eu > ev]
-    proposals: list[TieProposal] = []
+    records: list[dict] = []
     for _ in range(budget):
         pairs = [(u, v) for u, v in ordered if not g.has_edge(u, v)]
         scored = [
@@ -221,7 +218,5 @@ def accelerate_loop(
         eff, u, v = min(scored)
         if min_efficiency is not None and eff >= min_efficiency:
             break
-        weight = float(tie_weight) if tie_weight is not None else average_edge_weight(g)
-        proposals.append(TieProposal(community=community.id, source=u, target=v, weight=weight, efficiency_before=eff))
-        g = add_edge(g, u, v, weight)
-    return g, proposals
+        g = _insert_tie(g, records, community.id, u, v, tie_weight, eff)
+    return g, records

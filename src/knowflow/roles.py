@@ -115,14 +115,17 @@ def apply_expert(
 ) -> Population:
     """Re-draw the selected workers' masked competences uniformly in boost_range.
 
-    Values are replaced, not added. ``boost_range`` is (low, high) with
-    ``0 <= low <= high``, both finite. ``boost_all`` ignores the mask and
-    refreshes the whole vector. Returns a new population; ``workers`` is left
-    untouched.
+    Values are replaced, not added. ``boost_range`` is exactly a pair (low,
+    high) with ``0 <= low <= high``, both finite. ``boost_all`` ignores the
+    mask and refreshes the whole vector. Returns a new population;
+    ``workers`` is left untouched.
     """
-    lo, hi = float(boost_range[0]), float(boost_range[1])
+    try:
+        lo, hi = (float(b) for b in boost_range)
+    except (TypeError, ValueError):
+        lo = hi = math.nan
     if not (0.0 <= lo <= hi < math.inf):
-        raise RoleError(f"boost range must satisfy 0 <= low <= high, both finite, got [{lo}, {hi}]")
+        raise RoleError(f"boost range must be a pair (low, high) with 0 <= low <= high, both finite, got {boost_range!r}")
     competences = workers.competences.copy()
     for v in _node_ids(nodes, len(workers)):
         if boost_all:

@@ -24,23 +24,15 @@ import re
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace as dc_replace
 from functools import partial
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .community import Community, TieProposal, accelerate_loop, detect_communities, transfer_efficiency
+from .community import Community, _insert_tie, accelerate_loop, detect_communities, transfer_efficiency
 from .diffusion import Probe, SimulationState, TimeSeries, collector_probes, probe_average, probe_mask, probe_node, run
-from .netgraph import (
-    GraphError,
-    WeightedGraph,
-    WeightSpec,
-    _is_int,
-    add_edge,
-    assign_weights,
-    average_edge_weight,
-    generate_watts_strogatz,
-)
+from .netgraph import GraphError, WeightedGraph, WeightSpec, _is_int, assign_weights, generate_watts_strogatz
 from .roles import ROLES, STRATEGIES, apply_collector, apply_expert, apply_facilitator, rank_nodes, select_top
 from .workforce import Population, init_workers
 
@@ -575,48 +567,35 @@ def _apply_tie_plan(
     if plan.ties == "none":
         return g, []
     single = plan.division == "single"
-    proposals: list[TieProposal] = []
-    communities = _communities_for(plan, workers) if plan.ties != "manual" else []
-    if plan.ties != "manual" and plan.community_index >= len(communities):
-        raise ConfigError(
-            f"community_plan.community_index: only {len(communities)} communities detected, "
-            f"got {plan.community_index}"
-        )
-    if plan.ties == "algorithm":
-        g, proposals = accelerate_loop(
-            communities[plan.community_index],
-            g,
-            workers,
-            budget=plan.budget,
-            tie_weight=plan.tie_weight,
-            min_efficiency=plan.min_efficiency,
-            single_division=single,
-        )
+    records: list[dict] = []
+    if plan.ties == "manual":
+        for u, v in plan.manual_ties:
+            if g.has_edge(u, v):
+                logger.warning("manual tie (%d, %d) already present for seed %d; skipped", u, v, seed)
+            else:
+                efficiency = transfer_efficiency(g, workers, u, v, single_division=single)
+                g = _insert_tie(g, records, None, u, v, plan.tie_weight, efficiency)
     else:
-
-        def insert(community: int | None, u: int, v: int) -> None:
-            """Add the tie (u, v) and record it with the transfer efficiency before it."""
-            nonlocal g
-            weight = plan.tie_weight if plan.tie_weight is not None else average_edge_weight(g)
-            efficiency = transfer_efficiency(g, workers, u, v, single_division=single)
-            g = add_edge(g, u, v, weight)
-            proposals.append(TieProposal(community, u, v, weight, efficiency))
-
-        if plan.ties == "manual":
-            for u, v in plan.manual_ties:
-                if g.has_edge(u, v):
-                    logger.warning("manual tie (%d, %d) already present for seed %d; skipped", u, v, seed)
-                else:
-                    insert(None, u, v)
+        communities = _communities_for(plan, workers)
+        if plan.community_index >= len(communities):
+            raise ConfigError(
+                f"community_plan.community_index: only {len(communities)} communities detected, "
+                f"got {plan.community_index}"
+            )
+        target = communities[plan.community_index]
+        if plan.ties == "algorithm":
+            g, records = accelerate_loop(
+                target, g, workers, plan.budget, plan.tie_weight, plan.min_efficiency, single_division=single
+            )
         else:  # uniformly random intra-community ties, for baselining the algorithm
-            target, rng = communities[plan.community_index], stream_rng(seed, "ties")
-            pairs = [(u, v) for i, u in enumerate(target.members) for v in target.members[i + 1:]]
-            for _ in range(plan.budget):
-                eligible = [(u, v) for u, v in pairs if not g.has_edge(u, v)]
-                if not eligible:
-                    break
-                insert(target.id, *eligible[int(rng.integers(len(eligible)))])
-    return g, [{"mode": plan.ties, **p.as_record()} for p in proposals]
+            rng = stream_rng(seed, "ties")
+            # A tie takes only its own pair out of eligibility, so the list is built once.
+            eligible = [(u, v) for u, v in combinations(target.members, 2) if not g.has_edge(u, v)]
+            for _ in range(min(plan.budget, len(eligible))):
+                u, v = eligible.pop(int(rng.integers(len(eligible))))
+                efficiency = transfer_efficiency(g, workers, u, v, single_division=single)
+                g = _insert_tie(g, records, target.id, u, v, plan.tie_weight, efficiency)
+    return g, [{"mode": plan.ties, **record} for record in records]
 
 
 def _build_probes(config: ScenarioConfig, collector_ids: Sequence[int]) -> list[Probe]:
@@ -792,14 +771,8 @@ def propose_ties(
     """Energy-guided tie proposals for one seed's network, without running diffusion."""
     if config.community_plan is None:
         raise ConfigError("community_plan: required to propose ties")
-    plan = dc_replace(
-        config.community_plan,
-        ties="algorithm",
-        community_index=config.community_plan.community_index if community_index is None else community_index,
-        budget=config.community_plan.budget if budget is None else budget,
-    )
-    if plan.community_index < 0 or plan.budget < 0:
-        raise ConfigError("community/budget overrides must be non-negative")
+    overrides = {k: _ID(v, k) for k, v in (("community_index", community_index), ("budget", budget)) if v is not None}
+    plan = dc_replace(config.community_plan, ties="algorithm", **overrides)
     run_seed = config.run.seeds[0] if seed is None else _ID(seed, "seed")
     g = _graph_for(config.network, run_seed)
     pop = _population_for(config.population, config.network.nodes, run_seed)

@@ -273,19 +273,18 @@ def test_accelerate_picks_least_efficient_ordered_pair():
     g, pop, community = bridge_setup()
     proposal = accelerate(community, g, pop)
     # (0, 3) runs over three hops: 0.75/9 beats the 2-hop pairs' 0.5/4
-    assert (proposal.source, proposal.target) == (0, 3)
-    assert proposal.efficiency_before == pytest.approx(0.75 / 9)
-    assert proposal.weight == pytest.approx(1.0)  # defaults to the average tie strength
-    assert proposal.community == 0
-    record = proposal.as_record()
-    assert record["from"] == 0 and record["to"] == 3
+    assert set(proposal) == {"community", "from", "to", "weight", "efficiency_before"}
+    assert (proposal["from"], proposal["to"]) == (0, 3)
+    assert proposal["efficiency_before"] == pytest.approx(0.75 / 9)
+    assert proposal["weight"] == pytest.approx(1.0)  # defaults to the average tie strength
+    assert proposal["community"] == 0
 
 
 def test_accelerate_tie_breaks_by_source_then_target():
     g, pop, community = bridge_setup()
     # one division flattens all candidates to 0.25, so ids decide
     proposal = accelerate(community, g, pop, single_division=True)
-    assert (proposal.source, proposal.target) == (0, 2)
+    assert (proposal["from"], proposal["to"]) == (0, 2)
 
 
 def test_accelerate_requires_reachability_and_energy_order():
@@ -302,7 +301,7 @@ def test_accelerate_requires_reachability_and_energy_order():
 def test_accelerate_loop_reevaluates_after_each_tie():
     g, pop, community = bridge_setup()
     out, proposals = accelerate_loop(community, g, pop, budget=2)
-    assert [(p.source, p.target) for p in proposals] == [(0, 3), (0, 2)]
+    assert [(p["from"], p["to"]) for p in proposals] == [(0, 3), (0, 2)]
     assert out.has_edge(0, 3) and out.has_edge(0, 2)
     assert not g.has_edge(0, 3)  # input graph untouched
 
@@ -313,15 +312,18 @@ def test_accelerate_loop_budget_and_threshold():
     assert none_allowed == []
     # first candidate sits below 0.1, the re-evaluated second one does not
     _, stopped = accelerate_loop(community, g, pop, budget=5, min_efficiency=0.1)
-    assert [(p.source, p.target) for p in stopped] == [(0, 3)]
-    with pytest.raises(CommunityError):
-        accelerate_loop(community, g, pop, budget=-1)
+    assert [(p["from"], p["to"]) for p in stopped] == [(0, 3)]
+    for budget in (-1, True, np.bool_(True), 1.5, 1.0, np.float64(2.0), None):
+        with pytest.raises(CommunityError, match="tie budget must be an integer >= 0"):
+            accelerate_loop(community, g, pop, budget=budget)
+    _, two = accelerate_loop(community, g, pop, budget=np.int64(2))
+    assert [(p["from"], p["to"]) for p in two] == [(0, 3), (0, 2)]
 
 
 def test_accelerate_loop_exhausts_candidates():
     g, pop, community = bridge_setup()
     _, proposals = accelerate_loop(community, g, pop, budget=50)
-    out_pairs = {(p.source, p.target) for p in proposals}
+    out_pairs = {(p["from"], p["to"]) for p in proposals}
     assert out_pairs == {(0, 2), (0, 3), (1, 3)}  # every orderable non-edge, once
 
 
@@ -334,8 +336,8 @@ def test_proposals_are_always_valid(seed, single):
     community = Community(id=0, members=tuple(range(12)), core_mask=np.array([1.0, 0, 1.0, 0, 0]))
     proposal = accelerate(community, g, pop, single_division=single)
     if proposal is not None:
-        assert not g.has_edge(proposal.source, proposal.target)
-        e_src = knowledge_energy(pop, proposal.source, community.core_mask)
-        e_dst = knowledge_energy(pop, proposal.target, community.core_mask)
+        assert not g.has_edge(proposal["from"], proposal["to"])
+        e_src = knowledge_energy(pop, proposal["from"], community.core_mask)
+        e_dst = knowledge_energy(pop, proposal["to"], community.core_mask)
         assert e_src > e_dst
-        assert proposal.weight > 0.0
+        assert proposal["weight"] > 0.0

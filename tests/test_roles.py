@@ -180,12 +180,15 @@ def test_apply_expert_validation():
 
 
 @pytest.mark.parametrize(
-    "boost_range", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, np.inf), (-1.0, 2.0), (-np.inf, 1.0)]
+    "boost_range",
+    [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, np.inf), (-1.0, 2.0), (-np.inf, 1.0)]
+    # exactly a pair: no third value is ignored, and a short or scalar range is no IndexError
+    + [(1.0, 2.0, 99.0), (1.0,), (), 3.0, None, ("low", "high")],
 )
 def test_apply_expert_takes_a_finite_boost_range(boost_range):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(RoleError, match="0 <= low <= high, both finite"):
+        with pytest.raises(RoleError, match="pair \\(low, high\\) with 0 <= low <= high, both finite"):
             apply_expert(small_population(), [0], boost_range, np.random.default_rng(0))
 
 

@@ -581,6 +581,21 @@ TIES_SHA256 = {
     "fig8": "3e41463aa041bb82c04593d96cee348336a6cb45740a8e29b5172afa3d918805",
     "fig9": "7914690ad41f7484a3d8130e161433f8bf925863860b843d2ed09be010d530ac",
 }
+# sha256 of fig9's tie records in the same form at 0 steps and seeds 1-3 for the
+# two modes the fixtures leave out: random ties at budget 3 and at budget 30
+# (more than community 0's 21 pairs, so the eligible pairs run out), and manual
+# ties that repeat a pair in reverse. Recorded while the random mode rebuilt its
+# eligible pairs every round.
+TIE_MODE_SHA256 = {
+    "random-3": "b17ed4121a78b28ab6eafe805f676661f61873032247078bac43100ca4906cf9",
+    "random-30": "0b3445b2e0bc37e71f1f07ee7aef6fd4b40349bacefd61ddfbb116ec3c26db32",
+    "manual": "1c9e1237f554794e25fa635f8feb27b72ccc8dc44698a2ec41f83a4a0c361d02",
+}
+TIE_MODE_PLANS = {
+    "random-3": {"ties": "random", "budget": 3},
+    "random-30": {"ties": "random", "budget": 30},
+    "manual": {"ties": "manual", "manual_ties": [[11, 23], [23, 11], [12, 13]]},
+}
 PROPOSALS_SHA256 = {
     1: "12f219427ce4d53482c8cab8e1e4be3638e5947b594b4bee2921abefc3613f5a",
     2: "575905206d9b78e3968ba5ef80f9c7d066b4c56d8d3dc528dc4079ad47d344ac",
@@ -636,6 +651,16 @@ def test_tie_records_are_pinned(fixture, tmp_path):
     emit_report(run_experiment(parse_config(raw)), tmp_path, formats=["json"])
     summary = json.loads((tmp_path / f"{fixture}__summary.json").read_text())
     assert _sha256_of_json({name: var["ties"] for name, var in summary["variants"].items()}) == TIES_SHA256[fixture]
+
+
+@pytest.mark.parametrize("case", sorted(TIE_MODE_PLANS))
+def test_random_and_manual_tie_records_are_pinned(case, tmp_path):
+    raw = load_fixture("fig9").to_dict()
+    raw["run"].update(steps=0, seeds=[1, 2, 3])
+    raw["community_plan"].update(TIE_MODE_PLANS[case])
+    emit_report(run_experiment(parse_config(raw)), tmp_path, formats=["json"])
+    summary = json.loads((tmp_path / "fig9__summary.json").read_text())
+    assert _sha256_of_json({name: var["ties"] for name, var in summary["variants"].items()}) == TIE_MODE_SHA256[case]
 
 
 def test_tie_proposals_are_pinned():
@@ -1067,6 +1092,22 @@ def test_every_library_seed_is_a_non_negative_integer(bad):
         propose_ties(load_fixture("fig9"), seed=bad)
     with pytest.raises(ConfigError, match="^seed: "):
         stream_rng(bad, "topology")
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 1.0, np.float64(2.0), np.bool_(True), -1, "1"])
+def test_tie_overrides_are_non_negative_integers(bad):
+    cfg = load_fixture("fig9")
+    for key in ("budget", "community_index"):
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            propose_ties(cfg, seed=1, **{key: bad})
+    assert propose_ties(cfg, seed=1, budget=np.int64(2), community_index=np.int64(1)) == propose_ties(
+        cfg, seed=1, budget=2, community_index=1
+    )
+
+
+def test_cli_accelerate_rejects_a_negative_budget(capsys):
+    assert main(["accelerate", "fig9", "--budget", "-1"]) == 2
+    assert capsys.readouterr().err.strip() == "config error: budget: must be >= 0, got -1"
 
 
 def test_library_seeds_take_numpy_integers_and_no_repeats():
