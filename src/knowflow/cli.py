@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_acc = sub.add_parser("accelerate", help="print energy-guided tie proposals for a scenario")
     p_acc.add_argument("config", help="path to a scenario JSON file, or a shipped fixture name")
-    p_acc.add_argument("--community", type=int, default=None, help="community index override")
+    p_acc.add_argument("--community", dest="community_index", type=int, default=None, help="community index override")
     p_acc.add_argument("--budget", type=int, default=None, help="number of ties to propose")
     p_acc.add_argument("--seed", type=int, default=None, help="seed whose network to use (default: first config seed)")
 
@@ -123,7 +123,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         raise ConfigError(f"--strategy: unknown strategy {args.strategy!r}; expected one of: {', '.join(STRATEGIES)}")
     g = read_edge_list(args.graph)
     top = None if args.top is None else _parse_top(args.top, g.node_count)
-    rng = stream_rng(args.seed, "strategy") if args.strategy == "random" else None
+    rng = stream_rng(_ID(args.seed, "--seed"), "strategy") if args.strategy == "random" else None
     for node in rank_nodes(g, args.strategy, rng=rng)[:top]:
         print(node)
     return 0
@@ -131,8 +131,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 def _cmd_accelerate(args: argparse.Namespace) -> int:
     config = _load_scenario(args.config)
-    records = propose_ties(config, seed=args.seed, community_index=args.community, budget=args.budget)
-    print(json.dumps(records, sort_keys=True, indent=2))
+    flags = {"seed": "--seed", "community_index": "--community", "budget": "--budget"}
+    overrides = {key: _ID(vars(args)[key], flag) for key, flag in flags.items() if vars(args)[key] is not None}
+    print(json.dumps(propose_ties(config, **overrides), sort_keys=True, indent=2))
     return 0
 
 

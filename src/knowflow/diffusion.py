@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,15 +48,15 @@ class SimulationState:
     is frozen and the graph is an immutable value: an intervention on the
     network puts a new graph into a new state. The arrays a batch joins,
     every collector ledger and every step's fresh competence matrix are
-    read-only.
+    read-only. Every field is required: ``batch`` builds the state at step 0.
     """
 
     graph: WeightedGraph
     population: Population
-    step: int = 0
-    collectors: frozenset[int] = frozenset()
-    collector_ledger: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    runs: int = 1
+    step: int
+    collectors: frozenset[int]
+    collector_ledger: np.ndarray
+    runs: int
 
     @classmethod
     def batch(cls, runs: Sequence[tuple[WeightedGraph, Population]]) -> "SimulationState":
@@ -245,9 +245,12 @@ def probe_node(node: int) -> Probe:
 
 
 def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | None = None) -> Probe:
-    """Mean competence over chosen competence positions and (optionally) members."""
+    """Mean competence over chosen competence positions and (optionally) members, each a non-empty list."""
     member_idx = None if members is None else _index("node", members)
-    return _cell_probe(f"mask:{name}", member_idx, _index("competence", competences))
+    competence_idx = _index("competence", competences)
+    if not competence_idx.size or (member_idx is not None and not member_idx.size):
+        raise DiffusionError(f"probe mask {name!r} selects no cells: its competences and members must be non-empty")
+    return _cell_probe(f"mask:{name}", member_idx, competence_idx)
 
 
 def collector_probes(collectors: Iterable[int]) -> list[Probe]:

@@ -12,7 +12,6 @@ import itertools
 import math
 import numbers
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -20,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "GraphError",
-    "WeightSpec",
     "WeightedGraph",
     "add_edge",
     "assign_weights",
@@ -37,43 +35,6 @@ __all__ = [
 
 class GraphError(ValueError):
     """Invalid graph parameter, unknown node, or malformed edge operation."""
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """Edge weight distribution: ``constant(c)`` or ``uniform(low, high)``.
-
-    Weights must be strictly positive and finite; a zero weight would
-    silence the edge. A degenerate interval (low == high) is allowed.
-    """
-
-    kind: str
-    low: float
-    high: float
-
-    @classmethod
-    def constant(cls, value: float) -> "WeightSpec":
-        return cls("constant", float(value), float(value))
-
-    @classmethod
-    def uniform(cls, low: float, high: float) -> "WeightSpec":
-        return cls("uniform", float(low), float(high))
-
-    def validate(self) -> None:
-        if self.kind not in ("constant", "uniform"):
-            raise GraphError(f"weight spec kind must be 'constant' or 'uniform', got {self.kind!r}")
-        if not (self.low > 0.0):
-            raise GraphError(f"weight spec low bound must be > 0, got {self.low}")
-        if self.high < self.low:
-            raise GraphError(f"weight spec interval is reversed: [{self.low}, {self.high}]")
-        if not math.isfinite(self.high):
-            raise GraphError(f"weight spec high bound must be finite, got {self.high}")
-
-    def draw(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        self.validate()
-        if self.kind == "constant" or self.low == self.high:
-            return np.full(count, self.low, dtype=float)
-        return rng.uniform(self.low, self.high, size=count)
 
 
 class WeightedGraph:
@@ -195,6 +156,24 @@ def _is_int(x: object) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _bounds(value: object, name: str, error: type[ValueError], hi: float = math.inf) -> tuple[float, float]:
+    """``value`` as exactly a pair of finite reals (low, high) with ``0 <= low <= high <= hi``.
+
+    Every range the library takes is read here; a bool, a string or
+    anything else raises ``error`` with one message.
+    """
+    try:
+        low, high = value  # type: ignore[misc]
+        if all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in (low, high)):
+            low, high = float(low), float(high)
+            if 0.0 <= low <= high <= hi and math.isfinite(high):
+                return low, high
+    except (TypeError, ValueError, OverflowError):
+        pass
+    upper = "" if hi == math.inf else f" <= {hi}"
+    raise error(f"{name} must be a pair (low, high) with 0 <= low <= high{upper}, both finite, got {value!r}")
+
+
 def _checked_edges(n: int, edges: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Both orientations of the edges, each a triple of two integer ids and a real weight, as (senders, receivers, weights).
 
@@ -241,6 +220,8 @@ def generate_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) 
     edges; a node already connected to everyone keeps its lattice edge. All
     weights start at 1.0. p=0 returns the exact ring lattice.
     """
+    if not (_is_int(n) and _is_int(k)):
+        raise GraphError(f"node count and ring degree must be integers, got n={n!r}, k={k!r}")
     if k % 2 != 0:
         raise GraphError(f"ring degree k must be even, got {k}")
     if not (2 <= k < n):
@@ -277,13 +258,18 @@ def generate_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) 
     return WeightedGraph._from_arrays(n, senders, receivers, np.ones(n * k))
 
 
-def assign_weights(g: WeightedGraph, spec: WeightSpec, rng: np.random.Generator) -> WeightedGraph:
-    """Return g's topology with i.i.d. weights drawn for every edge.
+def assign_weights(g: WeightedGraph, weight_range: tuple[float, float], rng: np.random.Generator) -> WeightedGraph:
+    """Return g's topology with i.i.d. weights drawn uniformly in ``weight_range``, a pair (low, high).
 
-    Edges are weighted in canonical (u, v) order, so the same seed always
-    produces the same weight for the same edge.
+    The low bound must be > 0: a zero weight would silence the edge. When
+    ``low == high`` every edge gets that weight and nothing is drawn. Edges
+    are weighted in canonical (u, v) order, so the same seed always produces
+    the same weight for the same edge.
     """
-    draws = spec.draw(g.edge_count, rng)  # finite and > 0: the spec validates itself
+    low, high = _bounds(weight_range, "weight range", GraphError)
+    if low == 0.0:
+        raise GraphError(f"weight range low bound must be > 0, got {weight_range!r}")
+    draws = np.full(g.edge_count, low) if low == high else rng.uniform(low, high, size=g.edge_count)
     senders, receivers, _ = g.directed_edge_arrays()
     # Both orientations of an edge share its (min, max) key; the canonical
     # (u < v) orientations list the keys in ascending order.

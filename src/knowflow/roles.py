@@ -12,6 +12,7 @@ from .diffusion import SimulationState
 from .netgraph import (
     GraphError,
     WeightedGraph,
+    _bounds,
     _is_int,
     coauthor_utility,
     weighted_betweenness_all,
@@ -120,12 +121,7 @@ def apply_expert(
     mask and refreshes the whole vector. Returns a new population;
     ``workers`` is left untouched.
     """
-    try:
-        lo, hi = (float(b) for b in boost_range)
-    except (TypeError, ValueError):
-        lo = hi = math.nan
-    if not (0.0 <= lo <= hi < math.inf):
-        raise RoleError(f"boost range must be a pair (low, high) with 0 <= low <= high, both finite, got {boost_range!r}")
+    lo, hi = _bounds(boost_range, "boost range", RoleError)
     competences = workers.competences.copy()
     for v in _node_ids(nodes, len(workers)):
         if boost_all:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .community import Community, _insert_tie, accelerate_loop, detect_communities, transfer_efficiency
 from .diffusion import Probe, SimulationState, TimeSeries, collector_probes, probe_average, probe_mask, probe_node, run
-from .netgraph import GraphError, WeightedGraph, WeightSpec, _is_int, assign_weights, generate_watts_strogatz
+from .netgraph import GraphError, WeightedGraph, _is_int, assign_weights, generate_watts_strogatz
 from .roles import ROLES, STRATEGIES, apply_collector, apply_expert, apply_facilitator, rank_nodes, select_top
 from .workforce import Population, init_workers
 
@@ -206,7 +206,7 @@ def _expand_formats(formats: list[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(f for token in formats for f in (("csv", "json") if token == "both" else (token,))))
 
 
-def _as_weights(value: Any, path: str) -> WeightSpec:
+def _as_weights(value: Any, path: str) -> WeightsSpec:
     """``{"kind": "constant", "value": c}`` or ``{"kind": "uniform", "low": a, "high": b}``."""
     if not isinstance(value, Mapping):
         raise ConfigError(f"{path}: expected an object")
@@ -225,7 +225,7 @@ def _as_weights(value: Any, path: str) -> WeightSpec:
         raise ConfigError(f"{path}: weights must be strictly positive")
     if high < low:
         raise ConfigError(f"{path}: interval is reversed: [{low}, {high}]")
-    return WeightSpec(kind, low, high)
+    return WeightsSpec(kind, low, high)
 
 
 def _as_probe(value: Any, path: str) -> ProbeSpec:
@@ -268,11 +268,25 @@ def _as_spec(value: Any, path: str, spec: type, prefix: str | None = None) -> An
 
 
 @dataclass(frozen=True)
+class WeightsSpec:
+    """``network.weights``: ``constant`` (low == high) or ``uniform`` tie strengths in [low, high]."""
+
+    kind: str
+    low: float
+    high: float
+
+    def to_json(self) -> dict:
+        if self.kind == "constant":
+            return {"kind": "constant", "value": self.low}
+        return {"kind": "uniform", "low": self.low, "high": self.high}
+
+
+@dataclass(frozen=True)
 class NetworkSpec:
     nodes: int = field(metadata=_key(_as_int, lo=3))
     ring_degree: int = field(default=4, metadata=_key(_as_int, lo=2))
     rewire_prob: float = field(default=0.1, metadata=_key(_as_float, lo=0.0, hi=1.0))
-    weights: WeightSpec = field(default=WeightSpec.uniform(0.1, 1.0), metadata=_key(_as_weights))
+    weights: WeightsSpec = field(default=WeightsSpec("uniform", 0.1, 1.0), metadata=_key(_as_weights))
 
     def _checked(self, data: Mapping, path: str) -> NetworkSpec:
         if self.ring_degree % 2 != 0:
@@ -460,11 +474,7 @@ class ScenarioConfig:
 
 def _to_json(value: Any) -> Any:
     """JSON data for a spec: None fields dropped, tuples as lists, nested specs recursed."""
-    if isinstance(value, WeightSpec):
-        if value.kind == "constant":
-            return {"kind": "constant", "value": value.low}
-        return {"kind": "uniform", "low": value.low, "high": value.high}
-    if isinstance(value, ProbeSpec):
+    if isinstance(value, (WeightsSpec, ProbeSpec)):
         return value.to_json()
     if is_dataclass(value):
         pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
@@ -533,7 +543,7 @@ def export_fixtures(out_dir: str | Path) -> list[Path]:
 def _graph_for(network: NetworkSpec, seed: int) -> WeightedGraph:
     """Seeded network build; the variants of one seed share it, which is safe because graphs are immutable."""
     g = generate_watts_strogatz(network.nodes, network.ring_degree, network.rewire_prob, stream_rng(seed, "topology"))
-    return assign_weights(g, network.weights, stream_rng(seed, "weights"))
+    return assign_weights(g, (network.weights.low, network.weights.high), stream_rng(seed, "weights"))
 
 
 def _population_for(population: PopulationSpec, n_workers: int, seed: int) -> Population:
@@ -708,9 +718,6 @@ class VariantResult:
     def final_values(self, metric: str = "average_competence", scope: str = "all") -> np.ndarray:
         """Final recorded value per seed, in the experiment's seed order."""
         return np.array([self.series[s].column(metric, scope)[-1] for s in self.seeds])
-
-    def mean_curve(self, metric: str = "average_competence", scope: str = "all") -> np.ndarray:
-        return self.aggregate.column(f"{metric}:mean", scope)
 
 
 @dataclass

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .netgraph import _bounds, _is_int
+
 __all__ = [
     "Population",
     "WorkforceError",
@@ -98,31 +100,21 @@ def init_workers(
     Draw order is fixed (competences, masks, cognitive, social) so one seed
     always reproduces the same population.
     """
-    if n_workers < 1:
-        raise WorkforceError(f"need at least one worker, got {n_workers}")
-    if n_competences < 1:
-        raise WorkforceError(f"need at least one competence, got {n_competences}")
+    for name, count in (("worker", n_workers), ("competence", n_competences)):
+        if not (_is_int(count) and count >= 1):
+            raise WorkforceError(f"{name} count must be an integer >= 1, got {count!r}")
     if not (0.0 <= mask_density <= 1.0):
         raise WorkforceError(f"mask density must lie in [0, 1], got {mask_density}")
     if not (0.0 <= forgetting < 1.0):
         raise WorkforceError(f"forgetting rate must lie in [0, 1), got {forgetting}")
-    for name, (lo, hi) in (
-        ("competence_range", competence_range),
-        ("cognitive_range", cognitive_range),
-        ("social_range", social_range),
-    ):
-        if hi < lo:
-            raise WorkforceError(f"{name} is reversed: [{lo}, {hi}]")
-    if competence_range[0] < 0.0:
-        raise WorkforceError("competence range must be non-negative")
-    for name, (lo, hi) in (("cognitive_range", cognitive_range), ("social_range", social_range)):
-        if lo < 0.0 or hi > 1.0:
-            raise WorkforceError(f"{name} must lie within [0, 1]")
+    competence_range = _bounds(competence_range, "competence_range", WorkforceError)
+    cognitive_range = _bounds(cognitive_range, "cognitive_range", WorkforceError, hi=1)
+    social_range = _bounds(social_range, "social_range", WorkforceError, hi=1)
 
-    competences = rng.uniform(competence_range[0], competence_range[1], size=(n_workers, n_competences))
+    competences = rng.uniform(*competence_range, size=(n_workers, n_competences))
     masks = (rng.random(size=(n_workers, n_competences)) < mask_density).astype(float)
-    cognitive = rng.uniform(cognitive_range[0], cognitive_range[1], size=n_workers)
-    social = rng.uniform(social_range[0], social_range[1], size=n_workers)
+    cognitive = rng.uniform(*cognitive_range, size=n_workers)
+    social = rng.uniform(*social_range, size=n_workers)
     columns = (competences, masks, cognitive, social, np.full(n_workers, float(forgetting)))
     for column in columns:  # fresh arrays: the population keeps them rather than copies
         column.flags.writeable = False

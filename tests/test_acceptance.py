@@ -18,7 +18,6 @@ from knowflow import (
     Population,
     SimulationState,
     WeightedGraph,
-    WeightSpec,
     add_edge,
     assign_weights,
     coauthor_utility,
@@ -54,7 +53,7 @@ def paired_margin(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 def test_criterion_1_decay_closed_form():
     rng = np.random.default_rng(97)
     g = generate_watts_strogatz(484, 4, 0.1, rng)
-    g = assign_weights(g, WeightSpec.uniform(0.1, 1.0), rng)
+    g = assign_weights(g, (0.1, 1.0), rng)
     competences = rng.uniform(0.0, 10.0, size=(484, 10))
     silent = Population(
         competences.copy(),
@@ -88,7 +87,7 @@ def test_criterion_2_gating_never_admits_weaker_senders():
     for seed in (11, 12, 13):
         rng = np.random.default_rng(seed)
         g = generate_watts_strogatz(50, 4, 0.3, rng)
-        g = assign_weights(g, WeightSpec.uniform(0.1, 1.0), rng)
+        g = assign_weights(g, (0.1, 1.0), rng)
         pop = init_workers(50, 8, (0.0, 10.0), 0.6, (0.2, 0.9), (0.2, 0.9), 0.006, rng)
         state = SimulationState.batch([(g, pop)])
         adjacency = np.zeros((50, 50), dtype=bool)
@@ -201,7 +200,7 @@ def test_criterion_5_expert_trend_and_stabilization():
     finals = {name: var.final_values() for name, var in report.variants.items()}
     dr_mean, dr_sd = paired_margin(finals["dissemination"], finals["random"])
     db_mean, db_sd = paired_margin(finals["dissemination"], finals["betweenness"])
-    ref = report.variants["none"].mean_curve()
+    ref = report.variants["none"].aggregate.column("average_competence:mean")
     rel_change = abs(float(ref[500]) - float(ref[100])) / float(ref[100])
 
     failures = []

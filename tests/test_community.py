@@ -14,7 +14,6 @@ from knowflow import (
     CommunityError,
     Population,
     WeightedGraph,
-    WeightSpec,
     accelerate_loop,
     add_edge,
     assign_weights,
@@ -331,7 +330,7 @@ def test_accelerate_loop_exhausts_candidates():
 @given(st.integers(0, 10_000), st.booleans())
 def test_proposals_are_always_valid(seed, single):
     rng = np.random.default_rng(seed)
-    g = assign_weights(generate_watts_strogatz(12, 4, 0.3, rng), WeightSpec.uniform(0.1, 1.0), rng)
+    g = assign_weights(generate_watts_strogatz(12, 4, 0.3, rng), (0.1, 1.0), rng)
     pop = init_workers(12, 5, (0.0, 10.0), 0.6, (0.2, 0.9), (0.2, 0.9), 0.0, rng)
     community = Community(id=0, members=tuple(range(12)), core_mask=np.array([1.0, 0, 1.0, 0, 0]))
     proposal = accelerate(community, g, pop, single_division=single)

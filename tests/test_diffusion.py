@@ -334,6 +334,12 @@ def test_mask_probes_reject_repeated_ids():
     assert distinct == float(state.population.competences[[0, 1], 0].mean())
 
 
+def test_mask_probes_reject_an_empty_selection_when_made():
+    for competences, members in (([], None), ([], [0, 1]), ([0], []), (np.array([], dtype=int), None)):
+        with pytest.raises(DiffusionError, match="probe mask 'x' selects no cells"):
+            probe_mask("x", competences, members=members)
+
+
 def test_collector_probes_total_is_sum_of_parts():
     state = apply_collector(random_state(17), [1, 3, 8])
     for _ in range(10):
@@ -573,6 +579,15 @@ def test_state_batch_validates_sizes():
     pop = Population(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), np.ones(2), np.zeros(2))
     with pytest.raises(DiffusionError):
         SimulationState.batch([(g, pop)])
+
+
+def test_a_state_has_no_defaults():
+    g = WeightedGraph(2)
+    pop = Population(np.ones((2, 2)), np.ones((2, 2)), np.ones(2), np.ones(2), np.zeros(2))
+    with pytest.raises(TypeError):
+        SimulationState(g, pop)  # a zero-length ledger and one run: batch builds the state
+    state = SimulationState.batch([(g, pop)])
+    assert (state.step, state.collectors, state.collector_ledger.tolist(), state.runs) == (0, frozenset(), [0.0, 0.0], 1)
 
 
 # -- properties ---------------------------------------------------------------------

@@ -19,14 +19,17 @@ import oracles
 from knowflow import netgraph
 from knowflow import (
     GraphError,
-    WeightSpec,
+    RoleError,
     WeightedGraph,
+    WorkforceError,
     add_edge,
+    apply_expert,
     apply_facilitator,
     assign_weights,
     average_edge_weight,
     coauthor_utility,
     generate_watts_strogatz,
+    init_workers,
     load_fixture,
     read_edge_list,
     shortest_hop_path,
@@ -67,7 +70,7 @@ def test_graph_basics():
 
 def test_scalar_queries_read_each_row():
     g = assign_weights(generate_watts_strogatz(30, 6, 0.5, np.random.default_rng(1)),
-                       WeightSpec.uniform(0.1, 1.0), np.random.default_rng(2))
+                       (0.1, 1.0), np.random.default_rng(2))
     g = add_edge(g, *next((u, v) for u in range(30) for v in range(u + 1, 30) if not g.has_edge(u, v)), 0.0)
     table = {}
     for u, v, w in g.edges():
@@ -123,7 +126,7 @@ def test_edge_weights_must_be_finite_and_non_negative():
 
 def test_graphs_are_immutable_values():
     g = assign_weights(generate_watts_strogatz(12, 4, 0.3, np.random.default_rng(2)),
-                       WeightSpec.uniform(0.1, 1.0), np.random.default_rng(3))
+                       (0.1, 1.0), np.random.default_rng(3))
     before = list(g.edges())
     for array in (*g.directed_edge_arrays(), g._indptr):
         assert not array.flags.writeable
@@ -131,7 +134,7 @@ def test_graphs_are_immutable_values():
             array[0] = 0
     derived = [
         add_edge(g, *next((u, v) for u in range(12) for v in range(u + 1, 12) if not g.has_edge(u, v)), 0.5),
-        assign_weights(g, WeightSpec.constant(2.0), np.random.default_rng(4)),
+        assign_weights(g, (2.0, 2.0), np.random.default_rng(4)),
         apply_facilitator(g, [0, 5], 1.5),
     ]
     assert list(g.edges()) == before
@@ -275,27 +278,36 @@ def test_ws_parameter_validation():
         generate_watts_strogatz(4, 4, 0.1, rng)  # k >= n
     with pytest.raises(GraphError):
         generate_watts_strogatz(10, 4, 1.5, rng)
+    numpy_ints = generate_watts_strogatz(np.int64(10), np.int32(4), 0.3, np.random.default_rng(1))
+    assert list(numpy_ints.edges()) == list(generate_watts_strogatz(10, 4, 0.3, np.random.default_rng(1)).edges())
+
+
+@pytest.mark.parametrize("n, k", [(10.0, 4), (10, 4.0), (True, 2), (10, np.float64(4.0)), ("10", 4)], ids=repr)
+def test_ws_counts_are_integers(n, k):
+    with pytest.raises(GraphError, match="node count and ring degree must be integers"):
+        generate_watts_strogatz(n, k, 0.1, np.random.default_rng(0))
 
 
 def test_assign_weights_deterministic_and_validated():
     g = generate_watts_strogatz(20, 4, 0.2, np.random.default_rng(1))
-    spec = WeightSpec.uniform(0.1, 0.9)
-    a = assign_weights(g, spec, np.random.default_rng(3))
-    b = assign_weights(g, spec, np.random.default_rng(3))
+    a = assign_weights(g, (0.1, 0.9), np.random.default_rng(3))
+    b = assign_weights(g, (0.1, 0.9), np.random.default_rng(3))
     assert list(a.edges()) == list(b.edges())
     assert all(0.1 <= w <= 0.9 for _, _, w in a.edges())
-    const = assign_weights(g, WeightSpec.constant(0.4), np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    const = assign_weights(g, (0.4, 0.4), rng)
     assert all(w == 0.4 for _, _, w in const.edges())
-    with pytest.raises(GraphError):
-        WeightSpec.uniform(0.0, 1.0).validate()
-    with pytest.raises(GraphError):
-        WeightSpec.uniform(0.8, 0.2).validate()
+    assert rng.random() == np.random.default_rng(0).random()  # a constant range draws nothing
+    with pytest.raises(GraphError, match=re.escape("weight range low bound must be > 0, got (0.0, 1.0)")):
+        assign_weights(g, (0.0, 1.0), np.random.default_rng(0))
+    with pytest.raises(GraphError, match="weight range must be a pair"):
+        assign_weights(g, (0.8, 0.2), np.random.default_rng(0))
 
 
 def test_assign_weights_reuses_the_topology_and_rejects_non_finite_draws():
     g = generate_watts_strogatz(40, 6, 0.3, np.random.default_rng(5))
-    weighted = assign_weights(g, WeightSpec.uniform(0.1, 0.9), np.random.default_rng(6))
-    draws = WeightSpec.uniform(0.1, 0.9).draw(g.edge_count, np.random.default_rng(6)).tolist()
+    weighted = assign_weights(g, (0.1, 0.9), np.random.default_rng(6))
+    draws = np.random.default_rng(6).uniform(0.1, 0.9, size=g.edge_count).tolist()
     rebuilt = WeightedGraph(40, [(u, v, w) for (u, v, _), w in zip(g.edges(), draws)])
     assert list(weighted.edges()) == list(rebuilt.edges())
     for mine, theirs in zip(weighted.directed_edge_arrays(), rebuilt.directed_edge_arrays()):
@@ -303,9 +315,47 @@ def test_assign_weights_reuses_the_topology_and_rejects_non_finite_draws():
     assert all(weighted.neighbors(v) == rebuilt.neighbors(v) for v in range(40))
     assert weighted.weight(7, weighted.neighbors(7)[0]) == rebuilt.weight(7, rebuilt.neighbors(7)[0])
     assert all(np.shares_memory(a, b) for a, b in zip(weighted.directed_edge_arrays()[:2], g.directed_edge_arrays()[:2]))
-    for spec in (WeightSpec.constant(math.inf), WeightSpec.uniform(1.0, math.inf), WeightSpec.uniform(1.0, math.nan)):
+    for weight_range in ((math.inf, math.inf), (1.0, math.inf), (1.0, math.nan)):
         with pytest.raises(GraphError, match="finite"):
-            assign_weights(g, spec, np.random.default_rng(0))
+            assign_weights(g, weight_range, np.random.default_rng(0))
+
+
+# Every range the library takes is exactly a pair of finite reals (low, high)
+# with 0 <= low <= high; each caller raises its own error, with one message.
+BAD_RANGES = [(1, 2, 3), (1,), 3.0, None, "12", (True, 2), (math.nan, 1), (0, math.inf), (2, 1), (-1, 1)]
+RANGE_CALLERS = {
+    "assign_weights": (GraphError, "weight range", lambda r: assign_weights(path3(1.0, 1.0), r, np.random.default_rng(0))),
+    "competence_range": (
+        WorkforceError, "competence_range",
+        lambda r: init_workers(3, 2, r, 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(0)),
+    ),
+    "cognitive_range": (
+        WorkforceError, "cognitive_range",
+        lambda r: init_workers(3, 2, (0, 1), 0.5, r, (0, 1), 0.0, np.random.default_rng(0)),
+    ),
+    "social_range": (
+        WorkforceError, "social_range",
+        lambda r: init_workers(3, 2, (0, 1), 0.5, (0, 1), r, 0.0, np.random.default_rng(0)),
+    ),
+    "apply_expert": (
+        RoleError, "boost range",
+        lambda r: apply_expert(init_workers(3, 2, (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(0)),
+                               [0], r, np.random.default_rng(0)),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RANGES, ids=repr)
+@pytest.mark.parametrize("caller", sorted(RANGE_CALLERS))
+def test_every_range_is_one_pair_contract(caller, bad):
+    error, name, call = RANGE_CALLERS[caller]
+    upper = " <= 1" if caller in ("cognitive_range", "social_range") else ""
+    message = f"{name} must be a pair (low, high) with 0 <= low <= high{upper}, both finite, got {bad!r}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call(bad)
+    call(np.array([0.25, 0.75]))  # numpy reals are taken
 
 
 # -- distances and centralities ------------------------------------------------
@@ -771,7 +821,7 @@ def test_hop_paths_match_oracle_on_random_five_node_graphs():
 
 def test_edge_list_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    g = assign_weights(generate_watts_strogatz(16, 4, 0.25, rng), WeightSpec.uniform(0.1, 1.0), rng)
+    g = assign_weights(generate_watts_strogatz(16, 4, 0.25, rng), (0.1, 1.0), rng)
     p = tmp_path / "net.txt"
     write_edge_list(g, p)
     h = read_edge_list(p)

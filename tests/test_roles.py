@@ -15,7 +15,6 @@ from knowflow import (
     RoleError,
     STRATEGIES,
     WeightedGraph,
-    WeightSpec,
     add_edge,
     apply_collector,
     apply_expert,
@@ -109,7 +108,7 @@ def test_rankings_ignore_global_weight_scale(seed, factor):
     order wherever scores are decisively separated (exact ties live at the
     mercy of float rounding, so they are excluded)."""
     rng = np.random.default_rng(seed)
-    g = assign_weights(generate_watts_strogatz(14, 4, 0.3, rng), WeightSpec.uniform(0.1, 1.0), rng)
+    g = assign_weights(generate_watts_strogatz(14, 4, 0.3, rng), (0.1, 1.0), rng)
     scaled = WeightedGraph(14, [(u, v, w * factor) for u, v, w in g.edges()])
     for score_all in (weighted_closeness_all, weighted_betweenness_all):
         base = score_all(g)

@@ -436,13 +436,13 @@ def test_run_experiment_shapes_and_reference_variant():
     assert report.seeds == (1, 2)
     ref = report.variants["none"]
     assert len(ref.aggregate.steps) == 16
-    curve = ref.mean_curve()
+    curve = ref.aggregate.column("average_competence:mean")
     assert curve.shape == (16,)
     assert np.all(np.isfinite(curve)) and np.all(curve >= 0.0)
     assert ref.final_values().shape == (2,)
     # the reference variant ignores the plan entirely
     bare = run_experiment(parse_config(tiny_config()))
-    assert np.array_equal(bare.variants["default"].mean_curve(), curve)
+    assert np.array_equal(bare.variants["default"].aggregate.column("average_competence:mean"), curve)
     # the boosted variant recorded who got the role
     assert len(report.variants["degree"].role_nodes[1]) == 2
     assert report.variants["none"].role_nodes[1] is None
@@ -663,6 +663,27 @@ def test_random_and_manual_tie_records_are_pinned(case, tmp_path):
     assert _sha256_of_json({name: var["ties"] for name, var in summary["variants"].items()}) == TIE_MODE_SHA256[case]
 
 
+# sha256 of every series' csv_lines() (variants, then seeds, joined) of the
+# constant-weights round-trip config and of the same config with a uniform range
+# whose bounds are equal, recorded while the weights were a WeightSpec object.
+# Neither range draws a weight.
+WEIGHT_SERIES_SHA256 = {
+    "constant": "15544f8ab8d2435ab20dccd1f0685f3c8551290d36030dc2f9b34e42e7226e9c",
+    "uniform-degenerate": "15544f8ab8d2435ab20dccd1f0685f3c8551290d36030dc2f9b34e42e7226e9c",
+}
+WEIGHT_CASES = {
+    "constant": {"kind": "constant", "value": 0.3},
+    "uniform-degenerate": {"kind": "uniform", "low": 0.3, "high": 0.3},
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_series_of_a_constant_weight_range_are_pinned(case):
+    report = run_experiment(parse_config(tiny_config(network={"nodes": 12, "weights": WEIGHT_CASES[case]})))
+    text = "\n".join("\n".join(var.series[s].csv_lines()) for var in report.variants.values() for s in report.seeds)
+    assert hashlib.sha256(text.encode()).hexdigest() == WEIGHT_SERIES_SHA256[case]
+
+
 def test_tie_proposals_are_pinned():
     cfg = load_fixture("fig9")
     assert {seed: _sha256_of_json(propose_ties(cfg, seed=seed, budget=3)) for seed in PROPOSALS_SHA256} == PROPOSALS_SHA256
@@ -824,7 +845,7 @@ def test_the_aggregate_is_a_series_of_each_common_columns_mean_and_std(tmp_path,
         matrix = np.stack([s.column(*col) for s in per_seed])
         assert np.array_equal(aggregate.values[:, 2 * j], matrix.mean(axis=0))
         assert np.array_equal(aggregate.values[:, 2 * j + 1], matrix.std(axis=0, ddof=1))
-    assert np.array_equal(result.mean_curve("collector_intake"), aggregate.values[:, 2])
+    assert np.array_equal(result.aggregate.column("collector_intake:mean"), aggregate.values[:, 2])
     emit_report(run_experiment(cfg), tmp_path, formats=["csv"])
     written = (tmp_path / "tiny__degree__aggregate.csv").read_text()
     assert written == "\n".join(aggregate.csv_lines()) + "\n"
@@ -1107,7 +1128,7 @@ def test_tie_overrides_are_non_negative_integers(bad):
 
 def test_cli_accelerate_rejects_a_negative_budget(capsys):
     assert main(["accelerate", "fig9", "--budget", "-1"]) == 2
-    assert capsys.readouterr().err.strip() == "config error: budget: must be >= 0, got -1"
+    assert capsys.readouterr().err.strip() == "config error: --budget: must be >= 0, got -1"
 
 
 def test_library_seeds_take_numpy_integers_and_no_repeats():
@@ -1130,8 +1151,10 @@ def test_library_seeds_take_numpy_integers_and_no_repeats():
         (["run", "fig9", "--seed", "-1"], "--seed: must be >= 0, got -1"),
         (["run", "fig9", "--seed", "3", "--seeds", "100000000000000000000"], "--seeds: too many seeds"),
         (["run", "fig9", "--seeds", "0"], "--seeds: must be >= 1, got 0"),
-        (["accelerate", "fig9", "--seed", "-1"], "seed: must be >= 0, got -1"),
-        (["rank", "GRAPH", "--strategy", "random", "--seed", "-1"], "seed: must be >= 0, got -1"),
+        (["accelerate", "fig9", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["rank", "GRAPH", "--strategy", "random", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["accelerate", "fig9", "--community", "-1"], "--community: must be >= 0, got -1"),
+        (["accelerate", "fig9", "--community", "-1", "--seed", "2"], "--community: must be >= 0, got -1"),
     ],
 )
 def test_cli_seed_options_are_config_errors(tmp_path, capsys, argv, message):

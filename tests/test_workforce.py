@@ -69,6 +69,16 @@ def test_init_validation():
         init_workers(3, 3, (0, 1), 0.5, (0, 1.2), (0, 1), 0.0, rng)  # abilities capped at 1
 
 
+@pytest.mark.parametrize("n, m", [(4.0, 3), (4, 3.0), (True, 3), (4, np.float64(3.0)), ("4", 3)], ids=repr)
+def test_init_counts_are_integers(n, m):
+    with pytest.raises(WorkforceError, match="count must be an integer >= 1"):
+        init_workers(n, m, (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(0))
+    numpy_ints = init_workers(np.int64(4), np.int32(3), (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(1))
+    assert np.array_equal(
+        numpy_ints.competences, init_workers(4, 3, (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(1)).competences
+    )
+
+
 def test_population_invariants_enforced():
     ones = np.ones((2, 3))
     half = np.full(2, 0.5)
