@@ -121,9 +121,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     if args.strategy not in STRATEGIES:
         raise ConfigError(f"--strategy: unknown strategy {args.strategy!r}; expected one of: {', '.join(STRATEGIES)}")
+    seed = _ID(args.seed, "--seed")
     g = read_edge_list(args.graph)
     top = None if args.top is None else _parse_top(args.top, g.node_count)
-    rng = stream_rng(_ID(args.seed, "--seed"), "strategy") if args.strategy == "random" else None
+    rng = stream_rng(seed, "strategy") if args.strategy == "random" else None
     for node in rank_nodes(g, args.strategy, rng=rng)[:top]:
         print(node)
     return 0
@@ -132,8 +133,14 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 def _cmd_accelerate(args: argparse.Namespace) -> int:
     config = _load_scenario(args.config)
     flags = {"seed": "--seed", "community_index": "--community", "budget": "--budget"}
-    overrides = {key: _ID(vars(args)[key], flag) for key, flag in flags.items() if vars(args)[key] is not None}
-    print(json.dumps(propose_ties(config, **overrides), sort_keys=True, indent=2))
+    overrides = {key: vars(args)[key] for key in flags if vars(args)[key] is not None}
+    try:
+        print(json.dumps(propose_ties(config, **overrides), sort_keys=True, indent=2))
+    except ConfigError as exc:  # an error about an override names its keyword: name the option instead
+        key, _, reason = str(exc).partition(": ")
+        if key not in overrides:
+            raise
+        raise ConfigError(f"{flags[key]}: {reason}") from None
     return 0
 
 

@@ -156,6 +156,11 @@ def _is_int(x: object) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _is_real(x: object) -> bool:
+    """An int, a float or a numpy number of either kind; booleans are not numbers here."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _bounds(value: object, name: str, error: type[ValueError], hi: float = math.inf) -> tuple[float, float]:
     """``value`` as exactly a pair of finite reals (low, high) with ``0 <= low <= high <= hi``.
 
@@ -164,7 +169,7 @@ def _bounds(value: object, name: str, error: type[ValueError], hi: float = math.
     """
     try:
         low, high = value  # type: ignore[misc]
-        if all(isinstance(b, numbers.Real) and not isinstance(b, bool) for b in (low, high)):
+        if _is_real(low) and _is_real(high):
             low, high = float(low), float(high)
             if 0.0 <= low <= high <= hi and math.isfinite(high):
                 return low, high
@@ -184,7 +189,7 @@ def _checked_edges(n: int, edges: list) -> tuple[np.ndarray, np.ndarray, np.ndar
     for i, edge in enumerate(edges):
         try:
             u, v, w = edge  # type: ignore[misc]
-            well_formed = _is_int(u) and _is_int(v) and isinstance(w, numbers.Real) and not isinstance(w, bool)
+            well_formed = _is_int(u) and _is_int(v) and _is_real(w)
             w = float(w) if well_formed else w
         except (TypeError, ValueError):
             well_formed = False

@@ -14,6 +14,7 @@ from .netgraph import (
     WeightedGraph,
     _bounds,
     _is_int,
+    _is_real,
     coauthor_utility,
     weighted_betweenness_all,
     weighted_closeness_all,
@@ -142,8 +143,8 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
     An edge between two selected nodes is still scaled a single time. Returns
     a new graph; topology is untouched.
     """
-    if not (factor > 0.0):
-        raise RoleError(f"facilitator weight factor must be > 0, got {factor}")
+    if not (_is_real(factor) and factor > 0.0):
+        raise RoleError(f"facilitator weight factor must be a number > 0, got {factor!r}")
     selected = np.zeros(g.node_count, dtype=bool)
     selected[_node_ids(nodes, g.node_count)] = True
     senders, receivers, weights = g.directed_edge_arrays()

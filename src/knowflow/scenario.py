@@ -7,11 +7,10 @@ seed derives one independent random stream per concern, so two variants of
 the same seed share the network, population, and masks, and differ only in
 the intervention under study.
 
-The spec dataclasses are the config schema: each field is one JSON key, its
-default is the key's default, and its ``metadata["read"]`` is the reader that
-parses and bounds it. ``parse_config`` and ``ScenarioConfig.to_dict`` are
-derived from them; only the rules that link keys are written per section, in
-that section's ``_checked``.
+The spec classes are the config schema: frozen ``_Spec`` values whose classes
+declare one ``_key`` per JSON key, with the reader that parses and bounds it
+and its default. ``parse_config`` and ``ScenarioConfig.to_dict`` derive from
+them; only the rules that link keys are written, in each section's ``_checked``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace as dc_replace
+from dataclasses import replace as dc_replace
 from functools import partial
 from importlib import resources
 from itertools import combinations
@@ -89,11 +88,6 @@ class ConfigError(ValueError):
 # -- config readers -----------------------------------------------------------------
 # A reader takes a raw JSON value and its key path, and returns the parsed value or
 # raises ConfigError naming the path.
-
-
-def _key(read: Callable[..., Any], **options: Any) -> dict:
-    """Field metadata: the key is parsed by ``read`` with these bounds or choices."""
-    return {"read": partial(read, **options)}
 
 
 def _is_list(value: Any) -> bool:
@@ -241,24 +235,22 @@ def _as_probe(value: Any, path: str) -> ProbeSpec:
     )
 
 
-def _as_spec(value: Any, path: str, spec: type, prefix: str | None = None) -> Any:
-    """The JSON object for the dataclass ``spec``: one key per field, read by the field's reader.
+def _as_spec(value: Any, path: str, spec: type[_Spec], prefix: str | None = None) -> Any:
+    """The JSON object for ``spec``: one entry per key in ``spec._keys``, read by the key's reader.
 
-    Unknown keys are rejected, required keys are fields without a default, and
-    absent keys take the field default. The section's ``_checked`` then
-    applies the rules that link its keys.
+    Unknown keys are rejected and keys without a default required; the
+    section's ``_checked`` then applies the rules that link its keys.
     """
     if not isinstance(value, Mapping):
         raise ConfigError(f"{path}: expected an object")
     prefix = f"{path}." if prefix is None else prefix
-    declared = {f.name: f for f in fields(spec)}
     for key in value:
-        if key not in declared:
+        if key not in spec._keys:
             raise ConfigError(f"{path}: unknown key {key!r}")
-    for name, f in declared.items():
-        if name not in value and f.default is MISSING and f.default_factory is MISSING:
+    for name, key in spec._keys.items():
+        if name not in value and key.default is ...:
             raise ConfigError(f"{prefix}{name}: required key missing")
-    parsed = spec(**{key: declared[key].metadata["read"](v, prefix + key) for key, v in value.items()})
+    parsed = spec(**{name: spec._keys[name].read(v, prefix + name) for name, v in value.items()})
     checked = getattr(parsed, "_checked", None)
     return checked(value, path) if checked is not None else parsed
 
@@ -267,13 +259,53 @@ def _as_spec(value: Any, path: str, spec: type, prefix: str | None = None) -> An
 # A key that does not apply under the chosen mode is stored as None.
 
 
-@dataclass(frozen=True)
-class WeightsSpec:
+class _key:
+    """A spec's key: parsed by ``read`` with these bounds or choices; required unless it has a ``default``."""
+
+    def __init__(self, read: Callable[..., Any] | None = None, default: Any = ..., **options: Any):
+        self.read, self.default = None if read is None else partial(read, **options), default
+
+
+class _Spec:
+    """A frozen config value: one attribute per ``_key`` its class declares, in order in ``_keys``."""
+
+    def __init_subclass__(cls) -> None:
+        cls._keys = {name: value for name, value in vars(cls).items() if isinstance(value, _key)}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        given = dict(zip(self._keys, args), **kwargs)  # a name given twice, or a value too many, is lost here
+        if len(given) < len(args) + len(kwargs) or not given.keys() <= self._keys.keys():
+            raise TypeError(f"{type(self).__name__} takes the keys {list(self._keys)}, got {args} and {kwargs}")
+        for name, key in self._keys.items():
+            if given.setdefault(name, key.default) is ...:
+                raise TypeError(f"{type(self).__name__}: missing a value for {name!r}")
+            self.__dict__[name] = given[name]
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={v!r}' for name, v in vars(self).items())})"
+
+    def replace(self, **changes: Any) -> Any:
+        """A copy with ``changes`` applied; this spec stays as it is."""
+        return type(self)(**{**vars(self), **changes})
+
+
+class WeightsSpec(_Spec):
     """``network.weights``: ``constant`` (low == high) or ``uniform`` tie strengths in [low, high]."""
 
-    kind: str
-    low: float
-    high: float
+    kind: str = _key()
+    low: float = _key()
+    high: float = _key()
 
     def to_json(self) -> dict:
         if self.kind == "constant":
@@ -281,12 +313,11 @@ class WeightsSpec:
         return {"kind": "uniform", "low": self.low, "high": self.high}
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    nodes: int = field(metadata=_key(_as_int, lo=3))
-    ring_degree: int = field(default=4, metadata=_key(_as_int, lo=2))
-    rewire_prob: float = field(default=0.1, metadata=_key(_as_float, lo=0.0, hi=1.0))
-    weights: WeightsSpec = field(default=WeightsSpec("uniform", 0.1, 1.0), metadata=_key(_as_weights))
+class NetworkSpec(_Spec):
+    nodes: int = _key(_as_int, lo=3)
+    ring_degree: int = _key(_as_int, lo=2, default=4)
+    rewire_prob: float = _key(_as_float, lo=0.0, hi=1.0, default=0.1)
+    weights: WeightsSpec = _key(_as_weights, default=WeightsSpec("uniform", 0.1, 1.0))
 
     def _checked(self, data: Mapping, path: str) -> NetworkSpec:
         if self.ring_degree % 2 != 0:
@@ -296,28 +327,26 @@ class NetworkSpec:
         return self
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
-    competences: int = field(metadata=_key(_as_int, lo=1))
-    competence_range: tuple[float, float] = field(default=(0.0, 10.0), metadata=_key(_as_pair, lo=0.0))
-    mask_density: float = field(default=0.5, metadata=_key(_as_float, lo=0.0, hi=1.0))
-    forgetting: float = field(default=0.006, metadata=_key(_as_float, lo=0.0, lt=1.0))
-    cognitive_range: tuple[float, float] = field(default=(0.0, 1.0), metadata=_key(_as_pair, lo=0.0, hi=1.0))
-    social_range: tuple[float, float] = field(default=(0.0, 1.0), metadata=_key(_as_pair, lo=0.0, hi=1.0))
+class PopulationSpec(_Spec):
+    competences: int = _key(_as_int, lo=1)
+    competence_range: tuple[float, float] = _key(_as_pair, lo=0.0, default=(0.0, 10.0))
+    mask_density: float = _key(_as_float, lo=0.0, hi=1.0, default=0.5)
+    forgetting: float = _key(_as_float, lo=0.0, lt=1.0, default=0.006)
+    cognitive_range: tuple[float, float] = _key(_as_pair, lo=0.0, hi=1.0, default=(0.0, 1.0))
+    social_range: tuple[float, float] = _key(_as_pair, lo=0.0, hi=1.0, default=(0.0, 1.0))
 
 
-@dataclass(frozen=True)
-class RolePlan:
-    role: str = field(metadata=_key(_as_str, choices=ROLES))
-    strategies: tuple[str, ...] = field(
-        metadata=_key(_as_list, item=partial(_as_str, choices=(REFERENCE_TOKEN, *STRATEGIES)), unique="strategy")
+class RolePlan(_Spec):
+    role: str = _key(_as_str, choices=ROLES)
+    strategies: tuple[str, ...] = _key(
+        _as_list, item=partial(_as_str, choices=(REFERENCE_TOKEN, *STRATEGIES)), unique="strategy"
     )
-    fraction: float | None = field(default=None, metadata=_key(_as_float, gt=0.0, hi=1.0))
-    count: int | None = field(default=None, metadata=_key(_as_int, lo=1))
-    boost_range: tuple[float, float] | None = field(default=None, metadata=_key(_as_pair, lo=0.0))
-    boost_all: bool | None = field(default=False, metadata=_key(_as_bool))
-    weight_factor: float | None = field(default=None, metadata=_key(_as_float, gt=0.0))
-    step: int = field(default=0, metadata=_key(_as_int, lo=0))
+    fraction: float | None = _key(_as_float, gt=0.0, hi=1.0, default=None)
+    count: int | None = _key(_as_int, lo=1, default=None)
+    boost_range: tuple[float, float] | None = _key(_as_pair, lo=0.0, default=None)
+    boost_all: bool | None = _key(_as_bool, default=False)
+    weight_factor: float | None = _key(_as_float, gt=0.0, default=None)
+    step: int = _key(_as_int, lo=0, default=0)
 
     def _checked(self, data: Mapping, path: str) -> RolePlan:
         if (self.fraction is None) == (self.count is None):
@@ -327,31 +356,29 @@ class RolePlan:
                 raise ConfigError(f"{path}.{key}: only valid for the {owner} role")
             if owner == self.role and getattr(self, key) is None:
                 raise ConfigError(f"{path}.{key}: required for the {owner} role")
-        return self if self.role == "expert" else dc_replace(self, boost_all=None)
+        return self if self.role == "expert" else self.replace(boost_all=None)
 
 
-@dataclass(frozen=True)
-class CommunityFixture:
-    members: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, unique="node id", then=_sorted))
-    core: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, empty=True, then=_sorted))
+class CommunityFixture(_Spec):
+    members: tuple[int, ...] = _key(_as_list, item=_ID, unique="node id", then=_sorted)
+    core: tuple[int, ...] = _key(_as_list, item=_ID, empty=True, then=_sorted)
 
 
-@dataclass(frozen=True)
-class CommunityPlan:
-    method: str = field(metadata=_key(_as_str, choices=("fixture", "jaccard")))
-    threshold: float | None = field(default=0.5, metadata=_key(_as_float, gt=0.0, hi=1.0))
-    core_rule: str | None = field(default="and", metadata=_key(_as_str, choices=("and", "majority")))
-    core_theta: float | None = field(default=0.5, metadata=_key(_as_float))
-    communities: tuple[CommunityFixture, ...] | None = field(
-        default=None, metadata=_key(_as_list, item=partial(_as_spec, spec=CommunityFixture))
+class CommunityPlan(_Spec):
+    method: str = _key(_as_str, choices=("fixture", "jaccard"))
+    threshold: float | None = _key(_as_float, gt=0.0, hi=1.0, default=0.5)
+    core_rule: str | None = _key(_as_str, choices=("and", "majority"), default="and")
+    core_theta: float | None = _key(_as_float, default=0.5)
+    communities: tuple[CommunityFixture, ...] | None = _key(
+        _as_list, item=partial(_as_spec, spec=CommunityFixture), default=None
     )
-    ties: str = field(default="none", metadata=_key(_as_str, choices=_TIE_MODES))
-    manual_ties: tuple[tuple[int, int], ...] | None = field(default=None, metadata=_key(_as_list, item=_as_tie))
-    community_index: int = field(default=0, metadata=_key(_as_int, lo=0))
-    budget: int = field(default=1, metadata=_key(_as_int, lo=0))
-    min_efficiency: float | None = field(default=None, metadata=_key(_or_null, item=partial(_as_float, lo=0.0)))
-    tie_weight: float | None = field(default=None, metadata=_key(_or_null, item=partial(_as_float, gt=0.0)))
-    division: str = field(default="double", metadata=_key(_as_str, choices=("double", "single")))
+    ties: str = _key(_as_str, choices=_TIE_MODES, default="none")
+    manual_ties: tuple[tuple[int, int], ...] | None = _key(_as_list, item=_as_tie, default=None)
+    community_index: int = _key(_as_int, lo=0, default=0)
+    budget: int = _key(_as_int, lo=0, default=1)
+    min_efficiency: float | None = _key(_or_null, item=partial(_as_float, lo=0.0), default=None)
+    tie_weight: float | None = _key(_or_null, item=partial(_as_float, gt=0.0), default=None)
+    division: str = _key(_as_str, choices=("double", "single"), default="double")
 
     def _checked(self, data: Mapping, path: str) -> CommunityPlan:
         if self.method == "fixture":
@@ -374,21 +401,19 @@ class CommunityPlan:
             raise ConfigError(f"{path}.manual_ties: manual ties need a non-empty list of [u, v] pairs")
         if self.ties != "manual" and self.manual_ties is not None:
             raise ConfigError(f"{path}.manual_ties: only valid with ties='manual'")
-        return dc_replace(self, **ignored)
+        return self.replace(**ignored)
 
 
-@dataclass(frozen=True)
-class MaskProbe:
-    name: str = field(metadata=_key(_as_name))
-    competences: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, then=lambda ids: _sorted(set(ids))))
-    members: tuple[int, ...] | None = field(default=None, metadata=_key(_as_list, item=_ID, unique="member"))
+class MaskProbe(_Spec):
+    name: str = _key(_as_name)
+    competences: tuple[int, ...] = _key(_as_list, item=_ID, then=lambda ids: _sorted(set(ids)))
+    members: tuple[int, ...] | None = _key(_as_list, item=_ID, unique="member", default=None)
 
 
-@dataclass(frozen=True)
-class ProbeSpec:
-    kind: str  # "average" | "node" | "mask" | "collector"
-    node: int | None = None
-    mask: MaskProbe | None = None
+class ProbeSpec(_Spec):
+    kind: str = _key()  # "average" | "node" | "mask" | "collector"
+    node: int | None = _key(default=None)
+    mask: MaskProbe | None = _key(default=None)
 
     def to_json(self) -> Any:
         if self.kind == "node":
@@ -398,11 +423,10 @@ class ProbeSpec:
         return next(token for token, kind in _NAMED_PROBES.items() if kind == self.kind)
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    steps: int = field(metadata=_key(_as_int, lo=0))
-    seeds: tuple[int, ...] = field(metadata=_key(_as_list, item=_ID, unique="seed"))
-    probes: tuple[ProbeSpec, ...] = field(default=(ProbeSpec("average"),), metadata=_key(_as_list, item=_as_probe))
+class RunSpec(_Spec):
+    steps: int = _key(_as_int, lo=0)
+    seeds: tuple[int, ...] = _key(_as_list, item=_ID, unique="seed")
+    probes: tuple[ProbeSpec, ...] = _key(_as_list, item=_as_probe, default=(ProbeSpec("average"),))
 
     def _checked(self, data: Mapping, path: str) -> RunSpec:
         # A probe's columns are fixed by its kind and its node or mask name, whatever the rest of its spec.
@@ -414,31 +438,27 @@ class RunSpec:
         return self
 
 
-@dataclass(frozen=True)
-class DiffusionSpec:
+class DiffusionSpec(_Spec):
     # Scale what a worker absorbs by its cognitive ability; off for sensitivity runs.
-    cognitive_gain: bool = field(default=True, metadata=_key(_as_bool))
+    cognitive_gain: bool = _key(_as_bool, default=True)
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    directory: str | None = field(default=None, metadata=_key(_as_str))
-    formats: tuple[str, ...] = field(
-        default=("csv", "json"),
-        metadata=_key(_as_list, item=partial(_as_str, choices=("csv", "json", "both")), then=_expand_formats),
+class OutputSpec(_Spec):
+    directory: str | None = _key(_as_str, default=None)
+    formats: tuple[str, ...] = _key(
+        _as_list, item=partial(_as_str, choices=("csv", "json", "both")), then=_expand_formats, default=("csv", "json")
     )
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    name: str = field(metadata=_key(_as_name))
-    network: NetworkSpec = field(metadata=_key(_as_spec, spec=NetworkSpec))
-    population: PopulationSpec = field(metadata=_key(_as_spec, spec=PopulationSpec))
-    run: RunSpec = field(metadata=_key(_as_spec, spec=RunSpec))
-    role_plan: RolePlan | None = field(default=None, metadata=_key(_as_spec, spec=RolePlan))
-    community_plan: CommunityPlan | None = field(default=None, metadata=_key(_as_spec, spec=CommunityPlan))
-    diffusion: DiffusionSpec = field(default_factory=DiffusionSpec, metadata=_key(_as_spec, spec=DiffusionSpec))
-    output: OutputSpec = field(default_factory=OutputSpec, metadata=_key(_as_spec, spec=OutputSpec))
+class ScenarioConfig(_Spec):
+    name: str = _key(_as_name)
+    network: NetworkSpec = _key(_as_spec, spec=NetworkSpec)
+    population: PopulationSpec = _key(_as_spec, spec=PopulationSpec)
+    run: RunSpec = _key(_as_spec, spec=RunSpec)
+    role_plan: RolePlan | None = _key(_as_spec, spec=RolePlan, default=None)
+    community_plan: CommunityPlan | None = _key(_as_spec, spec=CommunityPlan, default=None)
+    diffusion: DiffusionSpec = _key(_as_spec, spec=DiffusionSpec, default=DiffusionSpec())
+    output: OutputSpec = _key(_as_spec, spec=OutputSpec, default=OutputSpec())
 
     def to_dict(self) -> dict:
         """The config as JSON data, without the keys its modes ignore; ``parse_config`` inverts it."""
@@ -476,9 +496,8 @@ def _to_json(value: Any) -> Any:
     """JSON data for a spec: None fields dropped, tuples as lists, nested specs recursed."""
     if isinstance(value, (WeightsSpec, ProbeSpec)):
         return value.to_json()
-    if is_dataclass(value):
-        pairs = ((f.name, getattr(value, f.name)) for f in fields(value))
-        return {name: _to_json(v) for name, v in pairs if v is not None}
+    if isinstance(value, _Spec):
+        return {name: _to_json(v) for name, v in vars(value).items() if v is not None}
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
@@ -568,11 +587,12 @@ def _communities_for(plan: CommunityPlan, workers: Population) -> list[Community
 
 
 def _apply_tie_plan(
-    plan: CommunityPlan, g: WeightedGraph, workers: Population, seed: int
+    plan: CommunityPlan, g: WeightedGraph, workers: Population, seed: int, index_key: str = "community_plan.community_index"
 ) -> tuple[WeightedGraph, list[dict]]:
     """The graph with the plan's ties inserted, and one record per inserted tie.
 
     Communities are detected only for the modes that place ties inside one.
+    An out-of-range community index is a config error naming ``index_key``.
     """
     if plan.ties == "none":
         return g, []
@@ -588,10 +608,8 @@ def _apply_tie_plan(
     else:
         communities = _communities_for(plan, workers)
         if plan.community_index >= len(communities):
-            raise ConfigError(
-                f"community_plan.community_index: only {len(communities)} communities detected, "
-                f"got {plan.community_index}"
-            )
+            found = "defined" if plan.method == "fixture" else "detected"
+            raise ConfigError(f"{index_key}: only {len(communities)} communities {found}, got {plan.community_index}")
         target = communities[plan.community_index]
         if plan.ties == "algorithm":
             g, records = accelerate_loop(
@@ -687,20 +705,14 @@ def _run_batch(config: ScenarioConfig, runs: Sequence[_Run], collectors: tuple[i
     return series
 
 
-@dataclass
 class VariantResult:
     """All per-seed series for one variant plus their cross-seed ``aggregate``, one more series: a
-    ``metric:mean`` and a ``metric:std`` column (ddof=1, 0 for one seed) per column every seed recorded."""
+    ``metric:mean`` and a ``metric:std`` column (ddof=1, 0 for one seed) per column every seed recorded.
+    ``ties`` and ``role_nodes`` hold each seed's tie records and role holders (None for the reference run)."""
 
-    name: str
-    seeds: tuple[int, ...]
-    series: dict[int, TimeSeries]
-    ties: dict[int, list[dict]]
-    role_nodes: dict[int, tuple[int, ...] | None]
-    aggregate: TimeSeries = field(init=False)
-
-    def __post_init__(self) -> None:
-        per_seed = [self.series[s] for s in self.seeds]
+    def __init__(self, name: str, seeds: tuple[int, ...], series: dict[int, TimeSeries], ties: dict, role_nodes: dict):
+        self.name, self.seeds, self.series, self.ties, self.role_nodes = name, seeds, series, ties, role_nodes
+        per_seed = [series[s] for s in seeds]
         first = per_seed[0]
         columns = [col for col in first.columns if all(col in s.columns for s in per_seed)]
         # (columns, seeds, steps), reduced one contiguous (seeds, steps) block at a time. numpy sums
@@ -720,12 +732,11 @@ class VariantResult:
         return np.array([self.series[s].column(metric, scope)[-1] for s in self.seeds])
 
 
-@dataclass
 class ExperimentReport:
-    config: ScenarioConfig
-    config_hash: str
-    seeds: tuple[int, ...]
-    variants: dict[str, VariantResult]
+    """One experiment: its config and that config's hash, the seeds run, and one result per variant."""
+
+    def __init__(self, config: ScenarioConfig, config_hash: str, seeds: tuple[int, ...], variants: dict):
+        self.config, self.config_hash, self.seeds, self.variants = config, config_hash, seeds, variants
 
 
 def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -> ExperimentReport:
@@ -775,16 +786,16 @@ def propose_ties(
     community_index: int | None = None,
     budget: int | None = None,
 ) -> list[dict]:
-    """Energy-guided tie proposals for one seed's network, without running diffusion."""
+    """Energy-guided tie proposals for one seed's network, without running diffusion; an error names its override."""
     if config.community_plan is None:
         raise ConfigError("community_plan: required to propose ties")
     overrides = {k: _ID(v, k) for k, v in (("community_index", community_index), ("budget", budget)) if v is not None}
-    plan = dc_replace(config.community_plan, ties="algorithm", **overrides)
+    plan = config.community_plan.replace(ties="algorithm", **overrides)
     run_seed = config.run.seeds[0] if seed is None else _ID(seed, "seed")
     g = _graph_for(config.network, run_seed)
     pop = _population_for(config.population, config.network.nodes, run_seed)
-    _, records = _apply_tie_plan(plan, g, pop, run_seed)
-    return records
+    index_key = "community_plan.community_index" if community_index is None else "community_index"
+    return _apply_tie_plan(plan, g, pop, run_seed, index_key)[1]
 
 
 # -- reporting ---------------------------------------------------------------------------

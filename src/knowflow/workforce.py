@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netgraph import _bounds, _is_int
+from .netgraph import _bounds, _is_int, _is_real
 
 __all__ = [
     "Population",
@@ -103,10 +103,10 @@ def init_workers(
     for name, count in (("worker", n_workers), ("competence", n_competences)):
         if not (_is_int(count) and count >= 1):
             raise WorkforceError(f"{name} count must be an integer >= 1, got {count!r}")
-    if not (0.0 <= mask_density <= 1.0):
-        raise WorkforceError(f"mask density must lie in [0, 1], got {mask_density}")
-    if not (0.0 <= forgetting < 1.0):
-        raise WorkforceError(f"forgetting rate must lie in [0, 1), got {forgetting}")
+    if not (_is_real(mask_density) and 0.0 <= mask_density <= 1.0):
+        raise WorkforceError(f"mask density must be a number in [0, 1], got {mask_density!r}")
+    if not (_is_real(forgetting) and 0.0 <= forgetting < 1.0):
+        raise WorkforceError(f"forgetting rate must be a number in [0, 1), got {forgetting!r}")
     competence_range = _bounds(competence_range, "competence_range", WorkforceError)
     cognitive_range = _bounds(cognitive_range, "cognitive_range", WorkforceError, hi=1)
     social_range = _bounds(social_range, "social_range", WorkforceError, hi=1)

@@ -1,7 +1,6 @@
 """Graph construction, metrics, and interchange, cross-checked against the
 brute-force oracles for small instances."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -192,7 +191,7 @@ def test_average_edge_weight_of_large_finite_weights_is_finite():
 
 
 def _scaled_network(fixture, nodes, seed):
-    return _graph_for(dataclasses.replace(load_fixture(fixture).network, nodes=nodes), seed)
+    return _graph_for(load_fixture(fixture).network.replace(nodes=nodes), seed)
 
 
 @pytest.mark.parametrize(

@@ -216,6 +216,10 @@ def test_apply_facilitator_validation():
         apply_facilitator(g, [0], 0.0)
     with pytest.raises(RoleError):
         apply_facilitator(g, [7], 1.1)
+    for bad in (True, np.bool_(True), "2", None):
+        with pytest.raises(RoleError, match="weight factor must be a number > 0"):
+            apply_facilitator(g, [0], bad)
+    assert apply_facilitator(g, [0], np.float32(2.0)).weight(0, 1) == apply_facilitator(g, [0], 2.0).weight(0, 1)
     heavy = WeightedGraph(4, [(0, 1, 1e300), (1, 2, 0.0), (2, 3, 1e300)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

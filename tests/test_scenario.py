@@ -363,6 +363,37 @@ def test_all_fixtures_load_and_round_trip():
         load_fixture("fig1")
 
 
+def test_specs_are_frozen_values():
+    cfg, again = load_fixture("fig9"), load_fixture("fig9")
+    for spec, key in ((cfg, "name"), (cfg.network, "nodes"), (cfg.community_plan.communities[0], "core")):
+        with pytest.raises(AttributeError):
+            setattr(spec, key, None)
+    assert cfg == again and hash(cfg) == hash(again) and len({cfg, again}) == 1
+    assert cfg != parse_config({**cfg.to_dict(), "name": "other"})
+    # Equal values in specs of two different types are not equal.
+    assert scenario.CommunityFixture((0, 1), (2,)) != scenario.OutputSpec((0, 1), (2,))
+    # Overrides apply to a copy: the config they start from stays as it was.
+    propose_ties(cfg, seed=1, community_index=2, budget=2)
+    assert cfg == again and (cfg.community_plan.community_index, cfg.community_plan.budget) == (0, 1)
+
+
+def test_spec_replace_returns_a_changed_copy():
+    network = load_fixture("fig9").network
+    wider = network.replace(nodes=40, ring_degree=6)
+    assert (wider.nodes, wider.ring_degree, wider.weights) == (40, 6, network.weights)
+    assert (network.nodes, network.ring_degree) == (25, 4) and wider != network
+    spec = type(network)
+    assert spec(25, 4, rewire_prob=network.rewire_prob, weights=network.weights) == network
+    for bad in (
+        lambda: network.replace(edges=3),
+        lambda: spec(),  # nodes has no default
+        lambda: spec(25, nodes=25),
+        lambda: spec(25, 4, 0.1, network.weights, 5),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+
+
 def test_expert_fixture_parameters():
     cfg = load_fixture("fig2")
     assert cfg.network.nodes == 484
@@ -1131,6 +1162,22 @@ def test_cli_accelerate_rejects_a_negative_budget(capsys):
     assert capsys.readouterr().err.strip() == "config error: --budget: must be >= 0, got -1"
 
 
+def test_an_out_of_range_community_index_names_its_override(tmp_path, capsys):
+    fixture = load_fixture("fig9")  # three communities, defined by the fixture
+    with pytest.raises(ConfigError, match="^" + re.escape("community_index: only 3 communities defined, got 5")):
+        propose_ties(fixture, community_index=5)
+    assert main(["accelerate", "fig9", "--community", "5"]) == 2
+    assert capsys.readouterr().err == "config error: --community: only 3 communities defined, got 5\n"
+    data = fixture.to_dict()
+    data["community_plan"] = {"method": "jaccard", "ties": "algorithm", "community_index": 1000}
+    path = tmp_path / "jaccard.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=r"^community_plan\.community_index: only \d+ communities detected, got 1000$"):
+        propose_ties(load_config(path))
+    assert main(["accelerate", str(path), "--community", "999"]) == 2
+    assert re.fullmatch(r"config error: --community: only \d+ communities detected, got 999\n", capsys.readouterr().err)
+
+
 def test_library_seeds_take_numpy_integers_and_no_repeats():
     cfg = parse_config(tiny_config())
     report = run_experiment(cfg, seeds=np.array([2, 1]))
@@ -1155,6 +1202,7 @@ def test_library_seeds_take_numpy_integers_and_no_repeats():
         (["rank", "GRAPH", "--strategy", "random", "--seed", "-1"], "--seed: must be >= 0, got -1"),
         (["accelerate", "fig9", "--community", "-1"], "--community: must be >= 0, got -1"),
         (["accelerate", "fig9", "--community", "-1", "--seed", "2"], "--community: must be >= 0, got -1"),
+        (["rank", "GRAPH", "--strategy", "degree", "--seed", "-1"], "--seed: must be >= 0, got -1"),
     ],
 )
 def test_cli_seed_options_are_config_errors(tmp_path, capsys, argv, message):

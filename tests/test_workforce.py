@@ -69,6 +69,19 @@ def test_init_validation():
         init_workers(3, 3, (0, 1), 0.5, (0, 1.2), (0, 1), 0.0, rng)  # abilities capped at 1
 
 
+@pytest.mark.parametrize(
+    "density, forgetting, name",
+    [("0.5", 0.0, "mask density"), (True, 0.0, "mask density"), (0.5, None, "forgetting rate"), (0.5, False, "forgetting rate")],
+    ids=repr,
+)
+def test_init_scalars_are_real_numbers(density, forgetting, name):
+    with pytest.raises(WorkforceError, match=f"^{name} must be a number in"):
+        init_workers(3, 3, (0, 1), density, (0, 1), (0, 1), forgetting, np.random.default_rng(0))
+    numpy_floats = init_workers(3, 3, (0, 1), np.float32(0.5), (0, 1), (0, 1), np.float64(0.25), np.random.default_rng(1))
+    plain = init_workers(3, 3, (0, 1), 0.5, (0, 1), (0, 1), 0.25, np.random.default_rng(1))
+    assert np.array_equal(numpy_floats.masks, plain.masks) and np.array_equal(numpy_floats.forgetting, plain.forgetting)
+
+
 @pytest.mark.parametrize("n, m", [(4.0, 3), (4, 3.0), (True, 3), (4, np.float64(3.0)), ("4", 3)], ids=repr)
 def test_init_counts_are_integers(n, m):
     with pytest.raises(WorkforceError, match="count must be an integer >= 1"):
