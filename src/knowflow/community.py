@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .netgraph import WeightedGraph, _is_int, add_edge, average_edge_weight, shortest_hop_path
+from .netgraph import WeightedGraph, _as_float, _as_ids, _as_int, add_edge, average_edge_weight, shortest_hop_path
 from .workforce import Population
 
 __all__ = [
@@ -54,11 +54,7 @@ def jaccard_similarity(a: np.ndarray, b: np.ndarray) -> float:
 def _core_mask(member_masks: np.ndarray, rule: str, theta: float) -> np.ndarray:
     if rule == "and":
         return member_masks.min(axis=0)
-    if rule == "majority":
-        if not (0.0 < theta <= 1.0):
-            raise CommunityError(f"majority threshold must lie in (0, 1], got {theta}")
-        return (member_masks.mean(axis=0) >= theta).astype(float)
-    raise CommunityError(f"unknown core rule {rule!r}; expected 'and' or 'majority'")
+    return (member_masks.mean(axis=0) >= theta).astype(float)
 
 
 def detect_communities(
@@ -83,26 +79,20 @@ def detect_communities(
             raise CommunityError("fixture method needs explicit (members, core indices) entries")
         out: list[Community] = []
         for z, (members, core_indices) in enumerate(fixture):
-            for v in members:
-                if not (_is_int(v) and 0 <= v < n):
-                    raise CommunityError(f"community {z} member {v!r} is not a worker id")
-            member_ids = tuple(sorted(int(v) for v in members))
-            if not member_ids:
-                raise CommunityError(f"community {z} has no members")
-            if len(set(member_ids)) != len(member_ids):
-                raise CommunityError(f"community {z} repeats a member")
+            path = f"fixture[{z}]"
+            member_ids = tuple(sorted(_as_ids(members, f"{path}.members", CommunityError, n, unique="member")))
             core = np.zeros(m)
-            for c in core_indices:
-                if not (_is_int(c) and 0 <= c < m):
-                    raise CommunityError(f"community {z} core index {c!r} outside competence vector")
-                core[c] = 1.0
+            core[_as_ids(core_indices, f"{path}.core", CommunityError, m, empty=True)] = 1.0
             out.append(Community(id=z, members=member_ids, core_mask=core))
         return out
 
     if method != "jaccard":
         raise CommunityError(f"unknown detection method {method!r}; expected 'jaccard' or 'fixture'")
-    if not (0.0 < threshold <= 1.0):
-        raise CommunityError(f"similarity threshold must lie in (0, 1], got {threshold}")
+    threshold = _as_float(threshold, "threshold", CommunityError, gt=0.0, hi=1.0)
+    if core_rule == "majority":
+        core_theta = _as_float(core_theta, "core_theta", CommunityError, gt=0.0, hi=1.0)
+    elif core_rule != "and":
+        raise CommunityError(f"unknown core rule {core_rule!r}; expected 'and' or 'majority'")
 
     members: list[list[int]] = []
     cores: list[np.ndarray] = []
@@ -123,8 +113,7 @@ def detect_communities(
 
 def knowledge_energy(workers: Population, v: int, core_mask: np.ndarray) -> float:
     """Potential of worker v to push core knowledge: core competences x s x o."""
-    if not (_is_int(v) and 0 <= v < len(workers)):
-        raise CommunityError(f"unknown worker id {v!r}: expected an integer below {len(workers)}")
+    v = _as_int(v, "v", CommunityError, lo=0, lt=len(workers))
     core = np.asarray(core_mask, dtype=float)
     if core.shape != (workers.n_competences,):
         raise CommunityError("core mask length does not match competence vector")
@@ -177,7 +166,7 @@ def _insert_tie(
     efficiency: float | None,
 ) -> WeightedGraph:
     """``g`` plus the tie (u, v) at ``tie_weight`` or else ``g``'s average, recorded in ``records``."""
-    weight = float(tie_weight) if tie_weight is not None else average_edge_weight(g)
+    weight = tie_weight if tie_weight is not None else average_edge_weight(g)
     records.append({"community": community, "from": u, "to": v, "weight": weight, "efficiency_before": efficiency})
     return add_edge(g, u, v, weight)
 
@@ -202,8 +191,11 @@ def accelerate_loop(
     graph and one record per inserted tie.
     """
     _check_sizes(g, workers)
-    if not (_is_int(budget) and budget >= 0):
-        raise CommunityError(f"tie budget must be an integer >= 0, got {budget!r}")
+    budget = _as_int(budget, "budget", CommunityError, lo=0)
+    if tie_weight is not None:
+        tie_weight = _as_float(tie_weight, "tie_weight", CommunityError, gt=0.0)
+    if min_efficiency is not None:
+        min_efficiency = _as_float(min_efficiency, "min_efficiency", CommunityError, lo=0.0)
     # Energies depend on the population alone, which no tie changes.
     ranking = energy_ranking(community, workers)
     ordered = [(u, v) for u, eu in ranking for v, ev in ranking if eu > ev]

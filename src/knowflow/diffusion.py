@@ -10,13 +10,12 @@ a fixed fraction each step, whether or not anything arrives.
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .netgraph import WeightedGraph
+from .netgraph import WeightedGraph, _as_ids, _as_int
 from .workforce import Population
 
 __all__ = [
@@ -198,22 +197,13 @@ def probe_average() -> Probe:
     return Probe("average_competence", "all", lambda st: _means(st.population.competences.reshape(st.runs, -1)))
 
 
-def _index(kind: str, ids: Iterable[int]) -> np.ndarray:
-    """The ids, each a non-negative integer, not a boolean and named once, as a sorted index array."""
-    ids = list(ids)
-    for i in ids:
-        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
-            raise DiffusionError(f"probe {kind} id {i!r} is not an integer")
-        if i < 0:
-            raise DiffusionError(f"probe {kind} id {i} is negative")
-    try:
-        index = np.asarray(sorted(ids), dtype=np.intp)
-    except OverflowError:
-        raise DiffusionError(f"probe {kind} id {max(ids)} is out of range for any population") from None
-    repeated = index[1:][index[1:] == index[:-1]]
-    if repeated.size:  # it would count twice
-        raise DiffusionError(f"probe {kind} id {repeated[0]} is repeated")
-    return index
+# Probe ids are checked against a run's shape on first measure; until then, against what numpy can index.
+_ID_LIMIT = np.iinfo(np.intp).max + 1
+
+
+def _index(ids: Sequence[int], path: str, empty: bool = False) -> np.ndarray:
+    """The ids, each a non-negative integer named once (it would count twice), as a sorted index array."""
+    return np.array(sorted(_as_ids(ids, path, DiffusionError, _ID_LIMIT, empty=empty, unique="id")), dtype=np.intp)
 
 
 def _cell_probe(scope: str, members: np.ndarray | None, competences: np.ndarray | None) -> Probe:
@@ -241,21 +231,19 @@ def _cell_probe(scope: str, members: np.ndarray | None, competences: np.ndarray 
 
 def probe_node(node: int) -> Probe:
     """Mean competence of one worker; an id beyond a run's workers fails on first measure."""
-    return _cell_probe(f"node:{node}", _index("node", [node]), None)
+    node = _as_int(node, "node", DiffusionError, lo=0, lt=_ID_LIMIT)
+    return _cell_probe(f"node:{node}", np.array([node], dtype=np.intp), None)
 
 
 def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | None = None) -> Probe:
     """Mean competence over chosen competence positions and (optionally) members, each a non-empty list."""
-    member_idx = None if members is None else _index("node", members)
-    competence_idx = _index("competence", competences)
-    if not competence_idx.size or (member_idx is not None and not member_idx.size):
-        raise DiffusionError(f"probe mask {name!r} selects no cells: its competences and members must be non-empty")
-    return _cell_probe(f"mask:{name}", member_idx, competence_idx)
+    member_idx = None if members is None else _index(members, "members")
+    return _cell_probe(f"mask:{name}", member_idx, _index(competences, "competences"))
 
 
-def collector_probes(collectors: Iterable[int]) -> list[Probe]:
+def collector_probes(collectors: Sequence[int]) -> list[Probe]:
     """Cumulative intake per collector plus their total (scope ``all``)."""
-    ids = _index("node", collectors)
+    ids = _index(collectors, "collectors", empty=True)
 
     def ledgers(st: SimulationState) -> np.ndarray:
         return st.collector_ledger.reshape(st.runs, -1)
@@ -323,8 +311,7 @@ def run(
     is not finite raises a ``DiffusionError`` naming the first step that
     recorded one, or the last step if only a final competence is one.
     """
-    if steps < 0:
-        raise DiffusionError(f"step count must be >= 0, got {steps}")
+    steps = _as_int(steps, "steps", DiffusionError, lo=0)
     columns = _columns((p.metric, p.scope) for p in probes)
     actions = dict(interventions) if interventions else {}
     values = np.empty((state.runs, steps + 1, len(probes)))

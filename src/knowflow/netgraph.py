@@ -13,7 +13,7 @@ import math
 import numbers
 import re
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -161,22 +161,88 @@ def _is_real(x: object) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
-def _bounds(value: object, name: str, error: type[ValueError], hi: float = math.inf) -> tuple[float, float]:
-    """``value`` as exactly a pair of finite reals (low, high) with ``0 <= low <= high <= hi``.
+def _is_list(value: object) -> bool:
+    """A sequence other than a string, or a numpy array of one or more dimensions."""
+    if isinstance(value, np.ndarray):
+        return value.ndim > 0
+    return isinstance(value, Sequence) and not isinstance(value, str)
 
-    Every range the library takes is read here; a bool, a string or
-    anything else raises ``error`` with one message.
-    """
+
+# -- input readers -------------------------------------------------------------------
+# A reader takes a value, the name it goes by (a parameter or a config key path)
+# and the error class to raise; it returns the value parsed or raises
+# ``error("name: rule, got value")``. The library and the config share them.
+
+
+def _bounded(value: Any, path: str, error: type[ValueError], lo=None, hi=None, gt=None, lt=None) -> Any:
+    if lo is not None and not value >= lo:
+        rule, bound = ">=", lo
+    elif hi is not None and not value <= hi:
+        rule, bound = "<=", hi
+    elif gt is not None and not value > gt:
+        rule, bound = ">", gt
+    elif lt is not None and not value < lt:
+        rule, bound = "<", lt
+    else:
+        return value
+    raise error(f"{path}: must be {rule} {bound}, got {value}")
+
+
+def _as_int(value: Any, path: str, error: type[ValueError], **bounds: int) -> int:
+    if not _is_int(value):
+        raise error(f"{path}: expected an integer, got {value!r}")
+    return _bounded(int(value), path, error, **bounds)
+
+
+def _as_float(value: Any, path: str, error: type[ValueError], **bounds: float) -> float:
+    if not _is_real(value):
+        raise error(f"{path}: expected a number, got {value!r}")
     try:
-        low, high = value  # type: ignore[misc]
-        if _is_real(low) and _is_real(high):
-            low, high = float(low), float(high)
-            if 0.0 <= low <= high <= hi and math.isfinite(high):
-                return low, high
-    except (TypeError, ValueError, OverflowError):
-        pass
-    upper = "" if hi == math.inf else f" <= {hi}"
-    raise error(f"{name} must be a pair (low, high) with 0 <= low <= high{upper}, both finite, got {value!r}")
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise error(f"{path}: expected a finite number, got {value}")
+    return _bounded(value, path, error, **bounds)
+
+
+def _as_pair(value: Any, path: str, error: type[ValueError], **bounds: float) -> tuple[float, float]:
+    if not _is_list(value) or len(value) != 2:
+        raise error(f"{path}: expected a [low, high] pair")
+    lo, hi = (_as_float(v, f"{path}[{i}]", error, **bounds) for i, v in enumerate(value))
+    if hi < lo:
+        raise error(f"{path}: interval is reversed: [{lo}, {hi}]")
+    return (lo, hi)
+
+
+def _as_list(
+    value: Any,
+    path: str,
+    error: type[ValueError],
+    item: Callable[[Any, str], Any],
+    empty: bool = False,
+    unique: str | None = None,
+    then: Callable[[list], Any] = tuple,
+) -> Any:
+    """Each entry read by ``item``; ``unique`` names the entries that may not repeat."""
+    if not _is_list(value) or not (len(value) or empty):
+        raise error(f"{path}: expected a {'' if empty else 'non-empty '}list")
+    try:
+        items = [item(v, path) for v in value]
+    except error:  # a valid list builds no entry names; read a bad one again to name the entry
+        items = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    if unique is not None:
+        seen: set = set()
+        for i, v in enumerate(items):
+            if v in seen:
+                raise error(f"{path}[{i}]: duplicate {unique} {v!r}; entries must be unique")
+            seen.add(v)
+    return then(items)
+
+
+def _as_ids(value: Any, path: str, error: type[ValueError], below: int, **options: Any) -> list[int]:
+    """A list of integer ids, each in [0, below); ``options`` go to ``_as_list``."""
+    return _as_list(value, path, error, lambda v, name: _as_int(v, name, error, lo=0, lt=below), then=list, **options)
 
 
 def _checked_edges(n: int, edges: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,14 +291,11 @@ def generate_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) 
     edges; a node already connected to everyone keeps its lattice edge. All
     weights start at 1.0. p=0 returns the exact ring lattice.
     """
-    if not (_is_int(n) and _is_int(k)):
-        raise GraphError(f"node count and ring degree must be integers, got n={n!r}, k={k!r}")
+    n = _as_int(n, "n", GraphError)
+    k = _as_int(k, "k", GraphError, lo=2, lt=n)
     if k % 2 != 0:
-        raise GraphError(f"ring degree k must be even, got {k}")
-    if not (2 <= k < n):
-        raise GraphError(f"ring degree k must satisfy 2 <= k < n, got k={k}, n={n}")
-    if not (0.0 <= p <= 1.0):
-        raise GraphError(f"rewiring probability must be in [0, 1], got {p}")
+        raise GraphError(f"k: must be even, got {k}")
+    p = _as_float(p, "p", GraphError, lo=0.0, hi=1.0)
 
     half = k // 2
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -271,9 +334,7 @@ def assign_weights(g: WeightedGraph, weight_range: tuple[float, float], rng: np.
     are weighted in canonical (u, v) order, so the same seed always produces
     the same weight for the same edge.
     """
-    low, high = _bounds(weight_range, "weight range", GraphError)
-    if low == 0.0:
-        raise GraphError(f"weight range low bound must be > 0, got {weight_range!r}")
+    low, high = _as_pair(weight_range, "weight_range", GraphError, gt=0.0)
     draws = np.full(g.edge_count, low) if low == high else rng.uniform(low, high, size=g.edge_count)
     senders, receivers, _ = g.directed_edge_arrays()
     # Both orientations of an edge share its (min, max) key; the canonical

@@ -12,9 +12,11 @@ from .diffusion import SimulationState
 from .netgraph import (
     GraphError,
     WeightedGraph,
-    _bounds,
+    _as_float,
+    _as_ids,
+    _as_int,
+    _as_pair,
     _is_int,
-    _is_real,
     coauthor_utility,
     weighted_betweenness_all,
     weighted_closeness_all,
@@ -85,27 +87,12 @@ def select_top(ranking: Sequence[int], count_or_fraction: int | float) -> list[i
     n = len(ranking)
     if n == 0:
         raise RoleError("ranking is empty")
-    if isinstance(count_or_fraction, (bool, np.bool_)):
-        raise RoleError("count must be an int or fraction, not bool")
     if _is_int(count_or_fraction):
-        count = int(count_or_fraction)
-        if not (1 <= count <= n):
-            raise RoleError(f"count must lie in [1, {n}], got {count}")
+        count = _as_int(count_or_fraction, "count", RoleError, lo=1, hi=n)
     else:
-        fraction = float(count_or_fraction)
-        if not (0.0 < fraction <= 1.0):
-            raise RoleError(f"fraction must lie in (0, 1], got {fraction}")
+        fraction = _as_float(count_or_fraction, "fraction", RoleError, gt=0.0, hi=1.0)
         count = max(1, min(n, math.floor(fraction * n + 0.5)))
     return list(ranking[:count])
-
-
-def _node_ids(nodes: Sequence[int], n: int) -> list[int]:
-    """The selected ids as ints, each an integer (not a boolean) id of one of the ``n`` nodes."""
-    ids = list(nodes)
-    for v in ids:
-        if not (_is_int(v) and 0 <= v < n):
-            raise RoleError(f"unknown node {v!r}: expected an integer id below {n}")
-    return [int(v) for v in ids]
 
 
 def apply_expert(
@@ -122,9 +109,9 @@ def apply_expert(
     mask and refreshes the whole vector. Returns a new population;
     ``workers`` is left untouched.
     """
-    lo, hi = _bounds(boost_range, "boost range", RoleError)
+    lo, hi = _as_pair(boost_range, "boost_range", RoleError, lo=0.0)
     competences = workers.competences.copy()
-    for v in _node_ids(nodes, len(workers)):
+    for v in _as_ids(nodes, "nodes", RoleError, len(workers), empty=True):
         if boost_all:
             idx = np.arange(workers.n_competences)
         else:
@@ -143,12 +130,11 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
     An edge between two selected nodes is still scaled a single time. Returns
     a new graph; topology is untouched.
     """
-    if not (_is_real(factor) and factor > 0.0):
-        raise RoleError(f"facilitator weight factor must be a number > 0, got {factor!r}")
+    factor = _as_float(factor, "factor", RoleError, gt=0.0)
     selected = np.zeros(g.node_count, dtype=bool)
-    selected[_node_ids(nodes, g.node_count)] = True
+    selected[_as_ids(nodes, "nodes", RoleError, g.node_count, empty=True)] = True
     senders, receivers, weights = g.directed_edge_arrays()
-    with np.errstate(over="ignore", invalid="ignore"):  # a weight that is not finite is rejected below
+    with np.errstate(over="ignore"):  # a weight that overflows is rejected below
         scaled = np.where(selected[senders] | selected[receivers], weights * factor, weights)
     bad = ~np.isfinite(scaled) & (senders > receivers)
     if bad.any():  # name the first in ascending (u, v) order
@@ -160,4 +146,5 @@ def apply_facilitator(g: WeightedGraph, nodes: Sequence[int], factor: float) -> 
 
 def apply_collector(state: SimulationState, nodes: Sequence[int]) -> SimulationState:
     """Flag nodes as collectors; the engine accrues their per-step intake."""
-    return replace(state, collectors=state.collectors.union(_node_ids(nodes, state.graph.node_count)))
+    ids = _as_ids(nodes, "nodes", RoleError, state.graph.node_count, empty=True)
+    return replace(state, collectors=state.collectors.union(ids))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import re
 from dataclasses import replace as dc_replace
 from functools import partial
@@ -29,9 +28,10 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import netgraph
 from .community import Community, _insert_tie, accelerate_loop, detect_communities, transfer_efficiency
 from .diffusion import Probe, SimulationState, TimeSeries, collector_probes, probe_average, probe_mask, probe_node, run
-from .netgraph import GraphError, WeightedGraph, _is_int, assign_weights, generate_watts_strogatz
+from .netgraph import GraphError, WeightedGraph, _is_list, assign_weights, generate_watts_strogatz
 from .roles import ROLES, STRATEGIES, apply_collector, apply_expert, apply_facilitator, rank_nodes, select_top
 from .workforce import Population, init_workers
 
@@ -87,44 +87,13 @@ class ConfigError(ValueError):
 
 # -- config readers -----------------------------------------------------------------
 # A reader takes a raw JSON value and its key path, and returns the parsed value or
-# raises ConfigError naming the path.
+# raises ConfigError naming the path. The numeric and list readers are netgraph's.
 
-
-def _is_list(value: Any) -> bool:
-    return isinstance(value, Sequence) and not isinstance(value, str)
-
-
-def _bounded(value: Any, path: str, lo=None, hi=None, gt=None, lt=None) -> Any:
-    for ok, rule, bound in (
-        (lo is None or value >= lo, ">=", lo),
-        (hi is None or value <= hi, "<=", hi),
-        (gt is None or value > gt, ">", gt),
-        (lt is None or value < lt, "<", lt),
-    ):
-        if not ok:
-            raise ConfigError(f"{path}: must be {rule} {bound}, got {value}")
-    return value
-
-
-def _as_int(value: Any, path: str, lo: int | None = None) -> int:
-    if not _is_int(value):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return _bounded(int(value), path, lo=lo)
-
-
+_as_int, _as_float, _as_pair, _as_list, _bounded = (
+    partial(read, error=ConfigError)
+    for read in (netgraph._as_int, netgraph._as_float, netgraph._as_pair, netgraph._as_list, netgraph._bounded)
+)
 _ID = partial(_as_int, lo=0)
-
-
-def _as_float(value: Any, path: str, **bounds: float) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value}")
-    return _bounded(value, path, **bounds)
 
 
 def _as_bool(value: Any, path: str) -> bool:
@@ -152,15 +121,6 @@ def _or_null(value: Any, path: str, item: Callable[[Any, str], Any]) -> Any:
     return None if value is None else item(value, path)
 
 
-def _as_pair(value: Any, path: str, **bounds: float) -> tuple[float, float]:
-    if not _is_list(value) or len(value) != 2:
-        raise ConfigError(f"{path}: expected a [low, high] pair")
-    lo, hi = (_as_float(v, f"{path}[{i}]", **bounds) for i, v in enumerate(value))
-    if hi < lo:
-        raise ConfigError(f"{path}: interval is reversed: [{lo}, {hi}]")
-    return (lo, hi)
-
-
 def _as_tie(value: Any, path: str) -> tuple[int, int]:
     if not _is_list(value) or len(value) != 2:
         raise ConfigError(f"{path}: expected a [u, v] pair")
@@ -168,27 +128,6 @@ def _as_tie(value: Any, path: str) -> tuple[int, int]:
     if u == v:
         raise ConfigError(f"{path}: endpoints must be distinct")
     return (u, v)
-
-
-def _as_list(
-    value: Any,
-    path: str,
-    item: Callable[[Any, str], Any],
-    empty: bool = False,
-    unique: str | None = None,
-    then: Callable[[list], tuple] = tuple,
-) -> tuple:
-    """Each entry read by ``item``; ``unique`` names the entries that may not repeat."""
-    if not _is_list(value) or not (value or empty):
-        raise ConfigError(f"{path}: expected a {'' if empty else 'non-empty '}list")
-    items = [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
-    if unique is not None:
-        seen: set = set()
-        for i, v in enumerate(items):
-            if v in seen:
-                raise ConfigError(f"{path}[{i}]: duplicate {unique} {v!r}; entries must be unique")
-            seen.add(v)
-    return then(items)
 
 
 def _sorted(items: Any) -> tuple:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netgraph import _bounds, _is_int, _is_real
+from .netgraph import _as_float, _as_int, _as_pair
 
 __all__ = [
     "Population",
@@ -100,22 +100,19 @@ def init_workers(
     Draw order is fixed (competences, masks, cognitive, social) so one seed
     always reproduces the same population.
     """
-    for name, count in (("worker", n_workers), ("competence", n_competences)):
-        if not (_is_int(count) and count >= 1):
-            raise WorkforceError(f"{name} count must be an integer >= 1, got {count!r}")
-    if not (_is_real(mask_density) and 0.0 <= mask_density <= 1.0):
-        raise WorkforceError(f"mask density must be a number in [0, 1], got {mask_density!r}")
-    if not (_is_real(forgetting) and 0.0 <= forgetting < 1.0):
-        raise WorkforceError(f"forgetting rate must be a number in [0, 1), got {forgetting!r}")
-    competence_range = _bounds(competence_range, "competence_range", WorkforceError)
-    cognitive_range = _bounds(cognitive_range, "cognitive_range", WorkforceError, hi=1)
-    social_range = _bounds(social_range, "social_range", WorkforceError, hi=1)
+    n_workers = _as_int(n_workers, "n_workers", WorkforceError, lo=1)
+    n_competences = _as_int(n_competences, "n_competences", WorkforceError, lo=1)
+    competence_range = _as_pair(competence_range, "competence_range", WorkforceError, lo=0.0)
+    mask_density = _as_float(mask_density, "mask_density", WorkforceError, lo=0.0, hi=1.0)
+    cognitive_range = _as_pair(cognitive_range, "cognitive_range", WorkforceError, lo=0.0, hi=1.0)
+    social_range = _as_pair(social_range, "social_range", WorkforceError, lo=0.0, hi=1.0)
+    forgetting = _as_float(forgetting, "forgetting", WorkforceError, lo=0.0, lt=1.0)
 
     competences = rng.uniform(*competence_range, size=(n_workers, n_competences))
     masks = (rng.random(size=(n_workers, n_competences)) < mask_density).astype(float)
     cognitive = rng.uniform(*cognitive_range, size=n_workers)
     social = rng.uniform(*social_range, size=n_workers)
-    columns = (competences, masks, cognitive, social, np.full(n_workers, float(forgetting)))
+    columns = (competences, masks, cognitive, social, np.full(n_workers, forgetting))
     for column in columns:  # fresh arrays: the population keeps them rather than copies
         column.flags.writeable = False
     return Population(*columns)

@@ -61,14 +61,14 @@ def test_fixture_validation():
     pop = population_with(np.ones((4, 3)))
     with pytest.raises(CommunityError):
         detect_communities(pop, method="fixture")
-    with pytest.raises(CommunityError, match="member 9"):
-        detect_communities(pop, method="fixture", fixture=[((0, 9), (0,))])
-    with pytest.raises(CommunityError, match="core index"):
-        detect_communities(pop, method="fixture", fixture=[((0, 1), (5,))])
-    with pytest.raises(CommunityError, match="repeats"):
-        detect_communities(pop, method="fixture", fixture=[((0, 0), (0,))])
-    with pytest.raises(CommunityError):
-        detect_communities(pop, method="fixture", fixture=[((), (0,))])
+    for fixture, message in [
+        ([((0, 9), (0,))], "fixture[0].members[1]: must be < 4, got 9"),
+        ([((0, 1), (5,))], "fixture[0].core[0]: must be < 3, got 5"),
+        ([((0, 0), (0,))], "fixture[0].members[1]: duplicate member 0; entries must be unique"),
+        ([((0,), ()), ((), (0,))], "fixture[1].members: expected a non-empty list"),
+    ]:
+        with pytest.raises(CommunityError, match=f"^{re.escape(message)}$"):
+            detect_communities(pop, method="fixture", fixture=fixture)
     with pytest.raises(CommunityError, match="unknown detection method"):
         detect_communities(pop, method="louvain")
 
@@ -76,12 +76,12 @@ def test_fixture_validation():
 def test_fixture_ids_are_integers():
     pop = population_with(np.ones((4, 3)))
     for members, core, message in [
-        ([0, 1.5], [0], "member 1.5 "),
-        ([True, 1], [0], "member True "),
-        ([0, 1], [0.7], "core index 0.7 "),
-        ([0, 1], [True], "core index True "),
+        ([0, 1.5], [0], "fixture[0].members[1]: expected an integer, got 1.5"),
+        ([True, 1], [0], "fixture[0].members[0]: expected an integer, got True"),
+        ([0, 1], [0.7], "fixture[0].core[0]: expected an integer, got 0.7"),
+        ([0, 1], [True], "fixture[0].core[0]: expected an integer, got True"),
     ]:
-        with pytest.raises(CommunityError, match=message):
+        with pytest.raises(CommunityError, match=f"^{re.escape(message)}$"):
             detect_communities(pop, method="fixture", fixture=[(members, core)])
     (community,) = detect_communities(pop, method="fixture", fixture=[([np.int64(2), 0], [np.int32(1)])])
     assert community.members == (0, 2) and all(type(v) is int for v in community.members)
@@ -140,10 +140,11 @@ def test_knowledge_energy_hand_value():
 def test_knowledge_energy_takes_only_integer_ids():
     pop = population_with(np.ones((4, 1)), competences=[[1.0], [2.0], [3.0], [4.0]])
     assert knowledge_energy(pop, np.int64(3), np.ones(1)) == knowledge_energy(pop, 3, np.ones(1)) == 1.0
-    for bad in (1.5, True, np.float64(2.0), -1, 4):
-        with pytest.raises(CommunityError, match=f"unknown worker id {re.escape(repr(bad))}"):
+    for bad, rule in ((1.5, "expected an integer"), (True, "expected an integer"),
+                      (np.float64(2.0), "expected an integer"), (-1, "must be >= 0"), (4, "must be < 4")):
+        with pytest.raises(CommunityError, match=f"^{re.escape(f'v: {rule}, got {bad!r}')}$"):
             knowledge_energy(pop, bad, np.ones(1))
-    with pytest.raises(CommunityError, match="unknown worker id 4"):
+    with pytest.raises(CommunityError, match=re.escape("v: must be < 4, got 4")):
         energy_ranking(Community(id=0, members=(0, 4), core_mask=np.ones(1)), pop)
 
 
@@ -313,7 +314,8 @@ def test_accelerate_loop_budget_and_threshold():
     _, stopped = accelerate_loop(community, g, pop, budget=5, min_efficiency=0.1)
     assert [(p["from"], p["to"]) for p in stopped] == [(0, 3)]
     for budget in (-1, True, np.bool_(True), 1.5, 1.0, np.float64(2.0), None):
-        with pytest.raises(CommunityError, match="tie budget must be an integer >= 0"):
+        message = "budget: must be >= 0, got -1" if budget == -1 else f"budget: expected an integer, got {budget!r}"
+        with pytest.raises(CommunityError, match=f"^{re.escape(message)}$"):
             accelerate_loop(community, g, pop, budget=budget)
     _, two = accelerate_loop(community, g, pop, budget=np.int64(2))
     assert [(p["from"], p["to"]) for p in two] == [(0, 3), (0, 2)]

@@ -292,16 +292,16 @@ def test_probes_equal_ndarray_mean_bit_for_bit(seed, n, m, all_members):
 
 def test_probes_reject_out_of_range_ids():
     state = random_state(5, n=6)
-    with pytest.raises(DiffusionError, match="node id -1"):
+    with pytest.raises(DiffusionError, match=re.escape("node: must be >= 0, got -1")):
         probe_node(-1)
     for node in (1.5, True, "2"):
-        with pytest.raises(DiffusionError, match=f"node id {node!r} is not an integer"):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(f'node: expected an integer, got {node!r}')}$"):
             probe_node(node)
     with pytest.raises(DiffusionError, match="node id 9 .* 6 workers"):
         probe_node(9).measure(state)
-    with pytest.raises(DiffusionError, match="competence id -2"):
+    with pytest.raises(DiffusionError, match=re.escape("competences[0]: must be >= 0, got -2")):
         probe_mask("x", [-2, 1])
-    with pytest.raises(DiffusionError, match="node id -1"):
+    with pytest.raises(DiffusionError, match=re.escape("members[1]: must be >= 0, got -1")):
         probe_mask("x", [1], members=[0, -1])
     with pytest.raises(DiffusionError, match="competence id 8 .* 8 competences"):
         probe_mask("x", [1, 8]).measure(state)
@@ -314,11 +314,11 @@ def test_probes_reject_out_of_range_ids():
 def test_mask_probes_reject_ids_that_are_not_integers():
     state = random_state(5, n=6)
     for bad in (1.5, True, "2", np.float64(1.0)):
-        with pytest.raises(DiffusionError, match=re.escape(f"competence id {bad!r} is not an integer")):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(f'competences[1]: expected an integer, got {bad!r}')}$"):
             probe_mask("x", [0, bad])
-        with pytest.raises(DiffusionError, match=re.escape(f"node id {bad!r} is not an integer")):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(f'members[0]: expected an integer, got {bad!r}')}$"):
             probe_mask("x", [0], members=[bad, 3])
-    with pytest.raises(DiffusionError, match=f"competence id {2**63} is out of range"):
+    with pytest.raises(DiffusionError, match=re.escape(f"competences[1]: must be < {2**63}, got {2**63}")):
         probe_mask("x", [0, 2**63])
     exact = probe_mask("x", [1, 4], members=[0, 5]).measure(state).item()
     assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state).item() == exact
@@ -326,17 +326,20 @@ def test_mask_probes_reject_ids_that_are_not_integers():
 
 def test_mask_probes_reject_repeated_ids():
     state = random_state(5, n=6)
-    with pytest.raises(DiffusionError, match="node id 0 is repeated"):
+    with pytest.raises(DiffusionError, match=re.escape("members[1]: duplicate id 0; entries must be unique")):
         probe_mask("x", [0], members=[0, 0, 1])
-    with pytest.raises(DiffusionError, match="competence id 2 is repeated"):
+    with pytest.raises(DiffusionError, match=re.escape("competences[2]: duplicate id 2; entries must be unique")):
         probe_mask("x", [2, 0, np.int64(2)])
     distinct = probe_mask("x", [0], members=[0, 1]).measure(state).item()
     assert distinct == float(state.population.competences[[0, 1], 0].mean())
 
 
 def test_mask_probes_reject_an_empty_selection_when_made():
-    for competences, members in (([], None), ([], [0, 1]), ([0], []), (np.array([], dtype=int), None)):
-        with pytest.raises(DiffusionError, match="probe mask 'x' selects no cells"):
+    for competences, members, empty in (
+        ([], None, "competences"), ([], [0, 1], "competences"), ([0], [], "members"),
+        (np.array([], dtype=int), None, "competences"),
+    ):
+        with pytest.raises(DiffusionError, match=f"^{empty}: expected a non-empty list$"):
             probe_mask("x", competences, members=members)
 
 

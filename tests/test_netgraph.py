@@ -17,20 +17,29 @@ from hypothesis import strategies as st
 import oracles
 from knowflow import netgraph
 from knowflow import (
+    Community,
+    CommunityError,
+    DiffusionError,
     GraphError,
     RoleError,
+    SimulationState,
     WeightedGraph,
     WorkforceError,
+    accelerate_loop,
     add_edge,
     apply_expert,
     apply_facilitator,
     assign_weights,
     average_edge_weight,
     coauthor_utility,
+    detect_communities,
     generate_watts_strogatz,
     init_workers,
     load_fixture,
+    probe_average,
     read_edge_list,
+    run,
+    select_top,
     shortest_hop_path,
     weighted_betweenness_all,
     weighted_closeness_all,
@@ -283,7 +292,8 @@ def test_ws_parameter_validation():
 
 @pytest.mark.parametrize("n, k", [(10.0, 4), (10, 4.0), (True, 2), (10, np.float64(4.0)), ("10", 4)], ids=repr)
 def test_ws_counts_are_integers(n, k):
-    with pytest.raises(GraphError, match="node count and ring degree must be integers"):
+    name, bad = ("k", k) if type(n) is int else ("n", n)
+    with pytest.raises(GraphError, match=f"^{re.escape(f'{name}: expected an integer, got {bad!r}')}$"):
         generate_watts_strogatz(n, k, 0.1, np.random.default_rng(0))
 
 
@@ -297,9 +307,9 @@ def test_assign_weights_deterministic_and_validated():
     const = assign_weights(g, (0.4, 0.4), rng)
     assert all(w == 0.4 for _, _, w in const.edges())
     assert rng.random() == np.random.default_rng(0).random()  # a constant range draws nothing
-    with pytest.raises(GraphError, match=re.escape("weight range low bound must be > 0, got (0.0, 1.0)")):
+    with pytest.raises(GraphError, match=re.escape("weight_range[0]: must be > 0.0, got 0.0")):
         assign_weights(g, (0.0, 1.0), np.random.default_rng(0))
-    with pytest.raises(GraphError, match="weight range must be a pair"):
+    with pytest.raises(GraphError, match=re.escape("weight_range: interval is reversed: [0.8, 0.2]")):
         assign_weights(g, (0.8, 0.2), np.random.default_rng(0))
 
 
@@ -320,10 +330,29 @@ def test_assign_weights_reuses_the_topology_and_rejects_non_finite_draws():
 
 
 # Every range the library takes is exactly a pair of finite reals (low, high)
-# with 0 <= low <= high; each caller raises its own error, with one message.
+# with 0 <= low <= high, read by one reader; each caller raises its own error.
 BAD_RANGES = [(1, 2, 3), (1,), 3.0, None, "12", (True, 2), (math.nan, 1), (0, math.inf), (2, 1), (-1, 1)]
+RANGE_MESSAGES = {
+    "(1, 2, 3)": "{name}: expected a [low, high] pair",
+    "(1,)": "{name}: expected a [low, high] pair",
+    "3.0": "{name}: expected a [low, high] pair",
+    "None": "{name}: expected a [low, high] pair",
+    "'12'": "{name}: expected a [low, high] pair",
+    "(True, 2)": "{name}[0]: expected a number, got True",
+    "(nan, 1)": "{name}[0]: expected a finite number, got nan",
+    "(0, inf)": "{name}[1]: expected a finite number, got inf",
+    "(2, 1)": "{name}: interval is reversed: [2.0, 1.0]",
+    "(-1, 1)": "{name}[0]: must be >= 0.0, got -1.0",
+}
+# Weights must be > 0 and abilities <= 1, so these ranges break a bound of the low value first.
+RANGE_MESSAGES_BY_CALLER = {
+    ("assign_weights", "(0, inf)"): "weight_range[0]: must be > 0.0, got 0.0",
+    ("assign_weights", "(-1, 1)"): "weight_range[0]: must be > 0.0, got -1.0",
+    ("cognitive_range", "(2, 1)"): "cognitive_range[0]: must be <= 1.0, got 2.0",
+    ("social_range", "(2, 1)"): "social_range[0]: must be <= 1.0, got 2.0",
+}
 RANGE_CALLERS = {
-    "assign_weights": (GraphError, "weight range", lambda r: assign_weights(path3(1.0, 1.0), r, np.random.default_rng(0))),
+    "assign_weights": (GraphError, "weight_range", lambda r: assign_weights(path3(1.0, 1.0), r, np.random.default_rng(0))),
     "competence_range": (
         WorkforceError, "competence_range",
         lambda r: init_workers(3, 2, r, 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(0)),
@@ -337,7 +366,7 @@ RANGE_CALLERS = {
         lambda r: init_workers(3, 2, (0, 1), 0.5, (0, 1), r, 0.0, np.random.default_rng(0)),
     ),
     "apply_expert": (
-        RoleError, "boost range",
+        RoleError, "boost_range",
         lambda r: apply_expert(init_workers(3, 2, (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(0)),
                                [0], r, np.random.default_rng(0)),
     ),
@@ -348,13 +377,45 @@ RANGE_CALLERS = {
 @pytest.mark.parametrize("caller", sorted(RANGE_CALLERS))
 def test_every_range_is_one_pair_contract(caller, bad):
     error, name, call = RANGE_CALLERS[caller]
-    upper = " <= 1" if caller in ("cognitive_range", "social_range") else ""
-    message = f"{name} must be a pair (low, high) with 0 <= low <= high{upper}, both finite, got {bad!r}"
+    message = RANGE_MESSAGES_BY_CALLER.get((caller, repr(bad)), RANGE_MESSAGES[repr(bad)].format(name=name))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             call(bad)
     call(np.array([0.25, 0.75]))  # numpy reals are taken
+
+
+# Arguments that the shared readers refuse and that the hand-written checks they replaced let
+# through: as a bare TypeError or ValueError, or taken as another value. ``s`` is a one-run state
+# on a 6-node ring whose workers hold every competence, and ``RING`` is all six of them, so
+# detection joins and acceleration inserts.
+RING = Community(0, tuple(range(6)), np.ones(2))
+ARGUMENT_HOLES = {
+    "p-string": (GraphError, "p", lambda s: generate_watts_strogatz(6, 2, "0.1", np.random.default_rng(0))),
+    "p-None": (GraphError, "p", lambda s: generate_watts_strogatz(6, 2, None, np.random.default_rng(0))),
+    "p-bool": (GraphError, "p", lambda s: generate_watts_strogatz(6, 2, True, np.random.default_rng(0))),
+    "threshold-string": (CommunityError, "threshold", lambda s: detect_communities(s.population, threshold="0.5")),
+    "core_theta-string": (
+        CommunityError, "core_theta", lambda s: detect_communities(s.population, core_rule="majority", core_theta="0.5")
+    ),
+    "tie_weight-string": (CommunityError, "tie_weight", lambda s: accelerate_loop(RING, s.graph, s.population, 1, "x")),
+    "tie_weight-zero": (CommunityError, "tie_weight", lambda s: accelerate_loop(RING, s.graph, s.population, 1, 0.0)),
+    "min_efficiency-string": (
+        CommunityError, "min_efficiency", lambda s: accelerate_loop(RING, s.graph, s.population, 1, min_efficiency="x")
+    ),
+    "select_top-string": (RoleError, "fraction", lambda s: select_top(range(6), "1")),
+    "steps-string": (DiffusionError, "steps", lambda s: run(s, "3", [probe_average()])),
+    "steps-bool": (DiffusionError, "steps", lambda s: run(s, True, [probe_average()])),
+}
+
+
+@pytest.mark.parametrize("hole", sorted(ARGUMENT_HOLES))
+def test_library_arguments_are_read_by_the_shared_readers(hole):
+    error, name, call = ARGUMENT_HOLES[hole]
+    pop = init_workers(6, 2, (0, 10), 1.0, (0, 1), (0, 1), 0.0, np.random.default_rng(0))
+    state = SimulationState.batch([(generate_watts_strogatz(6, 2, 0.0, np.random.default_rng(0)), pop)])
+    with pytest.raises(error, match=f"^{name}: "):
+        call(state)
 
 
 # -- distances and centralities ------------------------------------------------

@@ -1051,11 +1051,11 @@ def test_probes_that_repeat_a_column_are_config_errors(tmp_path, capsys, probes,
 @pytest.mark.parametrize(
     "top, message",
     [
-        ("0", "count must lie in [1, 3], got 0"),
-        ("-3", "count must lie in [1, 3], got -3"),
-        ("4", "count must lie in [1, 3], got 4"),
-        ("nan", "fraction must lie in (0, 1], got nan"),
-        ("1.5", "fraction must lie in (0, 1], got 1.5"),
+        ("0", "count: must be >= 1, got 0"),
+        ("-3", "count: must be >= 1, got -3"),
+        ("4", "count: must be <= 3, got 4"),
+        ("nan", "fraction: expected a finite number, got nan"),
+        ("1.5", "fraction: must be <= 1.0, got 1.5"),
     ],
 )
 def test_cli_rank_top_out_of_range_is_a_config_error(tmp_path, capsys, top, message):

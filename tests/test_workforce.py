@@ -1,5 +1,7 @@
 """Worker population: initialization and invariants."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,7 +77,8 @@ def test_init_validation():
     ids=repr,
 )
 def test_init_scalars_are_real_numbers(density, forgetting, name):
-    with pytest.raises(WorkforceError, match=f"^{name} must be a number in"):
+    key, bad = ("mask_density", density) if name == "mask density" else ("forgetting", forgetting)
+    with pytest.raises(WorkforceError, match=f"^{re.escape(f'{key}: expected a number, got {bad!r}')}$"):
         init_workers(3, 3, (0, 1), density, (0, 1), (0, 1), forgetting, np.random.default_rng(0))
     numpy_floats = init_workers(3, 3, (0, 1), np.float32(0.5), (0, 1), (0, 1), np.float64(0.25), np.random.default_rng(1))
     plain = init_workers(3, 3, (0, 1), 0.5, (0, 1), (0, 1), 0.25, np.random.default_rng(1))
@@ -84,7 +87,8 @@ def test_init_scalars_are_real_numbers(density, forgetting, name):
 
 @pytest.mark.parametrize("n, m", [(4.0, 3), (4, 3.0), (True, 3), (4, np.float64(3.0)), ("4", 3)], ids=repr)
 def test_init_counts_are_integers(n, m):
-    with pytest.raises(WorkforceError, match="count must be an integer >= 1"):
+    key, bad = ("n_competences", m) if type(n) is int else ("n_workers", n)
+    with pytest.raises(WorkforceError, match=f"^{re.escape(f'{key}: expected an integer, got {bad!r}')}$"):
         init_workers(n, m, (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(0))
     numpy_ints = init_workers(np.int64(4), np.int32(3), (0, 1), 0.5, (0, 1), (0, 1), 0.0, np.random.default_rng(1))
     assert np.array_equal(
