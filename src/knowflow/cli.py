@@ -17,6 +17,7 @@ from .scenario import (
     _ID,
     ConfigError,
     ScenarioConfig,
+    _as_str,
     emit_report,
     export_fixtures,
     fixture_names,
@@ -84,9 +85,7 @@ def _seed_override(args: argparse.Namespace, config: ScenarioConfig) -> list[int
     if args.seed is None and args.seeds is None:
         return None
     start = config.run.seeds[0] if args.seed is None else _ID(args.seed, "--seed")
-    count = args.seeds if args.seeds is not None else 1
-    if count < 1:
-        raise ConfigError(f"--seeds: must be >= 1, got {count}")
+    count = _ID(args.seeds, "--seeds", lo=1) if args.seeds is not None else 1
     try:
         return list(range(start, start + count))
     except OverflowError:  # more seeds than a list can index
@@ -119,13 +118,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
-    if args.strategy not in STRATEGIES:
-        raise ConfigError(f"--strategy: unknown strategy {args.strategy!r}; expected one of: {', '.join(STRATEGIES)}")
+    strategy = _as_str(args.strategy, "--strategy", choices=STRATEGIES)
     seed = _ID(args.seed, "--seed")
     g = read_edge_list(args.graph)
     top = None if args.top is None else _parse_top(args.top, g.node_count)
-    rng = stream_rng(seed, "strategy") if args.strategy == "random" else None
-    for node in rank_nodes(g, args.strategy, rng=rng)[:top]:
+    rng = stream_rng(seed, "strategy") if strategy == "random" else None
+    for node in rank_nodes(g, strategy, rng=rng)[:top]:
         print(node)
     return 0
 
@@ -155,12 +153,14 @@ def _cmd_fixtures(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {"run": _cmd_run, "rank": _cmd_rank, "accelerate": _cmd_accelerate, "fixtures": _cmd_fixtures}
+_LOG_LEVELS = ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG")
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("KNOWFLOW_LOG_LEVEL", "WARNING").upper(), format="%(message)s")
     args = _build_parser().parse_args(argv)
     try:
+        level = os.environ.get("KNOWFLOW_LOG_LEVEL", "WARNING").upper()
+        logging.basicConfig(level=_as_str(level, "KNOWFLOW_LOG_LEVEL", choices=_LOG_LEVELS), format="%(message)s")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

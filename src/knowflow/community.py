@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .netgraph import WeightedGraph, _as_float, _as_ids, _as_int, add_edge, average_edge_weight, shortest_hop_path
+from .netgraph import WeightedGraph, add_edge, average_edge_weight, shortest_hop_path
+from .netgraph import _as_bool, _as_float, _as_ids, _as_int, _as_list, _as_str, _is_list
 from .workforce import Population
 
 __all__ = [
@@ -74,25 +75,22 @@ def detect_communities(
     competence indices) pairs.
     """
     n, m = workers.masks.shape
-    if method == "fixture":
-        if not fixture:
-            raise CommunityError("fixture method needs explicit (members, core indices) entries")
-        out: list[Community] = []
-        for z, (members, core_indices) in enumerate(fixture):
-            path = f"fixture[{z}]"
-            member_ids = tuple(sorted(_as_ids(members, f"{path}.members", CommunityError, n, unique="member")))
-            core = np.zeros(m)
-            core[_as_ids(core_indices, f"{path}.core", CommunityError, m, empty=True)] = 1.0
-            out.append(Community(id=z, members=member_ids, core_mask=core))
-        return out
+    if _as_str(method, "method", CommunityError, choices=("fixture", "jaccard")) == "fixture":
 
-    if method != "jaccard":
-        raise CommunityError(f"unknown detection method {method!r}; expected 'jaccard' or 'fixture'")
+        def community(entry: Sequence, path: str) -> tuple[tuple[int, ...], np.ndarray]:
+            if not _is_list(entry) or len(entry) != 2:
+                raise CommunityError(f"{path}: expected a (members, core) pair")
+            members = tuple(sorted(_as_ids(entry[0], f"{path}.members", CommunityError, n, unique="member")))
+            core = np.zeros(m)
+            core[_as_ids(entry[1], f"{path}.core", CommunityError, m, empty=True)] = 1.0
+            return members, core
+
+        entries = _as_list(fixture, "fixture", CommunityError, item=community)
+        return [Community(z, *entry) for z, entry in enumerate(entries)]
+
     threshold = _as_float(threshold, "threshold", CommunityError, gt=0.0, hi=1.0)
-    if core_rule == "majority":
+    if _as_str(core_rule, "core_rule", CommunityError, choices=("and", "majority")) == "majority":
         core_theta = _as_float(core_theta, "core_theta", CommunityError, gt=0.0, hi=1.0)
-    elif core_rule != "and":
-        raise CommunityError(f"unknown core rule {core_rule!r}; expected 'and' or 'majority'")
 
     members: list[list[int]] = []
     cores: list[np.ndarray] = []
@@ -146,6 +144,7 @@ def transfer_efficiency(
     adjacent pair scores its one step. None when v is unreachable.
     """
     _check_sizes(g, workers)
+    single_division = _as_bool(single_division, "single_division", CommunityError)
     senders, receivers, weights = g.directed_edge_arrays()
     # Slot i of node p's row scores the step p -> senders[i], in that operand order.
     path = shortest_hop_path(g, u, v, edge_score=workers.social[receivers] * weights * workers.cognitive[senders])
@@ -192,6 +191,7 @@ def accelerate_loop(
     """
     _check_sizes(g, workers)
     budget = _as_int(budget, "budget", CommunityError, lo=0)
+    single_division = _as_bool(single_division, "single_division", CommunityError)
     if tie_weight is not None:
         tie_weight = _as_float(tie_weight, "tie_weight", CommunityError, gt=0.0)
     if min_efficiency is not None:

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .netgraph import WeightedGraph, _as_ids, _as_int
+from .netgraph import WeightedGraph, _as_bool, _as_ids, _as_int, _as_name
 from .workforce import Population
 
 __all__ = [
@@ -146,7 +146,7 @@ def step(state: SimulationState, cognitive_gain: bool = True, *, _plan: _RunPlan
     bit-identical to streaming all E x m pairs. ``run`` passes its plan; a
     bare call builds one for this step alone.
     """
-    plan = _RunPlan(state, cognitive_gain) if _plan is None else _plan
+    plan = _RunPlan(state, _as_bool(cognitive_gain, "cognitive_gain", DiffusionError)) if _plan is None else _plan
     pop = state.population
     snapshot = pop.competences
 
@@ -237,6 +237,7 @@ def probe_node(node: int) -> Probe:
 
 def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | None = None) -> Probe:
     """Mean competence over chosen competence positions and (optionally) members, each a non-empty list."""
+    name = _as_name(name, "name", DiffusionError)
     member_idx = None if members is None else _index(members, "members")
     return _cell_probe(f"mask:{name}", member_idx, _index(competences, "competences"))
 
@@ -312,6 +313,7 @@ def run(
     recorded one, or the last step if only a final competence is one.
     """
     steps = _as_int(steps, "steps", DiffusionError, lo=0)
+    cognitive_gain = _as_bool(cognitive_gain, "cognitive_gain", DiffusionError)
     columns = _columns((p.metric, p.scope) for p in probes)
     actions = dict(interventions) if interventions else {}
     values = np.empty((state.runs, steps + 1, len(probes)))

@@ -52,11 +52,7 @@ class WeightedGraph:
     __slots__ = ("_n", "_senders", "_receivers", "_weights", "_indptr", "_centralities")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]] = ()):
-        if not _is_int(node_count):
-            raise GraphError(f"node count must be an integer, got {node_count!r}")
-        if node_count < 0:
-            raise GraphError(f"node count must be >= 0, got {node_count}")
-        n = int(node_count)
+        n = _as_int(node_count, "node_count", GraphError, lo=0)
         self._freeze(n, *_checked_edges(n, list(edges)))
 
     @classmethod
@@ -243,6 +239,31 @@ def _as_list(
 def _as_ids(value: Any, path: str, error: type[ValueError], below: int, **options: Any) -> list[int]:
     """A list of integer ids, each in [0, below); ``options`` go to ``_as_list``."""
     return _as_list(value, path, error, lambda v, name: _as_int(v, name, error, lo=0, lt=below), then=list, **options)
+
+
+def _as_bool(value: Any, path: str, error: type[ValueError]) -> bool:
+    """A bool or a numpy bool; no other value stands for true or false."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{path}: expected true or false, got {value!r}")
+    return bool(value)
+
+
+def _as_str(value: Any, path: str, error: type[ValueError], choices: Sequence[str] | None = None) -> str:
+    if not isinstance(value, str):
+        raise error(f"{path}: expected a string, got {value!r}")
+    if choices is not None and value not in choices:
+        raise error(f"{path}: expected one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+
+def _as_name(value: Any, path: str, error: type[ValueError]) -> str:
+    """A string that can label a column or a file: letters, digits, ``_``, ``.`` and ``-``."""
+    if not _NAME_RE.match(_as_str(value, path, error)):
+        raise error(f"{path}: must match [A-Za-z0-9_.-]+, got {value!r}")
+    return value
 
 
 def _checked_edges(n: int, edges: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,10 +12,12 @@ from .diffusion import SimulationState
 from .netgraph import (
     GraphError,
     WeightedGraph,
+    _as_bool,
     _as_float,
     _as_ids,
     _as_int,
     _as_pair,
+    _as_str,
     _is_int,
     coauthor_utility,
     weighted_betweenness_all,
@@ -56,8 +58,7 @@ def rank_nodes(
     utility (exclusive attention), ``dissemination`` the lowest, i.e. nodes of
     modest degree attached to well-connected neighbors.
     """
-    if strategy not in STRATEGIES:
-        raise RoleError(f"unknown strategy {strategy!r}; expected one of: {', '.join(STRATEGIES)}")
+    strategy = _as_str(strategy, "strategy", RoleError, choices=STRATEGIES)
     nodes = list(g.nodes())
     if strategy == "random":
         if rng is None:
@@ -110,6 +111,7 @@ def apply_expert(
     ``workers`` is left untouched.
     """
     lo, hi = _as_pair(boost_range, "boost_range", RoleError, lo=0.0)
+    boost_all = _as_bool(boost_all, "boost_all", RoleError)
     competences = workers.competences.copy()
     for v in _as_ids(nodes, "nodes", RoleError, len(workers), empty=True):
         if boost_all:

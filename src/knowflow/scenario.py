@@ -18,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import re
 from dataclasses import replace as dc_replace
 from functools import partial
 from importlib import resources
@@ -55,8 +54,6 @@ __all__ = [
 
 logger = logging.getLogger("knowflow")
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
-
 REFERENCE_TOKEN = "none"
 _TIE_MODES = ("none", "manual", "algorithm", "random")
 _NAMED_PROBES = {"average_competence": "average", "collector_intake": "collector"}
@@ -76,9 +73,8 @@ def stream_rng(seed: int, concern: str) -> np.random.Generator:
 
     A seed is an int or a numpy integer, at least 0, and never a bool.
     """
-    if concern not in _STREAMS:
-        raise ConfigError(f"unknown random stream {concern!r}")
-    return np.random.default_rng(np.random.SeedSequence(_ID(seed, "seed"), spawn_key=(_STREAMS[concern],)))
+    key = _STREAMS[_as_str(concern, "concern", choices=_STREAMS)]
+    return np.random.default_rng(np.random.SeedSequence(_ID(seed, "seed"), spawn_key=(key,)))
 
 
 class ConfigError(ValueError):
@@ -87,33 +83,13 @@ class ConfigError(ValueError):
 
 # -- config readers -----------------------------------------------------------------
 # A reader takes a raw JSON value and its key path, and returns the parsed value or
-# raises ConfigError naming the path. The numeric and list readers are netgraph's.
+# raises ConfigError naming the path. The scalar, list and name readers are netgraph's.
 
-_as_int, _as_float, _as_pair, _as_list, _bounded = (
-    partial(read, error=ConfigError)
-    for read in (netgraph._as_int, netgraph._as_float, netgraph._as_pair, netgraph._as_list, netgraph._bounded)
+_as_int, _as_float, _as_pair, _as_list, _bounded, _as_bool, _as_str, _as_name = (
+    partial(getattr(netgraph, name), error=ConfigError)
+    for name in ("_as_int", "_as_float", "_as_pair", "_as_list", "_bounded", "_as_bool", "_as_str", "_as_name")
 )
 _ID = partial(_as_int, lo=0)
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_str(value: Any, path: str, choices: Sequence[str] | None = None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ConfigError(f"{path}: expected one of {sorted(choices)}, got {value!r}")
-    return value
-
-
-def _as_name(value: Any, path: str) -> str:
-    if not _NAME_RE.match(_as_str(value, path)):
-        raise ConfigError(f"{path}: must match [A-Za-z0-9_.-]+, got {value!r}")
-    return value
 
 
 def _or_null(value: Any, path: str, item: Callable[[Any, str], Any]) -> Any:
@@ -764,12 +740,9 @@ def emit_report(
     Output is byte-deterministic for a given config and seed list: no
     timestamps, sorted JSON keys, shortest round-trip float formatting.
     """
+    fmts = report.config.output.formats if formats is None else OutputSpec._keys["formats"].read(formats, "formats")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fmts = _expand_formats(formats) if formats is not None else report.config.output.formats
-    for fmt in fmts:
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"output format must be 'csv', 'json' or 'both', got {fmt!r}")
     written: list[Path] = []
     name = report.config.name
 

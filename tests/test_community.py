@@ -59,9 +59,12 @@ def test_fixture_communities():
 
 def test_fixture_validation():
     pop = population_with(np.ones((4, 3)))
-    with pytest.raises(CommunityError):
-        detect_communities(pop, method="fixture")
     for fixture, message in [
+        (None, "fixture: expected a non-empty list"),
+        ([], "fixture: expected a non-empty list"),
+        (5, "fixture: expected a non-empty list"),
+        ([(0, 1, 2)], "fixture[0]: expected a (members, core) pair"),
+        ([((0, 1),)], "fixture[0]: expected a (members, core) pair"),
         ([((0, 9), (0,))], "fixture[0].members[1]: must be < 4, got 9"),
         ([((0, 1), (5,))], "fixture[0].core[0]: must be < 3, got 5"),
         ([((0, 0), (0,))], "fixture[0].members[1]: duplicate member 0; entries must be unique"),
@@ -69,7 +72,8 @@ def test_fixture_validation():
     ]:
         with pytest.raises(CommunityError, match=f"^{re.escape(message)}$"):
             detect_communities(pop, method="fixture", fixture=fixture)
-    with pytest.raises(CommunityError, match="unknown detection method"):
+    expected = "method: expected one of ['fixture', 'jaccard'], got 'louvain'"
+    with pytest.raises(CommunityError, match=f"^{re.escape(expected)}$"):
         detect_communities(pop, method="louvain")
 
 

@@ -334,6 +334,16 @@ def test_mask_probes_reject_repeated_ids():
     assert distinct == float(state.population.competences[[0, 1], 0].mean())
 
 
+def test_mask_probe_names_follow_the_config_rule():
+    for name, message in [
+        (None, "name: expected a string, got None"),
+        ("a b", "name: must match [A-Za-z0-9_.-]+, got 'a b'"),
+    ]:
+        with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
+            probe_mask(name, [0])
+    assert probe_mask("core.v-2_x", [0]).scope == "mask:core.v-2_x"
+
+
 def test_mask_probes_reject_an_empty_selection_when_made():
     for competences, members, empty in (
         ([], None, "competences"), ([], [0, 1], "competences"), ([0], [], "members"),

@@ -41,6 +41,8 @@ from knowflow import (
     run,
     select_top,
     shortest_hop_path,
+    step,
+    transfer_efficiency,
     weighted_betweenness_all,
     weighted_closeness_all,
     write_edge_list,
@@ -153,8 +155,8 @@ def test_graphs_are_immutable_values():
     "make, rejection",
     [
         (lambda: WeightedGraph(3, [(0, 1.5, 1.0)]), "edge (0, 1.5, 1.0) rejected: expected (u, v, weight)"),
-        (lambda: WeightedGraph(2.7, [(0, 1, 1.0)]), "node count must be an integer, got 2.7"),
-        (lambda: WeightedGraph(True), "node count must be an integer, got True"),
+        (lambda: WeightedGraph(2.7, [(0, 1, 1.0)]), "node_count: expected an integer, got 2.7"),
+        (lambda: WeightedGraph(True), "node_count: expected an integer, got True"),
         (lambda: WeightedGraph(3, [(False, True, 1.0)]), "edge (False, True, 1.0) rejected: expected (u, v, weight)"),
         (lambda: WeightedGraph(3, [(0, 1, "2")]), "edge (0, 1, '2') rejected: expected (u, v, weight)"),
         (lambda: WeightedGraph(3, [(0, 1, True)]), "edge (0, 1, True) rejected: expected (u, v, weight)"),
@@ -416,6 +418,33 @@ def test_library_arguments_are_read_by_the_shared_readers(hole):
     state = SimulationState.batch([(generate_watts_strogatz(6, 2, 0.0, np.random.default_rng(0)), pop)])
     with pytest.raises(error, match=f"^{name}: "):
         call(state)
+
+
+# Flags that the hand-written code took by their truth value, so that "no" switched one on.
+FLAG_CALLS = {
+    "apply_expert": (
+        RoleError, "boost_all", lambda s, on: apply_expert(s.population, [0], (1, 2), np.random.default_rng(0), on)
+    ),
+    "run": (DiffusionError, "cognitive_gain", lambda s, on: run(s, 1, [probe_average()], on)),
+    "step": (DiffusionError, "cognitive_gain", lambda s, on: step(s, on)),
+    "transfer_efficiency": (
+        CommunityError, "single_division", lambda s, on: transfer_efficiency(s.graph, s.population, 0, 3, on)
+    ),
+    "accelerate_loop": (
+        CommunityError, "single_division", lambda s, on: accelerate_loop(RING, s.graph, s.population, 1, None, None, on)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["no", 1, None])
+@pytest.mark.parametrize("caller", sorted(FLAG_CALLS))
+def test_library_flags_take_only_true_or_false(caller, value):
+    error, name, call = FLAG_CALLS[caller]
+    pop = init_workers(6, 2, (0, 10), 1.0, (0, 1), (0, 1), 0.0, np.random.default_rng(0))
+    state = SimulationState.batch([(generate_watts_strogatz(6, 2, 0.0, np.random.default_rng(0)), pop)])
+    with pytest.raises(error, match=f"^{re.escape(f'{name}: expected true or false, got {value!r}')}$"):
+        call(state, value)
+    call(state, np.True_)  # a numpy bool is taken
 
 
 # -- distances and centralities ------------------------------------------------
@@ -913,7 +942,7 @@ def test_edge_list_diagnostics(tmp_path):
         with pytest.raises(GraphError, match=f"bad.txt: {message}"):
             read_edge_list(p)
     p.write_text("# nodes=-1\n")
-    with pytest.raises(GraphError, match="bad.txt: node count must be >= 0"):
+    with pytest.raises(GraphError, match=re.escape("bad.txt: node_count: must be >= 0, got -1") + "$"):
         read_edge_list(p)
 
 

@@ -50,11 +50,14 @@ def small_population(n=6, seed=0):
 def test_strategy_parsing():
     assert STRATEGIES == ("random", "degree", "closeness", "betweenness", "timesharing", "dissemination")
     assert ROLES == ("expert", "facilitator", "collector")
-    expected = "unknown strategy 'popularity'; expected one of: random, degree, closeness, betweenness, timesharing, dissemination"
-    with pytest.raises(RoleError, match=re.escape(expected)):
-        rank_nodes(star(5), "popularity")
-    for token in ("Degree", 3, None):  # names are exact strings
-        with pytest.raises(RoleError, match="unknown strategy"):
+    choices = "['betweenness', 'closeness', 'degree', 'dissemination', 'random', 'timesharing']"
+    for token, expected in [
+        ("popularity", f"strategy: expected one of {choices}, got 'popularity'"),
+        ("Degree", f"strategy: expected one of {choices}, got 'Degree'"),  # names are exact strings
+        (3, "strategy: expected a string, got 3"),
+        (None, "strategy: expected a string, got None"),
+    ]:
+        with pytest.raises(RoleError, match=f"^{re.escape(expected)}$"):
             rank_nodes(star(5), token)
 
 

@@ -903,6 +903,19 @@ def test_emit_report_respects_format_selection(tmp_path):
         emit_report(report, tmp_path / "x", formats=["yaml"])
 
 
+def test_emit_report_reads_formats_as_the_config_does(tmp_path):
+    report = run_experiment(parse_config(tiny_config()), seeds=[1])
+    for formats, message in [
+        ([], "formats: expected a non-empty list"),
+        ("csv", "formats: expected a non-empty list"),
+        (["xml"], "formats[0]: expected one of ['both', 'csv', 'json'], got 'xml'"),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            emit_report(report, tmp_path / "x", formats=formats)
+    assert not (tmp_path / "x").exists()
+    assert {p.suffix for p in emit_report(report, tmp_path / "both", formats=["both"])} == {".csv", ".json"}
+
+
 def test_zero_step_report_is_single_row(tmp_path):
     data = tiny_config()
     data["run"] = {"steps": 0, "seeds": [3]}
@@ -1074,8 +1087,8 @@ def test_cli_rank_orders_nodes(tmp_path, capsys):
     assert capsys.readouterr().out.split() == ["1"]
     # An unknown strategy is checked before the graph is read.
     assert main(["rank", str(tmp_path / "missing.txt"), "--strategy", "nonsense"]) == 2
-    expected = "random, degree, closeness, betweenness, timesharing, dissemination"
-    assert capsys.readouterr().err == f"config error: --strategy: unknown strategy 'nonsense'; expected one of: {expected}\n"
+    expected = "['betweenness', 'closeness', 'degree', 'dissemination', 'random', 'timesharing']"
+    assert capsys.readouterr().err == f"config error: --strategy: expected one of {expected}, got 'nonsense'\n"
     assert main(["rank", str(graph), "--strategy", "degree", "--top", "x"]) == 2
     assert main(["rank", str(tmp_path / "missing.txt"), "--strategy", "degree"]) == 3
 
@@ -1213,6 +1226,16 @@ def test_cli_seed_options_are_config_errors(tmp_path, capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {message}") and err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_log_level_is_a_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("KNOWFLOW_LOG_LEVEL", "foo")
+    assert main(["fixtures", "list"]) == 2
+    levels = "['CRITICAL', 'DEBUG', 'ERROR', 'INFO', 'WARNING']"
+    assert capsys.readouterr() == ("", f"config error: KNOWFLOW_LOG_LEVEL: expected one of {levels}, got 'FOO'\n")
+    monkeypatch.setenv("KNOWFLOW_LOG_LEVEL", "info")
+    assert main(["fixtures", "list"]) == 0
+    assert capsys.readouterr().out.split() == fixture_names()
 
 
 def test_cli_fixtures_list_and_export(tmp_path, capsys):
