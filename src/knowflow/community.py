@@ -46,6 +46,8 @@ def jaccard_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Jaccard similarity of two 0/1 masks; two empty masks count as identical."""
     a_on = np.asarray(a, dtype=float) == 1.0
     b_on = np.asarray(b, dtype=float) == 1.0
+    if a_on.shape != b_on.shape:
+        raise CommunityError(f"b: must have the shape of a {a_on.shape}, got {b_on.shape}")
     union = np.count_nonzero(a_on | b_on)
     if union == 0:
         return 1.0

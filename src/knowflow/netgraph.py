@@ -95,21 +95,21 @@ class WeightedGraph:
         return i if i < hi and self._senders.item(i) == v else None
 
     def has_edge(self, u: int, v: int) -> bool:
-        v = _check_node(self._n, v)
-        return self._slot(_check_node(self._n, u), v) is not None
+        u = _as_int(u, "u", GraphError, lo=0, lt=self._n)
+        return self._slot(u, _as_int(v, "v", GraphError, lo=0, lt=self._n)) is not None
 
     def weight(self, u: int, v: int) -> float:
         """Tie strength of (u, v); 0.0 when no edge exists."""
-        u = _check_node(self._n, u)
-        i = self._slot(u, _check_node(self._n, v))
+        u = _as_int(u, "u", GraphError, lo=0, lt=self._n)
+        i = self._slot(u, _as_int(v, "v", GraphError, lo=0, lt=self._n))
         return 0.0 if i is None else self._weights.item(i)
 
     def neighbors(self, v: int) -> list[int]:
-        v = _check_node(self._n, v)
+        v = _as_int(v, "v", GraphError, lo=0, lt=self._n)
         return self._senders[self._indptr[v] : self._indptr[v + 1]].tolist()
 
     def degree(self, v: int) -> int:
-        v = _check_node(self._n, v)
+        v = _as_int(v, "v", GraphError, lo=0, lt=self._n)
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def edges(self) -> Iterator[tuple[int, int, float]]:
@@ -136,15 +136,6 @@ class _EdgeError(GraphError):
     def __init__(self, index: int, message: str):
         super().__init__(message)
         self.index = index
-
-
-def _check_node(n: int, v: int) -> int:
-    """``v`` as an int, when it is an integer id of one of the ``n`` nodes."""
-    if not _is_int(v):
-        raise GraphError(f"node id must be an integer, got {v!r}")
-    if not (0 <= v < n):
-        raise GraphError(f"unknown node {v} (graph has {n} nodes)")
-    return int(v)
 
 
 def _is_int(x: object) -> bool:
@@ -674,7 +665,8 @@ def shortest_hop_path(
     exact sums that is the best of all minimum-hop paths; under rounding, a
     prefix dropped for a smaller sum can tie the kept one at the target.
     """
-    source, target = _check_node(g.node_count, source), _check_node(g.node_count, target)
+    n = g.node_count
+    source, target = _as_int(source, "source", GraphError, lo=0, lt=n), _as_int(target, "target", GraphError, lo=0, lt=n)
     if source == target:
         raise GraphError("path endpoints must be distinct")
     scores = np.asarray(g._weights if edge_score is None else edge_score)

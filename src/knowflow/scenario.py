@@ -9,8 +9,9 @@ the intervention under study.
 
 The spec classes are the config schema: frozen ``_Spec`` values whose classes
 declare one ``_key`` per JSON key, with the reader that parses and bounds it
-and its default. ``parse_config`` and ``ScenarioConfig.to_dict`` derive from
-them; only the rules that link keys are written, in each section's ``_checked``.
+and its default. A spec is built only by reading its section's JSON data, so
+``parse_config``, ``ScenarioConfig.to_dict`` and ``replace`` derive from them;
+only the rules that link keys are written, in each section's ``_checked``.
 """
 
 from __future__ import annotations
@@ -115,86 +116,54 @@ def _expand_formats(formats: list[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(f for token in formats for f in (("csv", "json") if token == "both" else (token,))))
 
 
-def _as_weights(value: Any, path: str) -> WeightsSpec:
-    """``{"kind": "constant", "value": c}`` or ``{"kind": "uniform", "low": a, "high": b}``."""
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    if "kind" not in value:
-        raise ConfigError(f"{path}.kind: required key missing")
-    kind = _as_str(value["kind"], f"{path}.kind", choices=("constant", "uniform"))
-    keys = ("value",) if kind == "constant" else ("low", "high")
-    for key in value:
-        if key not in ("kind", *keys):
-            raise ConfigError(f"{path}: {kind} weights take {'/'.join(map(repr, keys))}, not {key!r}")
-    for key in keys:
-        if key not in value:
-            raise ConfigError(f"{path}.{key}: required key missing")
-    low, high = (_as_float(value[key], f"{path}.{key}") for key in (keys[0], keys[-1]))
-    if not (low > 0.0):
-        raise ConfigError(f"{path}: weights must be strictly positive")
-    if high < low:
-        raise ConfigError(f"{path}: interval is reversed: [{low}, {high}]")
-    return WeightsSpec(kind, low, high)
-
-
-def _as_probe(value: Any, path: str) -> ProbeSpec:
-    if isinstance(value, str) and value in _NAMED_PROBES:
-        return ProbeSpec(_NAMED_PROBES[value])
-    if isinstance(value, Mapping) and list(value) == ["node"]:
-        return ProbeSpec("node", node=_ID(value["node"], f"{path}.node"))
-    if isinstance(value, Mapping) and list(value) == ["mask"]:
-        return ProbeSpec("mask", mask=_as_spec(value["mask"], f"{path}.mask", MaskProbe))
-    raise ConfigError(
-        f"{path}: unknown probe {value!r}; expected 'average_competence', 'collector_intake', "
-        "a {'node': id} object, or a {'mask': ...} object"
-    )
-
-
-def _as_spec(value: Any, path: str, spec: type[_Spec], prefix: str | None = None) -> Any:
-    """The JSON object for ``spec``: one entry per key in ``spec._keys``, read by the key's reader.
-
-    Unknown keys are rejected and keys without a default required; the
-    section's ``_checked`` then applies the rules that link its keys.
-    """
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path}: expected an object")
-    prefix = f"{path}." if prefix is None else prefix
-    for key in value:
-        if key not in spec._keys:
-            raise ConfigError(f"{path}: unknown key {key!r}")
-    for name, key in spec._keys.items():
-        if name not in value and key.default is ...:
-            raise ConfigError(f"{prefix}{name}: required key missing")
-    parsed = spec(**{name: spec._keys[name].read(v, prefix + name) for name, v in value.items()})
-    checked = getattr(parsed, "_checked", None)
-    return checked(value, path) if checked is not None else parsed
-
-
 # -- config model -------------------------------------------------------------------
-# A key that does not apply under the chosen mode is stored as None.
+# A section is built only by reading its JSON data; a key that does not apply under
+# the chosen mode is stored as None.
 
 
 class _key:
     """A spec's key: parsed by ``read`` with these bounds or choices; required unless it has a ``default``."""
 
-    def __init__(self, read: Callable[..., Any] | None = None, default: Any = ..., **options: Any):
-        self.read, self.default = None if read is None else partial(read, **options), default
+    def __init__(self, read: Callable[..., Any], default: Any = ..., **options: Any):
+        self.read, self.default = partial(read, **options), default
 
 
 class _Spec:
-    """A frozen config value: one attribute per ``_key`` its class declares, in order in ``_keys``."""
+    """A frozen config value: one attribute per ``_key`` its class declares, in order in ``_keys``.
+
+    ``Spec(data, path)`` reads the section's JSON data found at ``path``; an
+    error names the key after ``prefix``, which is ``path.`` unless given.
+    """
 
     def __init_subclass__(cls) -> None:
         cls._keys = {name: value for name, value in vars(cls).items() if isinstance(value, _key)}
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        given = dict(zip(self._keys, args), **kwargs)  # a name given twice, or a value too many, is lost here
-        if len(given) < len(args) + len(kwargs) or not given.keys() <= self._keys.keys():
-            raise TypeError(f"{type(self).__name__} takes the keys {list(self._keys)}, got {args} and {kwargs}")
+    def __init__(self, data: Any, path: str, prefix: str | None = None) -> None:
+        prefix = f"{path}." if prefix is None else prefix
+        self.__dict__.update(self._read(data, path, prefix))
+        self._checked(data, path, prefix)
+
+    def _read(self, data: Any, path: str, prefix: str) -> dict:
+        """One value per key: unknown keys rejected, keys without a default required, given keys read."""
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"{path}: expected an object")
+        for key in data:
+            if key not in self._keys:
+                raise ConfigError(f"{path}: unknown key {key!r}")
         for name, key in self._keys.items():
-            if given.setdefault(name, key.default) is ...:
-                raise TypeError(f"{type(self).__name__}: missing a value for {name!r}")
-            self.__dict__[name] = given[name]
+            if name not in data and key.default is ...:
+                raise ConfigError(f"{prefix}{name}: required key missing")
+        fields = {name: key.default for name, key in self._keys.items()}
+        fields.update((name, self._keys[name].read(v, prefix + name)) for name, v in data.items())
+        return fields
+
+    def _checked(self, data: Any, path: str, prefix: str) -> None:
+        """Rules that link keys; a key the chosen mode ignores is set to None here."""
+
+    @staticmethod
+    def _json(fields: dict) -> Any:
+        """The JSON data that ``_read`` turns into ``fields``: None fields dropped, nested values converted."""
+        return {name: _to_json(v) for name, v in fields.items() if v is not None}
 
     def __setattr__(self, name: str, value: Any = None) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: cannot change {name!r}")
@@ -211,35 +180,57 @@ class _Spec:
         return f"{type(self).__name__}({', '.join(f'{name}={v!r}' for name, v in vars(self).items())})"
 
     def replace(self, **changes: Any) -> Any:
-        """A copy with ``changes`` applied; this spec stays as it is."""
-        return type(self)(**{**vars(self), **changes})
+        """A copy with ``changes`` (None drops a key), read and checked as its section is; errors name the bare key."""
+        return type(self)(self._json({**vars(self), **changes}), type(self).__name__, "")
 
 
 class WeightsSpec(_Spec):
-    """``network.weights``: ``constant`` (low == high) or ``uniform`` tie strengths in [low, high]."""
+    """``network.weights``: ``constant`` (``value``, low == high) or ``uniform`` tie strengths in [low, high]."""
 
-    kind: str = _key()
-    low: float = _key()
-    high: float = _key()
+    kind: str
+    low: float
+    high: float
 
-    def to_json(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "value": self.low}
-        return {"kind": "uniform", "low": self.low, "high": self.high}
+    def _read(self, data: Any, path: str, prefix: str) -> dict:
+        if not isinstance(data, Mapping):
+            raise ConfigError(f"{path}: expected an object")
+        if "kind" not in data:
+            raise ConfigError(f"{prefix}kind: required key missing")
+        kind = _as_str(data["kind"], f"{prefix}kind", choices=("constant", "uniform"))
+        keys = ("value",) if kind == "constant" else ("low", "high")
+        for key in data:
+            if key not in ("kind", *keys):
+                raise ConfigError(f"{path}: {kind} weights take {'/'.join(map(repr, keys))}, not {key!r}")
+        for key in keys:
+            if key not in data:
+                raise ConfigError(f"{prefix}{key}: required key missing")
+        low, high = (_as_float(data[key], prefix + key) for key in (keys[0], keys[-1]))
+        if not (low > 0.0):
+            raise ConfigError(f"{path}: weights must be strictly positive")
+        if high < low:
+            raise ConfigError(f"{path}: interval is reversed: [{low}, {high}]")
+        return {"kind": kind, "low": low, "high": high}
+
+    @staticmethod
+    def _json(fields: dict) -> dict:
+        """The fields as they are, but a constant range's equal bounds written as its ``value``."""
+        data = dict(fields)
+        if data["kind"] == "constant" and data.pop("high") == data["low"]:
+            data.setdefault("value", data.pop("low"))
+        return data
 
 
 class NetworkSpec(_Spec):
     nodes: int = _key(_as_int, lo=3)
     ring_degree: int = _key(_as_int, lo=2, default=4)
     rewire_prob: float = _key(_as_float, lo=0.0, hi=1.0, default=0.1)
-    weights: WeightsSpec = _key(_as_weights, default=WeightsSpec("uniform", 0.1, 1.0))
+    weights: WeightsSpec = _key(WeightsSpec, default=WeightsSpec({"kind": "uniform", "low": 0.1, "high": 1.0}, "weights"))
 
-    def _checked(self, data: Mapping, path: str) -> NetworkSpec:
+    def _checked(self, data: Mapping, path: str, prefix: str) -> None:
         if self.ring_degree % 2 != 0:
-            raise ConfigError(f"{path}.ring_degree: must be even, got {self.ring_degree}")
+            raise ConfigError(f"{prefix}ring_degree: must be even, got {self.ring_degree}")
         if self.ring_degree >= self.nodes:
-            raise ConfigError(f"{path}.ring_degree: must be smaller than nodes ({self.nodes}), got {self.ring_degree}")
-        return self
+            raise ConfigError(f"{prefix}ring_degree: must be smaller than nodes ({self.nodes}), got {self.ring_degree}")
 
 
 class PopulationSpec(_Spec):
@@ -263,15 +254,16 @@ class RolePlan(_Spec):
     weight_factor: float | None = _key(_as_float, gt=0.0, default=None)
     step: int = _key(_as_int, lo=0, default=0)
 
-    def _checked(self, data: Mapping, path: str) -> RolePlan:
+    def _checked(self, data: Mapping, path: str, prefix: str) -> None:
         if (self.fraction is None) == (self.count is None):
             raise ConfigError(f"{path}: exactly one of 'fraction' or 'count' is required")
         for key, owner in _ROLE_KEYS.items():
             if key in data and owner != self.role:
-                raise ConfigError(f"{path}.{key}: only valid for the {owner} role")
+                raise ConfigError(f"{prefix}{key}: only valid for the {owner} role")
             if owner == self.role and getattr(self, key) is None:
-                raise ConfigError(f"{path}.{key}: required for the {owner} role")
-        return self if self.role == "expert" else self.replace(boost_all=None)
+                raise ConfigError(f"{prefix}{key}: required for the {owner} role")
+        if self.role != "expert":
+            self.__dict__["boost_all"] = None
 
 
 class CommunityFixture(_Spec):
@@ -284,9 +276,7 @@ class CommunityPlan(_Spec):
     threshold: float | None = _key(_as_float, gt=0.0, hi=1.0, default=0.5)
     core_rule: str | None = _key(_as_str, choices=("and", "majority"), default="and")
     core_theta: float | None = _key(_as_float, default=0.5)
-    communities: tuple[CommunityFixture, ...] | None = _key(
-        _as_list, item=partial(_as_spec, spec=CommunityFixture), default=None
-    )
+    communities: tuple[CommunityFixture, ...] | None = _key(_as_list, item=CommunityFixture, default=None)
     ties: str = _key(_as_str, choices=_TIE_MODES, default="none")
     manual_ties: tuple[tuple[int, int], ...] | None = _key(_as_list, item=_as_tie, default=None)
     community_index: int = _key(_as_int, lo=0, default=0)
@@ -295,28 +285,26 @@ class CommunityPlan(_Spec):
     tie_weight: float | None = _key(_or_null, item=partial(_as_float, gt=0.0), default=None)
     division: str = _key(_as_str, choices=("double", "single"), default="double")
 
-    def _checked(self, data: Mapping, path: str) -> CommunityPlan:
+    def _checked(self, data: Mapping, path: str, prefix: str) -> None:
         if self.method == "fixture":
             if self.communities is None:
-                raise ConfigError(f"{path}.communities: fixture method needs a non-empty list")
+                raise ConfigError(f"{prefix}communities: fixture method needs a non-empty list")
             if self.community_index >= len(self.communities):
                 raise ConfigError(
-                    f"{path}.community_index: only {len(self.communities)} communities defined, got {self.community_index}"
+                    f"{prefix}community_index: only {len(self.communities)} communities defined, got {self.community_index}"
                 )
-            ignored = {"threshold": None, "core_rule": None, "core_theta": None}
+            ignored = ("threshold", "core_rule", "core_theta")
         else:
             if self.communities is not None:
-                raise ConfigError(f"{path}.communities: only valid with the fixture method")
+                raise ConfigError(f"{prefix}communities: only valid with the fixture method")
             if self.core_rule == "majority":
-                _bounded(self.core_theta, f"{path}.core_theta", gt=0.0, hi=1.0)
-                ignored = {}
-            else:
-                ignored = {"core_theta": None}
+                _bounded(self.core_theta, f"{prefix}core_theta", gt=0.0, hi=1.0)
+            ignored = () if self.core_rule == "majority" else ("core_theta",)
         if self.ties == "manual" and self.manual_ties is None:
-            raise ConfigError(f"{path}.manual_ties: manual ties need a non-empty list of [u, v] pairs")
+            raise ConfigError(f"{prefix}manual_ties: manual ties need a non-empty list of [u, v] pairs")
         if self.ties != "manual" and self.manual_ties is not None:
-            raise ConfigError(f"{path}.manual_ties: only valid with ties='manual'")
-        return self.replace(**ignored)
+            raise ConfigError(f"{prefix}manual_ties: only valid with ties='manual'")
+        self.__dict__.update(dict.fromkeys(ignored))
 
 
 class MaskProbe(_Spec):
@@ -326,31 +314,43 @@ class MaskProbe(_Spec):
 
 
 class ProbeSpec(_Spec):
-    kind: str = _key()  # "average" | "node" | "mask" | "collector"
-    node: int | None = _key(default=None)
-    mask: MaskProbe | None = _key(default=None)
+    """A ``run.probes`` entry: ``"average_competence"``, ``"collector_intake"``, ``{"node": id}`` or ``{"mask": ...}``."""
 
-    def to_json(self) -> Any:
-        if self.kind == "node":
-            return {"node": self.node}
-        if self.kind == "mask":
-            return {"mask": _to_json(self.mask)}
-        return next(token for token, kind in _NAMED_PROBES.items() if kind == self.kind)
+    kind: str  # "average" | "node" | "mask" | "collector"
+    node: int | None
+    mask: MaskProbe | None
+
+    def _read(self, data: Any, path: str, prefix: str) -> dict:
+        if isinstance(data, str) and data in _NAMED_PROBES:
+            return {"kind": _NAMED_PROBES[data], "node": None, "mask": None}
+        if isinstance(data, Mapping) and list(data) == ["node"]:
+            return {"kind": "node", "node": _ID(data["node"], f"{prefix}node"), "mask": None}
+        if isinstance(data, Mapping) and list(data) == ["mask"]:
+            return {"kind": "mask", "node": None, "mask": MaskProbe(data["mask"], f"{prefix}mask")}
+        raise ConfigError(
+            f"{path}: unknown probe {data!r}; expected 'average_competence', 'collector_intake', "
+            "a {'node': id} object, or a {'mask': ...} object"
+        )
+
+    @staticmethod
+    def _json(fields: dict) -> Any:
+        """The object of a node or mask probe's field, or a named probe's token."""
+        data = _Spec._json({name: v for name, v in fields.items() if name != "kind"})
+        return data or {kind: token for token, kind in _NAMED_PROBES.items()}.get(fields["kind"], fields["kind"])
 
 
 class RunSpec(_Spec):
     steps: int = _key(_as_int, lo=0)
     seeds: tuple[int, ...] = _key(_as_list, item=_ID, unique="seed")
-    probes: tuple[ProbeSpec, ...] = _key(_as_list, item=_as_probe, default=(ProbeSpec("average"),))
+    probes: tuple[ProbeSpec, ...] = _key(_as_list, item=ProbeSpec, default=(ProbeSpec("average_competence", "probes"),))
 
-    def _checked(self, data: Mapping, path: str) -> RunSpec:
+    def _checked(self, data: Mapping, path: str, prefix: str) -> None:
         # A probe's columns are fixed by its kind and its node or mask name, whatever the rest of its spec.
         first: dict[tuple, int] = {}
         for i, probe in enumerate(self.probes):
             earlier = first.setdefault((probe.kind, probe.node, probe.mask and probe.mask.name), i)
             if earlier != i:
-                raise ConfigError(f"{path}.probes[{i}]: records the same columns as {path}.probes[{earlier}]")
-        return self
+                raise ConfigError(f"{prefix}probes[{i}]: records the same columns as {prefix}probes[{earlier}]")
 
 
 class DiffusionSpec(_Spec):
@@ -367,19 +367,19 @@ class OutputSpec(_Spec):
 
 class ScenarioConfig(_Spec):
     name: str = _key(_as_name)
-    network: NetworkSpec = _key(_as_spec, spec=NetworkSpec)
-    population: PopulationSpec = _key(_as_spec, spec=PopulationSpec)
-    run: RunSpec = _key(_as_spec, spec=RunSpec)
-    role_plan: RolePlan | None = _key(_as_spec, spec=RolePlan, default=None)
-    community_plan: CommunityPlan | None = _key(_as_spec, spec=CommunityPlan, default=None)
-    diffusion: DiffusionSpec = _key(_as_spec, spec=DiffusionSpec, default=DiffusionSpec())
-    output: OutputSpec = _key(_as_spec, spec=OutputSpec, default=OutputSpec())
+    network: NetworkSpec = _key(NetworkSpec)
+    population: PopulationSpec = _key(PopulationSpec)
+    run: RunSpec = _key(RunSpec)
+    role_plan: RolePlan | None = _key(RolePlan, default=None)
+    community_plan: CommunityPlan | None = _key(CommunityPlan, default=None)
+    diffusion: DiffusionSpec = _key(DiffusionSpec, default=DiffusionSpec({}, "diffusion"))
+    output: OutputSpec = _key(OutputSpec, default=OutputSpec({}, "output"))
 
     def to_dict(self) -> dict:
         """The config as JSON data, without the keys its modes ignore; ``parse_config`` inverts it."""
         return _to_json(self)
 
-    def _checked(self, data: Mapping, path: str) -> ScenarioConfig:
+    def _checked(self, data: Mapping, path: str, prefix: str) -> None:
         """Rules across sections: node and competence ids in range, collector probes."""
         nodes, competences = self.network.nodes, self.population.competences
         role = self.role_plan
@@ -404,15 +404,12 @@ class ScenarioConfig(_Spec):
             for value in values:
                 if value >= limit:
                     raise ConfigError(f"{path}: id {value} is out of range, must be < {limit}")
-        return self
 
 
 def _to_json(value: Any) -> Any:
-    """JSON data for a spec: None fields dropped, tuples as lists, nested specs recursed."""
-    if isinstance(value, (WeightsSpec, ProbeSpec)):
-        return value.to_json()
+    """JSON data for a spec, a tuple (as a list) or a plain value."""
     if isinstance(value, _Spec):
-        return {name: _to_json(v) for name, v in vars(value).items() if v is not None}
+        return value._json(vars(value))
     if isinstance(value, tuple):
         return [_to_json(v) for v in value]
     return value
@@ -425,15 +422,15 @@ def config_hash(config: ScenarioConfig) -> str:
 
 def parse_config(data: Any, source: str = "config") -> ScenarioConfig:
     """Validate a raw JSON object into a ScenarioConfig; fail fast on any unknown key."""
-    return _as_spec(data, source, ScenarioConfig, prefix="")
+    return ScenarioConfig(data, source, "")
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"{path}: {'expected a file' if path.exists() else 'config file not found'}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{path}: config file not found") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
@@ -522,9 +519,8 @@ def _apply_tie_plan(
                 g = _insert_tie(g, records, None, u, v, plan.tie_weight, efficiency)
     else:
         communities = _communities_for(plan, workers)
-        if plan.community_index >= len(communities):
-            found = "defined" if plan.method == "fixture" else "detected"
-            raise ConfigError(f"{index_key}: only {len(communities)} communities {found}, got {plan.community_index}")
+        if plan.community_index >= len(communities):  # a fixture plan's index was checked when it was read
+            raise ConfigError(f"{index_key}: only {len(communities)} communities detected, got {plan.community_index}")
         target = communities[plan.community_index]
         if plan.ties == "algorithm":
             g, records = accelerate_loop(
@@ -704,8 +700,8 @@ def propose_ties(
     """Energy-guided tie proposals for one seed's network, without running diffusion; an error names its override."""
     if config.community_plan is None:
         raise ConfigError("community_plan: required to propose ties")
-    overrides = {k: _ID(v, k) for k, v in (("community_index", community_index), ("budget", budget)) if v is not None}
-    plan = config.community_plan.replace(ties="algorithm", **overrides)
+    overrides = {k: v for k, v in (("community_index", community_index), ("budget", budget)) if v is not None}
+    plan = config.community_plan.replace(ties="algorithm", manual_ties=None, **overrides)
     run_seed = config.run.seeds[0] if seed is None else _ID(seed, "seed")
     g = _graph_for(config.network, run_seed)
     pop = _population_for(config.population, config.network.nodes, run_seed)
@@ -718,7 +714,10 @@ def propose_ties(
 
 def stabilization_step(curve: Sequence[float], tolerance: float = 0.05) -> int:
     """First index after which the curve stays within ``tolerance`` of its final value."""
+    tolerance = _as_float(tolerance, "tolerance", lo=0.0)
     values = np.asarray(curve, dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise ConfigError(f"curve: expected a non-empty 1-D sequence, got shape {values.shape}")
     final = values[-1]
     bound = tolerance * max(abs(final), np.finfo(float).tiny)
     stable_from = len(values) - 1
@@ -740,7 +739,7 @@ def emit_report(
     Output is byte-deterministic for a given config and seed list: no
     timestamps, sorted JSON keys, shortest round-trip float formatting.
     """
-    fmts = report.config.output.formats if formats is None else OutputSpec._keys["formats"].read(formats, "formats")
+    fmts = report.config.output.formats if formats is None else report.config.output.replace(formats=formats).formats
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []

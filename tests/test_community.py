@@ -48,6 +48,12 @@ def test_jaccard_hand_values():
     assert jaccard_similarity(np.zeros(3), np.zeros(3)) == 1.0  # empty interests agree
 
 
+@pytest.mark.parametrize("b", [np.ones(1), np.ones(2), np.ones((3, 1))])
+def test_jaccard_masks_must_share_a_shape(b):
+    with pytest.raises(CommunityError, match=re.escape(f"b: must have the shape of a (3,), got {b.shape}")):
+        jaccard_similarity(np.ones(3), b)
+
+
 def test_fixture_communities():
     pop = population_with(np.ones((6, 4)))
     out = detect_communities(pop, method="fixture", fixture=[((0, 2, 4), (1,)), ((1, 3), (0, 3))])

@@ -371,7 +371,10 @@ def test_specs_are_frozen_values():
     assert cfg == again and hash(cfg) == hash(again) and len({cfg, again}) == 1
     assert cfg != parse_config({**cfg.to_dict(), "name": "other"})
     # Equal values in specs of two different types are not equal.
-    assert scenario.CommunityFixture((0, 1), (2,)) != scenario.OutputSpec((0, 1), (2,))
+    twin = type("Twin", (scenario._Spec,), dict(scenario.CommunityFixture._keys))
+    data = {"members": [0, 1], "core": [2]}
+    fixture = scenario.CommunityFixture(data, "fixture")
+    assert vars(twin(data, "twin")) == vars(fixture) and twin(data, "twin") != fixture
     # Overrides apply to a copy: the config they start from stays as it was.
     propose_ties(cfg, seed=1, community_index=2, budget=2)
     assert cfg == again and (cfg.community_plan.community_index, cfg.community_plan.budget) == (0, 1)
@@ -382,16 +385,81 @@ def test_spec_replace_returns_a_changed_copy():
     wider = network.replace(nodes=40, ring_degree=6)
     assert (wider.nodes, wider.ring_degree, wider.weights) == (40, 6, network.weights)
     assert (network.nodes, network.ring_degree) == (25, 4) and wider != network
-    spec = type(network)
-    assert spec(25, 4, rewire_prob=network.rewire_prob, weights=network.weights) == network
-    for bad in (
-        lambda: network.replace(edges=3),
-        lambda: spec(),  # nodes has no default
-        lambda: spec(25, nodes=25),
-        lambda: spec(25, 4, 0.1, network.weights, 5),
+    spec, weights = type(network), load_fixture("fig9").to_dict()["network"]["weights"]
+    data = {"nodes": 25, "ring_degree": 4, "rewire_prob": network.rewire_prob, "weights": weights}
+    assert spec(data, "network") == network
+    for bad, message in (
+        (lambda: network.replace(edges=3), "NetworkSpec: unknown key 'edges'"),
+        (lambda: spec({}, "network"), "network.nodes: required key missing"),  # nodes has no default
+        (lambda: spec({**data, "edges": 3}, "network"), "network: unknown key 'edges'"),
+        (lambda: spec((25, 4, 0.1), "network"), "network: expected an object"),  # values alone name no key
     ):
-        with pytest.raises(TypeError):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             bad()
+
+
+def test_replace_reads_what_parse_config_reads():
+    for name in fixture_names():
+        cfg = load_fixture(name)
+        assert cfg.replace() == cfg
+    plan = load_fixture("fig7").community_plan
+    assert plan.replace(ties="algorithm", manual_ties=None) == load_fixture("fig9").community_plan
+    assert plan.replace(tie_weight=np.float64(0.5)).tie_weight == 0.5  # a None change drops a key, a value is read
+    assert plan.replace(tie_weight=0.5).replace(tie_weight=None) == plan
+    # The weights and a probe are read from their own JSON forms.
+    weights = parse_config(tiny_config(network={"nodes": 12, "weights": {"kind": "constant", "value": 0.3}})).network.weights
+    assert (weights.replace(value=0.5).low, weights.replace(value=0.5).high) == (0.5, 0.5)
+    with pytest.raises(ConfigError, match=re.escape("WeightsSpec: constant weights take 'value', not 'low'")):
+        weights.replace(high=0.6)  # a constant range has one value
+    probe = load_fixture("fig9").run.probes[0]
+    assert (probe.kind, probe.replace(node=4).kind, probe.replace(node=4).node) == ("average", "node", 4)
+
+
+# One bad key edit each, made through replace on the section and as the same
+# JSON edit of the fixture's to_dict(); a section of None is the config itself.
+# Both name the key, replace without the section's prefix.
+BAD_EDITS = [
+    ("fig9", None, "name", "../escaped"),
+    ("fig9", None, "run", {"steps": 1, "seeds": [1], "probes": [{"node": 25}]}),
+    ("fig9", "network", "ring_degree", 3),
+    ("fig9", "network", "weights", {"kind": "constant", "value": 0.2, "low": 0.1}),
+    ("fig9", "population", "forgetting", 1.0),
+    ("fig9", "run", "seeds", (3, 3)),
+    ("fig9", "run", "probes", ["average_competence", "average_competence"]),
+    ("fig9", "community_plan", "ties", "bogus"),
+    ("fig9", "community_plan", "community_index", 5),
+    ("fig9", "community_plan", "budget", True),
+    ("fig9", "community_plan", "communities", [{"members": [0, 0], "core": []}]),
+    ("fig9", "community_plan", "manual_ties", [[1, 2]]),
+    ("fig7", "community_plan", "ties", "algorithm"),
+    ("fig2", "role_plan", "weight_factor", 1.2),
+    ("fig2", "role_plan", "strategies", ["degree", "degree"]),
+    ("fig9", "diffusion", "cognitive_gain", "yes"),
+    ("fig9", "output", "formats", ["xml"]),
+]
+
+
+@pytest.mark.parametrize("fixture, section, key, value", BAD_EDITS)
+def test_replace_raises_what_parse_config_raises_for_the_same_edit(fixture, section, key, value):
+    cfg = load_fixture(fixture)
+    data = cfg.to_dict()
+    (data if section is None else data[section])[key] = value
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(data)
+    with pytest.raises(ConfigError) as replaced:
+        (cfg if section is None else getattr(cfg, section)).replace(**{key: value})
+    prefix = "" if section is None else f"{section}."
+    assert str(parsed.value).startswith(prefix) and str(replaced.value) == str(parsed.value).replace(prefix, "")
+
+
+def test_a_replaced_config_reports_inside_its_output_directory(tmp_path):
+    cfg = parse_config(tiny_config())
+    with pytest.raises(ConfigError, match=re.escape("name: must match [A-Za-z0-9_.-]+, got '../escaped'")):
+        cfg.replace(name="../escaped")
+    out = tmp_path / "out"
+    written = emit_report(run_experiment(cfg.replace(name="renamed", run={"steps": 2, "seeds": [1]})), out)
+    assert written and all(path.parent == out and path.name.startswith("renamed__") for path in written)
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_expert_fixture_parameters():
@@ -632,6 +700,10 @@ PROPOSALS_SHA256 = {
     2: "575905206d9b78e3968ba5ef80f9c7d066b4c56d8d3dc528dc4079ad47d344ac",
     3: "9ae7e26a347a39279274f697938881521cc53006056ef58e3e03efabfd1df1e3",
 }
+# fig7 and fig8 plan manual ties on fig9's network and communities; proposing
+# ties switches their plans to the algorithm, so they propose fig9's ties. The
+# sha256 of `knowflow accelerate fig7 --budget 3`'s output, recorded with them.
+ACCELERATE_FIG7_SHA256 = "50bb231d857e202082bcac8c3a6b7e9498dd030fbfa09989b1d83f71e41671be"
 
 
 # sha256 of each variant's role_nodes in the summary JSON (json.dumps with
@@ -715,9 +787,13 @@ def test_series_of_a_constant_weight_range_are_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == WEIGHT_SERIES_SHA256[case]
 
 
-def test_tie_proposals_are_pinned():
-    cfg = load_fixture("fig9")
-    assert {seed: _sha256_of_json(propose_ties(cfg, seed=seed, budget=3)) for seed in PROPOSALS_SHA256} == PROPOSALS_SHA256
+def test_tie_proposals_are_pinned(capsys):
+    for fixture in ("fig7", "fig8", "fig9"):
+        cfg = load_fixture(fixture)
+        proposals = {seed: _sha256_of_json(propose_ties(cfg, seed=seed, budget=3)) for seed in PROPOSALS_SHA256}
+        assert proposals == PROPOSALS_SHA256, fixture
+    assert main(["accelerate", "fig7", "--budget", "3"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ACCELERATE_FIG7_SHA256
 
 
 def test_fig9_plans_its_ties_through_the_module_bindings_of_both_path_functions(monkeypatch):
@@ -809,6 +885,20 @@ def test_stabilization_step_finds_the_settled_suffix():
     assert stabilization_step([10.0, 1.0, 1.01, 1.0, 1.0], tolerance=0.05) == 1
     assert stabilization_step([5.0, 4.0, 3.0], tolerance=0.05) == 2
     assert stabilization_step([2.0, 2.0], tolerance=0.05) == 0
+
+
+@pytest.mark.parametrize(
+    "curve, tolerance, message",
+    [
+        ([], 0.05, "curve: expected a non-empty 1-D sequence, got shape (0,)"),
+        ([[1.0, 2.0], [3.0, 4.0]], 0.05, "curve: expected a non-empty 1-D sequence, got shape (2, 2)"),
+        ([1.0, 2.0], -1, "tolerance: must be >= 0.0, got -1.0"),
+        ([1.0, 2.0], float("nan"), "tolerance: expected a finite number, got nan"),
+    ],
+)
+def test_stabilization_step_reads_its_inputs(curve, tolerance, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        stabilization_step(curve, tolerance=tolerance)
 
 
 def test_emit_report_writes_deterministic_files(tmp_path):
@@ -1140,6 +1230,12 @@ def test_cli_rank_random_is_seeded(tmp_path, capsys):
     assert main(["rank", str(graph), "--strategy", "random", "--seed", "3"]) == 0
     assert capsys.readouterr().out.split() == first
     assert sorted(first) == ["0", "1", "2", "3", "4"]
+
+
+def test_cli_run_on_a_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: {tmp_path}: expected a file\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_accelerate_prints_proposals(capsys):
