@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._contract import _as_array, _as_bool, _as_float, _as_ids, _as_int, _as_list, _as_str, _is_list
 from .netgraph import WeightedGraph, add_edge, average_edge_weight, shortest_hop_path
-from .netgraph import _as_bool, _as_float, _as_ids, _as_int, _as_list, _as_str, _is_list
 from .workforce import Population
 
 __all__ = [
@@ -44,8 +44,8 @@ class Community:
 
 def jaccard_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Jaccard similarity of two 0/1 masks; two empty masks count as identical."""
-    a_on = np.asarray(a, dtype=float) == 1.0
-    b_on = np.asarray(b, dtype=float) == 1.0
+    a_on = _as_array(a, "a", CommunityError) == 1.0
+    b_on = _as_array(b, "b", CommunityError) == 1.0
     if a_on.shape != b_on.shape:
         raise CommunityError(f"b: must have the shape of a {a_on.shape}, got {b_on.shape}")
     union = np.count_nonzero(a_on | b_on)
@@ -114,7 +114,7 @@ def detect_communities(
 def knowledge_energy(workers: Population, v: int, core_mask: np.ndarray) -> float:
     """Potential of worker v to push core knowledge: core competences x s x o."""
     v = _as_int(v, "v", CommunityError, lo=0, lt=len(workers))
-    core = np.asarray(core_mask, dtype=float)
+    core = _as_array(core_mask, "core_mask", CommunityError)
     if core.shape != (workers.n_competences,):
         raise CommunityError("core mask length does not match competence vector")
     return float(np.dot(workers.competences[v], core) * workers.social[v] * workers.cognitive[v])

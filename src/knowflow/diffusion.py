@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .netgraph import WeightedGraph, _as_bool, _as_ids, _as_int, _as_name
+from ._contract import _as_bool, _as_ids, _as_int, _as_name, _is_list
+from .netgraph import WeightedGraph
 from .workforce import Population
 
 __all__ = [
@@ -74,8 +75,7 @@ class SimulationState:
             edges = [g.directed_edge_arrays() for g, _ in runs]
             senders, receivers = (np.concatenate([e[i] + r * n for r, e in enumerate(edges)]) for i in (0, 1))
             graph = WeightedGraph._from_arrays(n * len(runs), senders, receivers, np.concatenate([e[2] for e in edges]))
-            columns = ("competences", "masks", "cognitive", "social", "forgetting")
-            joined = [np.concatenate([getattr(p, a) for _, p in runs]) for a in columns]
+            joined = [np.concatenate([getattr(p, a) for _, p in runs]) for a in Population._columns]
             population = Population._trusted(*map(_read_only, joined))
         return cls(graph, population, 0, frozenset(), _read_only(np.zeros(len(population))), len(runs))
 
@@ -263,6 +263,9 @@ class TimeSeries:
     """
 
     def __init__(self, columns: Sequence[tuple[str, str]], steps: Sequence[int], values: np.ndarray):
+        for name, value in (("columns", columns), ("steps", steps)):
+            if not _is_list(value):  # the container only: a run's steps are too many to read one by one
+                raise DiffusionError(f"{name}: expected a list, got {value!r}")
         self.columns = _columns(columns)
         self.steps = tuple(steps)
         self.values = values

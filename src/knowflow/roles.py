@@ -8,21 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
+from ._contract import _as_bool, _as_float, _as_ids, _as_int, _as_pair, _as_str, _is_int
 from .diffusion import SimulationState
-from .netgraph import (
-    GraphError,
-    WeightedGraph,
-    _as_bool,
-    _as_float,
-    _as_ids,
-    _as_int,
-    _as_pair,
-    _as_str,
-    _is_int,
-    coauthor_utility,
-    weighted_betweenness_all,
-    weighted_closeness_all,
-)
+from .netgraph import GraphError, WeightedGraph, coauthor_utility, weighted_betweenness_all, weighted_closeness_all
 from .workforce import Population
 
 __all__ = [

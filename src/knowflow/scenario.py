@@ -28,10 +28,10 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import netgraph
+from . import _contract
 from .community import Community, _insert_tie, accelerate_loop, detect_communities, transfer_efficiency
 from .diffusion import Probe, SimulationState, TimeSeries, collector_probes, probe_average, probe_mask, probe_node, run
-from .netgraph import GraphError, WeightedGraph, _is_list, assign_weights, generate_watts_strogatz
+from .netgraph import GraphError, WeightedGraph, assign_weights, generate_watts_strogatz
 from .roles import ROLES, STRATEGIES, apply_collector, apply_expert, apply_facilitator, rank_nodes, select_top
 from .workforce import Population, init_workers
 
@@ -84,10 +84,10 @@ class ConfigError(ValueError):
 
 # -- config readers -----------------------------------------------------------------
 # A reader takes a raw JSON value and its key path, and returns the parsed value or
-# raises ConfigError naming the path. The scalar, list and name readers are netgraph's.
+# raises ConfigError naming the path. The scalar, list and name readers are the contract's.
 
 _as_int, _as_float, _as_pair, _as_list, _bounded, _as_bool, _as_str, _as_name = (
-    partial(getattr(netgraph, name), error=ConfigError)
+    partial(getattr(_contract, name), error=ConfigError)
     for name in ("_as_int", "_as_float", "_as_pair", "_as_list", "_bounded", "_as_bool", "_as_str", "_as_name")
 )
 _ID = partial(_as_int, lo=0)
@@ -99,7 +99,7 @@ def _or_null(value: Any, path: str, item: Callable[[Any, str], Any]) -> Any:
 
 
 def _as_tie(value: Any, path: str) -> tuple[int, int]:
-    if not _is_list(value) or len(value) != 2:
+    if not _contract._is_list(value) or len(value) != 2:
         raise ConfigError(f"{path}: expected a [u, v] pair")
     u, v = (_ID(x, f"{path}[{i}]") for i, x in enumerate(value))
     if u == v:
@@ -337,6 +337,13 @@ class ProbeSpec(_Spec):
         """The object of a node or mask probe's field, or a named probe's token."""
         data = _Spec._json({name: v for name, v in fields.items() if name != "kind"})
         return data or {kind: token for token, kind in _NAMED_PROBES.items()}.get(fields["kind"], fields["kind"])
+
+    def replace(self, **changes: Any) -> "ProbeSpec":
+        """As ``_Spec.replace``; a ``kind`` that the new form does not give is an error, not dropped."""
+        probe = super().replace(**changes)
+        if changes.get("kind", probe.kind) != probe.kind:
+            raise ConfigError(f"kind: must match the probe's form ({probe.kind!r}), got {changes['kind']!r}")
+        return probe
 
 
 class RunSpec(_Spec):
@@ -658,7 +665,7 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     ``_BATCH_CELLS`` cells (runs x nodes x competences), and a batch runs as
     soon as it is full; a run larger than half the budget goes alone.
     """
-    seed_list = config.run.seeds if seeds is None else _as_list(list(seeds), "seeds", item=_ID, unique="seed")
+    seed_list = config.run.seeds if seeds is None else _as_list(seeds, "seeds", item=_ID, unique="seed")
     names = config.role_plan.strategies if config.role_plan is not None else ("default",)
     series: dict[tuple[str, int], TimeSeries] = {}
     role_nodes: dict[str, dict[int, tuple[int, ...] | None]] = {name: {} for name in names}
@@ -715,7 +722,7 @@ def propose_ties(
 def stabilization_step(curve: Sequence[float], tolerance: float = 0.05) -> int:
     """First index after which the curve stays within ``tolerance`` of its final value."""
     tolerance = _as_float(tolerance, "tolerance", lo=0.0)
-    values = np.asarray(curve, dtype=float)
+    values = _contract._as_array(curve, "curve", ConfigError)
     if values.ndim != 1 or not values.size:
         raise ConfigError(f"curve: expected a non-empty 1-D sequence, got shape {values.shape}")
     final = values[-1]

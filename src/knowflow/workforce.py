@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netgraph import _as_float, _as_int, _as_pair
+from ._contract import _as_array, _as_float, _as_int, _as_pair
 
 __all__ = [
     "Population",
@@ -29,6 +29,8 @@ class Population:
     diffusion step and a batch hand it read-only arrays.
     """
 
+    _columns = ("competences", "masks", "cognitive", "social", "forgetting")
+
     def __init__(
         self,
         competences: np.ndarray,
@@ -38,7 +40,7 @@ class Population:
         forgetting: np.ndarray,
     ):
         self.competences, self.masks, self.cognitive, self.social, self.forgetting = (
-            _frozen(a) for a in (competences, masks, cognitive, social, forgetting)
+            _frozen(a, name) for a, name in zip((competences, masks, cognitive, social, forgetting), self._columns)
         )
         if self.competences.ndim != 2:
             raise WorkforceError("competences must be a 2-d array (workers x competences)")
@@ -76,9 +78,9 @@ class Population:
         return self.competences.shape[0]
 
 
-def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float array that no one else can write into."""
-    array = np.asarray(values, dtype=float)
+def _frozen(values, name: str) -> np.ndarray:
+    """``values`` as a read-only float array that no one else can write into; an error names the column."""
+    array = _as_array(values, name, WorkforceError)
     if array.flags.writeable or array.base is not None:
         array = array.copy()
         array.flags.writeable = False

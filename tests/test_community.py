@@ -54,6 +54,13 @@ def test_jaccard_masks_must_share_a_shape(b):
         jaccard_similarity(np.ones(3), b)
 
 
+@pytest.mark.parametrize("a, b, name", [("ab", "cd", "a"), ([1, 0], "cd", "b"), ([1, 0], [[1], [0, 1]], "b")])
+def test_jaccard_masks_must_be_arrays_of_numbers(a, b, name):
+    message = f"{name}: expected a rectangular array of numbers, got {({'a': a, 'b': b}[name])!r}"
+    with pytest.raises(CommunityError, match=f"^{re.escape(message)}$"):
+        jaccard_similarity(a, b)
+
+
 def test_fixture_communities():
     pop = population_with(np.ones((6, 4)))
     out = detect_communities(pop, method="fixture", fixture=[((0, 2, 4), (1,)), ((1, 3), (0, 3))])
@@ -145,6 +152,8 @@ def test_knowledge_energy_hand_value():
     assert knowledge_energy(pop, 0, np.array([1.0, 0.0, 1.0])) == pytest.approx(1.5)
     with pytest.raises(CommunityError):
         knowledge_energy(pop, 0, np.array([1.0, 0.0]))
+    with pytest.raises(CommunityError, match="^core_mask: expected a rectangular array of numbers, got 'ab'$"):
+        knowledge_energy(pop, 0, "ab")
 
 
 def test_knowledge_energy_takes_only_integer_ids():

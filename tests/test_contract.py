@@ -1,0 +1,333 @@
+"""The input contract, fuzzed (Hypothesis: MacIver et al. 2019, after
+QuickCheck: Claessen & Hughes 2000).
+
+Every reader either returns a value that it reads back unchanged, or raises
+the error class it was handed, with a message that starts with the name it
+was handed. ``parse_config`` ends every JSON value in a config or a
+``ConfigError``, and ``replace`` raises what ``parse_config`` raises for the
+same edit. No fuzzed config is run: one that parses can still ask for
+unbounded memory. Generators, graphs, populations and probe objects are not
+data arguments, and are not fuzzed here.
+"""
+
+import json
+import operator
+import os
+import re
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from knowflow import (
+    CommunityError,
+    ConfigError,
+    GraphError,
+    Population,
+    ScenarioConfig,
+    WeightedGraph,
+    WorkforceError,
+    fixture_names,
+    jaccard_similarity,
+    load_fixture,
+    parse_config,
+    stabilization_step,
+)
+from knowflow import _contract, scenario
+
+
+class Rejected(ValueError):
+    """The error class every reader is handed here, so that no other error passes for it."""
+
+
+NAMED = re.compile(r"^x(\[\d+\])*: ")  # every reader below is handed the name "x"
+
+# -- values --------------------------------------------------------------------------
+
+numpy_scalars = st.one_of(
+    st.booleans().map(np.bool_),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-3, 12),
+    st.floats(),
+    st.fractions(max_denominator=10),
+    st.text(max_size=4),
+    st.sampled_from(["average_competence", "a.b-c_1", "../x", "", "csv", "1.5"]),
+    st.binary(max_size=3),
+    numpy_scalars,
+)
+arrays = st.one_of(
+    st.integers(-3, 3).map(np.array),
+    st.lists(st.floats(), max_size=3).map(np.array),
+    st.builds(
+        lambda items, dtype, rows: np.array(items, dtype=dtype).reshape((rows, -1) if len(items) % rows == 0 else -1),
+        st.lists(st.integers(-3, 3), max_size=6),
+        st.sampled_from([np.float32, np.int64, np.bool_, "U2"]),
+        st.sampled_from([1, 2]),
+    ),
+)
+values = st.recursive(
+    scalars | arrays,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.tuples(inner, inner),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    ),
+    max_leaves=8,
+)
+
+# -- the readers -------------------------------------------------------------------
+
+
+def _bounds(numbers):
+    return st.fixed_dictionaries({}, optional={key: numbers for key in ("lo", "hi", "gt", "lt")})
+
+
+int_bounds = _bounds(st.integers(-5, 20))
+float_bounds = _bounds(st.floats(-5.0, 20.0))
+items = st.sampled_from(
+    [
+        partial(_contract._as_int, error=Rejected, lo=0),
+        partial(_contract._as_float, error=Rejected),
+        partial(_contract._as_str, error=Rejected),
+    ]
+)
+list_options = st.fixed_dictionaries(
+    {"item": items},
+    optional={"empty": st.booleans(), "unique": st.just("entry"), "then": st.sampled_from([list, sorted])},
+)
+ids_options = st.fixed_dictionaries({"below": st.integers(0, 6)}, optional={"empty": st.booleans()})
+choices = st.fixed_dictionaries({}, optional={"choices": st.lists(st.sampled_from("ab"), min_size=1)})
+# Each reader, and a strategy for the options it takes after (value, path, error).
+READERS = {
+    "int": (_contract._as_int, int_bounds),
+    "float": (_contract._as_float, float_bounds),
+    "pair": (_contract._as_pair, float_bounds),
+    "list": (_contract._as_list, list_options),
+    "ids": (_contract._as_ids, ids_options),
+    "bool": (_contract._as_bool, st.just({})),
+    "str": (_contract._as_str, choices),
+    "name": (_contract._as_name, st.just({})),
+    "array": (_contract._as_array, st.just({})),
+}
+
+
+@st.composite
+def readers(draw):
+    """A reader of the contract with options drawn for it, as a function of the value alone."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    read, options = READERS[name]
+    return name, partial(read, path="x", error=Rejected, **draw(options))
+
+
+def _unchanged(again, result) -> bool:
+    if isinstance(result, np.ndarray):
+        return again is result  # a float array is read without a copy
+    return type(again) is type(result) and again == result
+
+
+@settings(max_examples=80, deadline=None)
+@given(readers(), values)
+def test_a_reader_reads_back_what_it_returns_or_names_its_input(reader, value):
+    name, read = reader
+    try:
+        result = read(value)
+    except Rejected as exc:
+        assert NAMED.match(str(exc)), (name, str(exc))
+    else:
+        assert _unchanged(read(result), result), (name, value, result)
+
+
+_COMPARE = {"lo": operator.ge, "hi": operator.le, "gt": operator.gt, "lt": operator.lt}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infinity=False), float_bounds)
+def test_bounded_passes_a_number_within_its_bounds_unchanged(value, bounds):
+    try:
+        result = _contract._bounded(value, "x", Rejected, **bounds)
+    except Rejected as exc:
+        assert re.match(r"^x: must be (>=|<=|>|<) \S+, got ", str(exc))
+    else:
+        assert result is value
+        assert all(op(value, bounds[key]) for key, op in _COMPARE.items() if key in bounds)
+
+
+@settings(max_examples=30, deadline=None)
+@given(values, values)
+def test_array_arguments_end_in_their_module_error(a, b):
+    """An array argument that numpy cannot read as numbers is its module's error, never numpy's."""
+    calls = (
+        (lambda: jaccard_similarity(a, b), CommunityError),
+        (lambda: stabilization_step(a), ConfigError),
+        (lambda: Population(a, b, [0.5], [0.5], [0.0]), WorkforceError),
+        (lambda: WeightedGraph(3, a), GraphError),
+    )
+    for call, error in calls:
+        try:
+            with np.errstate(all="ignore"):  # inf and NaN are numbers: their arithmetic is not checked here
+                call()
+        except error:
+            pass
+
+
+# -- configs -----------------------------------------------------------------------
+
+_TOKENS = [
+    "uniform", "constant", "expert", "facilitator", "collector", "degree", "random", "none", "fixture",
+    "jaccard", "manual", "algorithm", "and", "majority", "average_competence", "collector_intake", "csv",
+    "json", "both", "single", "double", "a",
+]
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 30),
+    st.integers(),
+    st.floats(),  # Python's json reads NaN and Infinity too
+    st.floats(0.0, 1.0),
+    st.sampled_from(_TOKENS),
+    st.text(max_size=3),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(["node", "mask", "a"]), inner),
+    max_leaves=6,
+)
+FIXTURES = {name: load_fixture(name) for name in fixture_names()}
+
+
+def _like(value):
+    """Values of ``value``'s JSON type, so that an edit can keep a config's shape and reach the rules past its types."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, (int, float)):
+        return st.integers(-2, 30) | st.floats(-0.5, 2.0)
+    if isinstance(value, str):
+        return st.sampled_from(_TOKENS)
+    if isinstance(value, list) and value:
+        return st.lists(st.sampled_from(value) | _like(value[0]), max_size=4)
+    return json_values
+
+
+def _paths(data, path=()):
+    """Every position in a JSON value, as the keys and indices that lead to it."""
+    yield path
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def edited_fixtures(draw):
+    """A fixture's JSON with one to three of its values replaced, dropped, or joined by a new key."""
+    data = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))].to_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        *parent, last = draw(st.sampled_from([p for p in _paths(data) if p]))
+        holder = data
+        for key in parent:
+            holder = holder[key]
+        action = draw(st.sampled_from(["like", "like", "replace", "drop", "add"]))
+        if action == "drop" and isinstance(holder, dict):
+            del holder[last]
+        elif action == "add" and isinstance(holder, dict):
+            holder[draw(st.text(max_size=3))] = draw(json_values)
+        else:
+            holder[last] = draw(_like(holder[last]) if action == "like" else json_values)
+    return data
+
+
+def _outcome(call):
+    """What a call gives: its value, or the text of the ConfigError it raises; any other error fails the test."""
+    try:
+        return call()
+    except ConfigError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(json_values | edited_fixtures())
+def test_parse_config_ends_any_json_in_a_config_or_a_config_error(data):
+    cfg = _outcome(lambda: parse_config(data))
+    if isinstance(cfg, ScenarioConfig):
+        assert parse_config(json.loads(json.dumps(cfg.to_dict()))) == cfg == cfg.replace()
+    else:
+        assert re.match(r"^[\w.\[\]-]*: ", cfg), cfg
+
+
+SECTIONS = [None, *(name for name in ScenarioConfig._keys if name != "name")]
+
+
+@st.composite
+def edits(draw):
+    """One key edit of one fixture section (None: the config itself); a None value drops the key."""
+    fixture = draw(st.sampled_from(sorted(FIXTURES)))
+    cfg = FIXTURES[fixture]
+    section = draw(st.sampled_from([s for s in SECTIONS if s is None or getattr(cfg, s) is not None]))
+    spec = cfg if section is None else getattr(cfg, section)
+    key = draw(st.sampled_from([*type(spec)._keys, "bogus"]))
+    data = cfg.to_dict() if section is None else cfg.to_dict()[section]
+    return fixture, section, key, draw(st.none() | _like(data[key]) if key in data else json_values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edits())
+def test_replace_raises_what_parse_config_raises_for_the_same_edit(edit):
+    fixture, section, key, value = edit
+    cfg = FIXTURES[fixture]
+    data = cfg.to_dict()
+    target = data if section is None else data[section]
+    if value is None:  # replace's None drops the key, so its default applies
+        target.pop(key, None)
+    else:
+        target[key] = value
+    parsed = _outcome(lambda: parse_config(data, source="ScenarioConfig"))
+    if section is None:
+        assert _outcome(lambda: cfg.replace(**{key: value})) == parsed
+        return
+    spec = getattr(cfg, section)
+    changed = _outcome(lambda: spec.replace(**{key: value}))
+    if isinstance(changed, str):  # replace names the section's keys bare, and the section itself by its class
+        assert isinstance(parsed, str), (changed, parsed)
+        bare = parsed.replace(f"{section}.", "")
+        assert changed == (type(spec).__name__ + bare[len(section) :] if bare.startswith(f"{section}: ") else bare)
+    else:  # the rules across sections see the edit when the config takes the new section
+        assert _outcome(lambda: cfg.replace(**{section: changed})) == parsed
+
+
+# Failing configs of the kinds the fuzzing above reports, each cut down to one bad
+# value: a value deep in a list, a rule across sections, and a NaN.
+FIG9 = FIXTURES["fig9"].to_dict()
+SHRUNK = [
+    {**FIG9, "run": {"steps": 1, "seeds": [1], "probes": [{"mask": {"name": "a", "competences": [0.5]}}]}},
+    {**FIG9, "run": {"steps": 1, "seeds": [1], "probes": [{"node": 25}]}},
+    {**FIG9, "network": {"nodes": 25, "rewire_prob": float("nan")}},
+]
+
+
+def test_the_cli_exits_with_a_config_error_on_the_shrunk_failures(tmp_path):
+    for i, data in enumerate(SHRUNK):
+        (tmp_path / f"{i}.json").write_text(json.dumps(data))
+    env = {**os.environ, "PYTHONPATH": str(Path(scenario.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    children = [  # started together, so that their start-up overlaps
+        subprocess.Popen(
+            [sys.executable, "-m", "knowflow.cli", "run", str(path), "--out", str(tmp_path / "out")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        for path in sorted(tmp_path.glob("*.json"))
+    ]
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode in (2, 3) and out == "", err
+        assert err.startswith(("config error: ", "error: ")) and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -380,6 +380,9 @@ def test_timeseries_records_and_exports():
         ts.column("average_competence", "node:0")
     with pytest.raises(DiffusionError):
         TimeSeries([("a", "all"), ("a", "all")], [0], np.zeros((1, 2)))
+    for args, message in (((5, [0]), "columns: expected a list, got 5"), ((columns, 5), "steps: expected a list, got 5")):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
+            TimeSeries(*args, np.zeros((1, 2)))
 
 
 def test_run_records_initial_state_and_counts_steps():

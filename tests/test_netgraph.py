@@ -169,8 +169,11 @@ def test_graphs_are_immutable_values():
         (lambda: WeightedGraph(3, [(0, 1, 10**400)]), f"edge (0, 1, {10**400}) rejected: edge weight must be finite"),
         (lambda: WeightedGraph(3, [(0, 2, 1.0), (0, 1)]), "edge (0, 1) rejected: expected (u, v, weight)"),
         (lambda: WeightedGraph(3, [(0, 2, 1.0), 7]), "edge 7 rejected: expected (u, v, weight)"),
-        # accepted: numpy integers and reals, and Python ints as weights
+        (lambda: WeightedGraph(3, None), "edges: expected an iterable of (u, v, weight) triples, got None"),
+        (lambda: WeightedGraph(3, 7), "edges: expected an iterable of (u, v, weight) triples, got 7"),
+        # accepted: numpy integers and reals, and Python ints as weights, from any iterable
         (lambda: WeightedGraph(np.int64(3), [(np.int32(0), np.uint8(2), np.float32(0.5)), (1, 2, 3)]), None),
+        (lambda: WeightedGraph(3, ((u, u + 1, 1.0) for u in range(2))), None),
         (lambda: add_edge(WeightedGraph(3), np.int64(0), np.intp(1), np.float64(2.0)), None),
     ],
 )

@@ -393,6 +393,9 @@ def test_spec_replace_returns_a_changed_copy():
         (lambda: spec({}, "network"), "network.nodes: required key missing"),  # nodes has no default
         (lambda: spec({**data, "edges": 3}, "network"), "network: unknown key 'edges'"),
         (lambda: spec((25, 4, 0.1), "network"), "network: expected an object"),  # values alone name no key
+        # A probe's kind follows its form: a kind change that the form does not make is not dropped.
+        (lambda: scenario.ProbeSpec({"node": 3}, "probe").replace(kind="average"),
+         "kind: must match the probe's form ('node'), got 'average'"),
     ):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             bad()
@@ -413,6 +416,7 @@ def test_replace_reads_what_parse_config_reads():
         weights.replace(high=0.6)  # a constant range has one value
     probe = load_fixture("fig9").run.probes[0]
     assert (probe.kind, probe.replace(node=4).kind, probe.replace(node=4).node) == ("average", "node", 4)
+    assert probe.replace(node=4).replace(node=None, kind="average") == probe  # a kind the new form makes
 
 
 # One bad key edit each, made through replace on the section and as the same
@@ -892,6 +896,8 @@ def test_stabilization_step_finds_the_settled_suffix():
     [
         ([], 0.05, "curve: expected a non-empty 1-D sequence, got shape (0,)"),
         ([[1.0, 2.0], [3.0, 4.0]], 0.05, "curve: expected a non-empty 1-D sequence, got shape (2, 2)"),
+        (["a"], 0.05, "curve: expected a rectangular array of numbers, got ['a']"),
+        ([[1.0], [1.0, 2.0]], 0.05, "curve: expected a rectangular array of numbers, got [[1.0], [1.0, 2.0]]"),
         ([1.0, 2.0], -1, "tolerance: must be >= 0.0, got -1.0"),
         ([1.0, 2.0], float("nan"), "tolerance: expected a finite number, got nan"),
     ],
@@ -1297,8 +1303,9 @@ def test_library_seeds_take_numpy_integers_and_no_repeats():
     assert propose_ties(load_fixture("fig9"), seed=np.int64(1)) == propose_ties(load_fixture("fig9"), seed=1)
     with pytest.raises(ConfigError, match=re.escape("seeds[1]: duplicate seed 2")):
         run_experiment(cfg, seeds=[2, 2])
-    with pytest.raises(ConfigError, match="seeds: expected a non-empty list"):
-        run_experiment(cfg, seeds=[])
+    for seeds in ([], 5, "ab"):  # a string is not a list of seeds
+        with pytest.raises(ConfigError, match="^seeds: expected a non-empty list$"):
+            run_experiment(cfg, seeds=seeds)
 
 
 @pytest.mark.parametrize(

@@ -107,6 +107,10 @@ def test_population_invariants_enforced():
         Population(ones, ones, half * 3, half, half)
     with pytest.raises(WorkforceError):
         Population(ones, np.ones((3, 3)), half, half, half)
+    # A column that numpy cannot read as numbers is named, not left to numpy's own error.
+    for args, name in ((("a", ones, half, half, half), "competences"), ((ones, ones, half, [0.5, None], half), "social")):
+        with pytest.raises(WorkforceError, match=f"^{name}: expected a rectangular array of numbers, got "):
+            Population(*args)
     nan = np.array([0.5, np.nan])
     for args in [
         (ones * np.nan, ones, half, half, half),
