@@ -21,10 +21,10 @@ def _is_real(x: object) -> bool:
 
 
 def _is_list(value: object) -> bool:
-    """A sequence other than a string, or a numpy array of one or more dimensions."""
+    """A sequence other than a text or byte string, or a numpy array of one or more dimensions."""
     if isinstance(value, np.ndarray):
         return value.ndim > 0
-    return isinstance(value, Sequence) and not isinstance(value, str)
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes, bytearray, memoryview))
 
 
 # -- input readers -------------------------------------------------------------------

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._contract import _as_bool, _as_ids, _as_int, _as_name, _is_list
+from ._contract import _as_bool, _as_ids, _as_int, _as_list, _as_name, _as_str, _is_list
 from .netgraph import WeightedGraph
 from .workforce import Population
 
@@ -93,29 +93,38 @@ class _RunPlan:
 
     A (directed edge, competence) pair can change a competence only if the
     sender broadcasts it and the receiver absorbs it, that is, only if both
-    masks hold it. The plan lists these live pairs once, in (edge,
-    competence) order: flat sender and receiver indices ``node * m + k``,
-    the sender's social ability and the edge weight. It also holds the step
-    invariants ``cognitive * mask`` (``mask`` without cognitive gain) and
-    ``1 - f``, the collectors' incoming edges, and work buffers that each
-    step overwrites. No buffer is ever handed out in a state.
+    masks hold it, so a tie's two orientations are live together. The plan
+    lists each live (tie, competence) couple once, from its upward
+    orientation (sender ``lo`` below receiver ``hi``) in edge order, which
+    sorts the couples by ``hi``, then ``lo``. Its pair arrays have two rows,
+    flattened as ``[upward half; downward half]``: row 1 is row 0 with sender
+    and receiver swapped. A pair's receiver value is thus its partner's
+    sender value, and both rows share one weight array. Bin (r, k) receives
+    first its senders below r, ascending, from the upward half, then its
+    senders above r, ascending, from the downward half: the ascending-sender
+    order in which the receiver-major edges list them.
+
+    The plan holds the flat sender and receiver indices ``node * m + k``, the
+    senders' social ability, the couples' weights, the step invariants
+    ``cognitive * mask`` (``mask`` without cognitive gain) and ``1 - f``, the
+    collectors' incoming edges, and work buffers that each step overwrites.
+    No buffer is ever handed out in a state.
     """
 
     def __init__(self, state: SimulationState, cognitive_gain: bool):
         pop = state.population
         n, m = pop.competences.shape
         senders, receivers, weights = state.graph.directed_edge_arrays()
+        lo, hi, upward_weights = (a[senders < receivers] for a in (senders, receivers, weights))
         held = pop.masks != 0.0
-        live = held.take(senders, axis=0) & held.take(receivers, axis=0)
-        # Row-major order keeps edge order, which is ascending sender within
-        # each receiver, so every scatter bin adds its pairs in that order.
-        edge, comp = np.divmod(np.flatnonzero(live), m)
-        live_senders = senders[edge]
-        self.sender_flat = live_senders * m + comp
-        self.receiver_flat = receivers[edge] * m + comp
+        # Row-major order keeps edge order, ascending ``lo`` within each ``hi``.
+        edge, comp = np.divmod(np.flatnonzero(held.take(lo, axis=0) & held.take(hi, axis=0)), m)
+        couple_senders = np.stack((lo[edge], hi[edge]))  # row 0 the upward half, row 1 the downward
+        self.sender_flat = couple_senders * m + comp
+        self.receiver_flat = self.sender_flat[::-1].ravel()
         # A live sender's mask is 1, so social * c is its social * mask * c.
-        self.sender_social = pop.social[live_senders]
-        self.live_weights = weights[edge]
+        self.sender_social = pop.social[couple_senders]
+        self.weights = upward_weights[edge]
         self.absorb_mask = pop.cognitive[:, None] * pop.masks if cognitive_gain else pop.masks
         # Full rows: a (n, 1) factor makes the ufunc loop once per row of m.
         self.keep = np.repeat((1.0 - pop.forgetting)[:, None], m, axis=1)
@@ -126,10 +135,8 @@ class _RunPlan:
         self.into_senders, self.into_receivers = senders[into], receivers[into]
         self.into_social_mask = pop.social[self.into_senders, None] * pop.masks[self.into_senders]
         self.into_weights = weights[into][:, None]
-        self.delivered = np.empty(edge.size)
-        self.sender_c = np.empty(edge.size)
-        self.receiver_c = np.empty(edge.size)
-        self.gate = np.empty(edge.size, dtype=bool)
+        self.couples = np.empty((2, edge.size))
+        self.gate = np.empty((2, edge.size), dtype=bool)
         self.decayed = np.empty((n, m))
 
 
@@ -143,8 +150,11 @@ def step(state: SimulationState, cognitive_gain: bool = True, *, _plan: _RunPlan
     Only the plan's live pairs are gathered, gated and scattered: a pair
     outside the sender's mask would add exactly ``+0.0`` to its bin, and a bin
     outside the receiver's mask is multiplied by 0, so the result is
-    bit-identical to streaming all E x m pairs. ``run`` passes its plan; a
-    bare call builds one for this step alone.
+    bit-identical to streaming all E x m pairs. Each live couple's two values
+    are gathered once and serve as both pairs' sender and receiver values;
+    every bin still adds its pairs in ascending sender order (see
+    ``_RunPlan``). ``run`` passes its plan; a bare call builds one for this
+    step alone.
     """
     plan = _RunPlan(state, _as_bool(cognitive_gain, "cognitive_gain", DiffusionError)) if _plan is None else _plan
     pop = state.population
@@ -160,13 +170,16 @@ def step(state: SimulationState, cognitive_gain: bool = True, *, _plan: _RunPlan
         ledger.flags.writeable = False
     # mode="clip" lets take write straight into ``out`` ("raise" copies through
     # a temporary); the indices come from a validated graph.
-    sender_c = snapshot.ravel().take(plan.sender_flat, out=plan.sender_c, mode="clip")
-    receiver_c = snapshot.ravel().take(plan.receiver_flat, out=plan.receiver_c, mode="clip")
-    delivered = np.multiply(plan.sender_social, sender_c, out=plan.delivered)
-    np.multiply(delivered, plan.live_weights, out=delivered)
-    np.multiply(delivered, np.greater(sender_c, receiver_c, out=plan.gate), out=delivered)
+    couples = snapshot.ravel().take(plan.sender_flat, out=plan.couples, mode="clip")
+    # A pair's receiver value is its partner's sender value: the other row.
+    np.greater(couples, couples[::-1], out=plan.gate)
+    # Each pair's (social * c) * weight * gate, in place and in that operand
+    # order, so an overflowed sender that is gated off still gives inf * 0 = NaN.
+    np.multiply(plan.sender_social, couples, out=couples)
+    np.multiply(couples, plan.weights, out=couples)
+    np.multiply(couples, plan.gate, out=couples)
     # astype: with no live pairs at all, bincount returns integer zeros.
-    gains = np.bincount(plan.receiver_flat, weights=delivered, minlength=snapshot.size).astype(float, copy=False)
+    gains = np.bincount(plan.receiver_flat, weights=couples.ravel(), minlength=snapshot.size).astype(float, copy=False)
     competences = gains.reshape(snapshot.shape)
     np.multiply(plan.absorb_mask, competences, out=competences)
     np.add(np.multiply(plan.keep, snapshot, out=plan.decayed), competences, out=competences)
@@ -285,11 +298,16 @@ class TimeSeries:
         return ["step,metric,scope,value"] + [f"{t},{label},{v!r}" for (t, label), v in cells]
 
 
-def _columns(columns: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    columns = tuple(columns)
-    if len(set(columns)) != len(columns):
-        raise DiffusionError("duplicate (metric, scope) probe columns")
-    return columns
+def _columns(columns: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    """Each entry a (metric, scope) pair of strings, named once, as a tuple of tuples."""
+    return _as_list(columns, "columns", DiffusionError, _column, empty=True, unique="column")
+
+
+def _column(value: object, path: str) -> tuple[str, str]:
+    if not _is_list(value) or len(value) != 2:
+        raise DiffusionError(f"{path}: expected a (metric, scope) pair, got {value!r}")
+    metric, scope = (_as_str(v, f"{path}[{i}]", DiffusionError) for i, v in enumerate(value))
+    return metric, scope
 
 
 def run(
@@ -317,7 +335,7 @@ def run(
     """
     steps = _as_int(steps, "steps", DiffusionError, lo=0)
     cognitive_gain = _as_bool(cognitive_gain, "cognitive_gain", DiffusionError)
-    columns = _columns((p.metric, p.scope) for p in probes)
+    columns = _columns([(p.metric, p.scope) for p in probes])
     actions = dict(interventions) if interventions else {}
     values = np.empty((state.runs, steps + 1, len(probes)))
     recorded: list[int] = []

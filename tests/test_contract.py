@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knowflow import (
@@ -65,6 +65,7 @@ scalars = st.one_of(
     st.text(max_size=4),
     st.sampled_from(["average_competence", "a.b-c_1", "../x", "", "csv", "1.5"]),
     st.binary(max_size=3),
+    st.binary(max_size=3).map(bytearray),
     numpy_scalars,
 )
 arrays = st.one_of(
@@ -139,6 +140,11 @@ def _unchanged(again, result) -> bool:
 
 @settings(max_examples=80, deadline=None)
 @given(readers(), values)
+# A byte string is a Sequence of integers, but never a list of ids or numbers.
+@example(("ids", partial(_contract._as_ids, path="x", error=Rejected, below=2)), b"\x00\x01")
+@example(("pair", partial(_contract._as_pair, path="x", error=Rejected)), bytearray(b"\x00\x01"))
+@example(("list", partial(_contract._as_list, path="x", error=Rejected, item=partial(_contract._as_int, error=Rejected))),
+         memoryview(b"\x01"))
 def test_a_reader_reads_back_what_it_returns_or_names_its_input(reader, value):
     name, read = reader
     try:
@@ -147,6 +153,7 @@ def test_a_reader_reads_back_what_it_returns_or_names_its_input(reader, value):
         assert NAMED.match(str(exc)), (name, str(exc))
     else:
         assert _unchanged(read(result), result), (name, value, result)
+        assert not (name in {"pair", "list", "ids"} and isinstance(value, (str, bytes, bytearray, memoryview))), name
 
 
 _COMPARE = {"lo": operator.ge, "hi": operator.le, "gt": operator.gt, "lt": operator.lt}

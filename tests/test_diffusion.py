@@ -320,6 +320,9 @@ def test_mask_probes_reject_ids_that_are_not_integers():
             probe_mask("x", [0], members=[bad, 3])
     with pytest.raises(DiffusionError, match=re.escape(f"competences[1]: must be < {2**63}, got {2**63}")):
         probe_mask("x", [0, 2**63])
+    for ids in (b"\x00\x01", bytearray(b"\x00\x01")):  # a byte string is not a list of ids
+        with pytest.raises(DiffusionError, match="^competences: expected a non-empty list$"):
+            probe_mask("m", ids)
     exact = probe_mask("x", [1, 4], members=[0, 5]).measure(state).item()
     assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state).item() == exact
 
@@ -364,6 +367,28 @@ def test_collector_probes_total_is_sum_of_parts():
     assert [p.scope for p in probes] == ["all", "collector:1", "collector:3", "collector:8"]
 
 
+def dense_run(rng, n, m):
+    """A dense graph and population with full-mantissa weights and competences."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6]
+    graph = WeightedGraph(n, [(u, v, float(rng.uniform(0.1, 1.0))) for u, v in pairs])
+    masks = (rng.random((n, m)) < 0.8).astype(float)
+    pop = Population(rng.uniform(0.0, 10.0, (n, m)), masks, *rng.uniform(0.2, 1.0, (2, n)), np.full(n, 0.006))
+    return graph, pop
+
+
+@pytest.mark.parametrize("seed, m, runs", [(0, 1, 1), (1, 5, 1), (2, 12, 1), (3, 12, 2)])
+def test_step_sums_each_bin_in_ascending_sender_order(seed, m, runs):
+    """About 24 senders per bin, half of them gated through, with values that
+    a different summation order, weight or gate would change in the last bits:
+    the live-pair layout must reproduce the oracle's ascending-sender sums."""
+    rng = np.random.default_rng(seed)
+    state = SimulationState.batch([dense_run(rng, 40, m) for _ in range(runs)])
+    for _ in range(2):
+        expected, _ = reference_step(state)
+        state = step(state)
+        assert np.array_equal(state.population.competences, expected)
+
+
 def test_timeseries_records_and_exports():
     columns = [("average_competence", "all"), ("collector_intake", "all")]
     ts = TimeSeries(columns, [0, 1], np.array([[1.5, 0.0], [1.25, 0.5]]))
@@ -383,6 +408,16 @@ def test_timeseries_records_and_exports():
     for args, message in (((5, [0]), "columns: expected a list, got 5"), ((columns, 5), "steps: expected a list, got 5")):
         with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
             TimeSeries(*args, np.zeros((1, 2)))
+    # Each column is read as a (metric, scope) pair of strings and kept as a tuple.
+    assert TimeSeries([["a", "b"]], [0], np.zeros((1, 1))).columns == (("a", "b"),)
+    for bad, message in (
+        ([("a", "all"), ("a", 5)], "columns[1][1]: expected a string, got 5"),
+        ([("a", "all"), "ab"], "columns[1]: expected a (metric, scope) pair, got 'ab'"),
+        ([("a", "b", "c")], "columns[0]: expected a (metric, scope) pair, got ('a', 'b', 'c')"),
+        ([["a", "b"], ("a", "b")], "columns[1]: duplicate column ('a', 'b'); entries must be unique"),
+    ):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
+            TimeSeries(bad, [0], np.zeros((1, len(bad))))
 
 
 def test_run_records_initial_state_and_counts_steps():

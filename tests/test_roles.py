@@ -231,6 +231,9 @@ def test_apply_facilitator_validation():
     for bad in (True, np.bool_(True), "2", None):
         with pytest.raises(RoleError, match=f"^{re.escape(f'factor: expected a number, got {bad!r}')}$"):
             apply_facilitator(g, [0], bad)
+    for nodes in (b"\x00\x01", bytearray(b"\x00\x01")):  # a byte string is not a list of ids
+        with pytest.raises(RoleError, match="^nodes: expected a list$"):
+            apply_facilitator(g, nodes, 2.0)
     assert apply_facilitator(g, [0], np.float32(2.0)).weight(0, 1) == apply_facilitator(g, [0], 2.0).weight(0, 1)
     heavy = WeightedGraph(4, [(0, 1, 1e300), (1, 2, 0.0), (2, 3, 1e300)])
     with warnings.catch_warnings():
