@@ -45,9 +45,7 @@ class Community:
 def jaccard_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Jaccard similarity of two 0/1 masks; two empty masks count as identical."""
     a_on = _as_array(a, "a", CommunityError) == 1.0
-    b_on = _as_array(b, "b", CommunityError) == 1.0
-    if a_on.shape != b_on.shape:
-        raise CommunityError(f"b: must have the shape of a {a_on.shape}, got {b_on.shape}")
+    b_on = _as_array(b, "b", CommunityError, a_on.shape) == 1.0
     union = np.count_nonzero(a_on | b_on)
     if union == 0:
         return 1.0
@@ -114,9 +112,7 @@ def detect_communities(
 def knowledge_energy(workers: Population, v: int, core_mask: np.ndarray) -> float:
     """Potential of worker v to push core knowledge: core competences x s x o."""
     v = _as_int(v, "v", CommunityError, lo=0, lt=len(workers))
-    core = _as_array(core_mask, "core_mask", CommunityError)
-    if core.shape != (workers.n_competences,):
-        raise CommunityError("core mask length does not match competence vector")
+    core = _as_array(core_mask, "core_mask", CommunityError, (workers.n_competences,))
     return float(np.dot(workers.competences[v], core) * workers.social[v] * workers.cognitive[v])
 
 

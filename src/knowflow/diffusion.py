@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._contract import _as_bool, _as_ids, _as_int, _as_list, _as_name, _as_str, _is_list
+from ._contract import _as_array, _as_bool, _as_ids, _as_int, _as_list, _as_name, _as_str, _is_list
 from .netgraph import WeightedGraph
 from .workforce import Population
 
@@ -200,6 +200,12 @@ class Probe:
     scope: str
     measure: Callable[[SimulationState], np.ndarray]
 
+    def __post_init__(self) -> None:
+        _as_str(self.metric, "metric", DiffusionError)
+        _as_str(self.scope, "scope", DiffusionError)
+        if not callable(self.measure):
+            raise DiffusionError(f"measure: expected a callable, got {self.measure!r}")
+
 
 def _means(rows: np.ndarray) -> np.ndarray:
     """Each row's mean. A row is summed pairwise in memory order, as ``ndarray.mean`` sums one run's values."""
@@ -271,8 +277,8 @@ def collector_probes(collectors: Sequence[int]) -> list[Probe]:
 class TimeSeries:
     """One run's probe values at its recorded steps, in a fixed column order, exportable as CSV.
 
-    ``steps`` and ``columns`` are tuples and ``values`` is a (steps, columns)
-    float array.
+    ``steps`` and ``columns`` are tuples and ``values`` is read as a (steps,
+    columns) float array.
     """
 
     def __init__(self, columns: Sequence[tuple[str, str]], steps: Sequence[int], values: np.ndarray):
@@ -281,7 +287,7 @@ class TimeSeries:
                 raise DiffusionError(f"{name}: expected a list, got {value!r}")
         self.columns = _columns(columns)
         self.steps = tuple(steps)
-        self.values = values
+        self.values = _as_array(values, "values", DiffusionError, (len(self.steps), len(self.columns)))
 
     def column(self, metric: str, scope: str = "all") -> np.ndarray:
         if (metric, scope) not in self.columns:

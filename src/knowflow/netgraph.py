@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ._contract import _as_float, _as_int, _as_pair, _is_int, _is_real
+from ._contract import _as_float, _as_int, _as_pair, _as_rng, _is_int, _is_real
 
 __all__ = [
     "GraphError",
@@ -194,6 +194,7 @@ def generate_watts_strogatz(n: int, k: int, p: float, rng: np.random.Generator) 
     if k % 2 != 0:
         raise GraphError(f"k: must be even, got {k}")
     p = _as_float(p, "p", GraphError, lo=0.0, hi=1.0)
+    rng = _as_rng(rng, "rng", GraphError)
 
     half = k // 2
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -233,6 +234,7 @@ def assign_weights(g: WeightedGraph, weight_range: tuple[float, float], rng: np.
     the same weight for the same edge.
     """
     low, high = _as_pair(weight_range, "weight_range", GraphError, gt=0.0)
+    rng = _as_rng(rng, "rng", GraphError)
     draws = np.full(g.edge_count, low) if low == high else rng.uniform(low, high, size=g.edge_count)
     senders, receivers, _ = g.directed_edge_arrays()
     # Both orientations of an edge share its (min, max) key; the canonical

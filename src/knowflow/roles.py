@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._contract import _as_bool, _as_float, _as_ids, _as_int, _as_pair, _as_str, _is_int
+from ._contract import _as_bool, _as_float, _as_ids, _as_int, _as_pair, _as_rng, _as_str, _is_int
 from .diffusion import SimulationState
 from .netgraph import GraphError, WeightedGraph, coauthor_utility, weighted_betweenness_all, weighted_closeness_all
 from .workforce import Population
@@ -49,9 +49,7 @@ def rank_nodes(
     strategy = _as_str(strategy, "strategy", RoleError, choices=STRATEGIES)
     nodes = list(g.nodes())
     if strategy == "random":
-        if rng is None:
-            raise RoleError("random strategy needs a seeded random generator")
-        return [int(v) for v in rng.permutation(g.node_count)]
+        return [int(v) for v in _as_rng(rng, "rng", RoleError).permutation(g.node_count)]
     if strategy == "degree":
         scores = np.bincount(g.directed_edge_arrays()[1], minlength=g.node_count).tolist()
     elif strategy == "closeness":
@@ -100,6 +98,7 @@ def apply_expert(
     """
     lo, hi = _as_pair(boost_range, "boost_range", RoleError, lo=0.0)
     boost_all = _as_bool(boost_all, "boost_all", RoleError)
+    rng = _as_rng(rng, "rng", RoleError)
     competences = workers.competences.copy()
     for v in _as_ids(nodes, "nodes", RoleError, len(workers), empty=True):
         if boost_all:

@@ -722,18 +722,14 @@ def propose_ties(
 def stabilization_step(curve: Sequence[float], tolerance: float = 0.05) -> int:
     """First index after which the curve stays within ``tolerance`` of its final value."""
     tolerance = _as_float(tolerance, "tolerance", lo=0.0)
-    values = _contract._as_array(curve, "curve", ConfigError)
-    if values.ndim != 1 or not values.size:
-        raise ConfigError(f"curve: expected a non-empty 1-D sequence, got shape {values.shape}")
+    values = _contract._as_array(curve, "curve", ConfigError, (None,))
+    if not values.size:
+        raise ConfigError("curve: expected at least one value, got shape (0,)")
     final = values[-1]
     bound = tolerance * max(abs(final), np.finfo(float).tiny)
-    stable_from = len(values) - 1
-    for i in range(len(values) - 1, -1, -1):
-        if abs(values[i] - final) <= bound:
-            stable_from = i
-        else:
-            break
-    return int(stable_from)
+    outside = np.flatnonzero(~(np.abs(values - final) <= bound))
+    # A final value that is not finite fails its own test (inf - inf is NaN): the curve settles at its last index.
+    return min(int(outside[-1]) + 1, len(values) - 1) if outside.size else 0
 
 
 def emit_report(

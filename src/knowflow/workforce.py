@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._contract import _as_array, _as_float, _as_int, _as_pair
+from ._contract import _as_array, _as_float, _as_int, _as_pair, _as_rng
 
 __all__ = [
     "Population",
@@ -39,29 +39,17 @@ class Population:
         social: np.ndarray,
         forgetting: np.ndarray,
     ):
-        self.competences, self.masks, self.cognitive, self.social, self.forgetting = (
-            _frozen(a, name) for a, name in zip((competences, masks, cognitive, social, forgetting), self._columns)
-        )
-        if self.competences.ndim != 2:
-            raise WorkforceError("competences must be a 2-d array (workers x competences)")
+        self.competences = _frozen(competences, "competences", (None, None), lo=0.0)
         n, m = self.competences.shape
         if m < 1:
-            raise WorkforceError("competence vectors must have at least one element")
-        if self.masks.shape != (n, m):
-            raise WorkforceError("mask shape must match competence shape")
-        for name, arr in (("cognitive", self.cognitive), ("social", self.social), ("forgetting", self.forgetting)):
-            if arr.shape != (n,):
-                raise WorkforceError(f"{name} must be a length-{n} vector")
-        # Each check states what it accepts, so NaN (which fails every comparison) is rejected.
-        if not np.all(np.isfinite(self.competences) & (self.competences >= 0.0)):
-            raise WorkforceError("competences must be finite and >= 0")
-        if not np.all((self.masks == 0.0) | (self.masks == 1.0)):
-            raise WorkforceError("mask entries must be 0 or 1")
-        for name, arr in (("cognitive", self.cognitive), ("social", self.social)):
-            if not np.all((arr >= 0.0) & (arr <= 1.0)):
-                raise WorkforceError(f"{name} ability must lie in [0, 1]")
-        if not np.all((self.forgetting >= 0.0) & (self.forgetting < 1.0)):
-            raise WorkforceError("forgetting rate must lie in [0, 1)")
+            raise WorkforceError(f"competences: expected at least one competence, got shape {self.competences.shape}")
+        self.masks = _frozen(masks, "masks", (n, m))
+        stray = self.masks[(self.masks != 0.0) & (self.masks != 1.0)]
+        if stray.size:
+            raise WorkforceError(f"masks: entries must be 0 or 1, got {stray[0]}")
+        self.cognitive = _frozen(cognitive, "cognitive", (n,), lo=0.0, hi=1.0)
+        self.social = _frozen(social, "social", (n,), lo=0.0, hi=1.0)
+        self.forgetting = _frozen(forgetting, "forgetting", (n,), lo=0.0, lt=1.0)
 
     @classmethod
     def _trusted(cls, *columns: np.ndarray) -> "Population":
@@ -78,9 +66,9 @@ class Population:
         return self.competences.shape[0]
 
 
-def _frozen(values, name: str) -> np.ndarray:
-    """``values`` as a read-only float array that no one else can write into; an error names the column."""
-    array = _as_array(values, name, WorkforceError)
+def _frozen(values, name: str, shape: tuple, **bounds: float) -> np.ndarray:
+    """``values`` as a read-only float array of ``shape`` within ``bounds`` that no one else can write into."""
+    array = _as_array(values, name, WorkforceError, shape, **bounds)
     if array.flags.writeable or array.base is not None:
         array = array.copy()
         array.flags.writeable = False
@@ -109,6 +97,7 @@ def init_workers(
     cognitive_range = _as_pair(cognitive_range, "cognitive_range", WorkforceError, lo=0.0, hi=1.0)
     social_range = _as_pair(social_range, "social_range", WorkforceError, lo=0.0, hi=1.0)
     forgetting = _as_float(forgetting, "forgetting", WorkforceError, lo=0.0, lt=1.0)
+    rng = _as_rng(rng, "rng", WorkforceError)
 
     competences = rng.uniform(*competence_range, size=(n_workers, n_competences))
     masks = (rng.random(size=(n_workers, n_competences)) < mask_density).astype(float)

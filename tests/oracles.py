@@ -238,9 +238,9 @@ def resummed_transfer_efficiency(g, workers, u: int, v: int, single_division: bo
     return total / hops if single_division else total / hops / hops
 
 
-# -- sequential graph loops -------------------------------------------------------
-# The package's former per-node and per-edge loops. Its array forms must
-# reproduce them bit for bit: the sums run in the same order.
+# -- sequential loops -------------------------------------------------------------
+# The package's former per-node, per-edge and per-step loops. Its array forms
+# must reproduce them bit for bit: the sums run in the same order.
 
 
 def sequential_utility(g) -> np.ndarray:
@@ -261,6 +261,19 @@ def sequential_average_weight(g) -> float:
     for _, _, w in g.edges():
         total += w
     return total / g.edge_count
+
+
+def loop_stabilization_step(values: np.ndarray, tolerance: float) -> int:
+    """``stabilization_step`` of a non-empty float curve, walking back from the final value."""
+    final = values[-1]
+    bound = tolerance * max(abs(final), np.finfo(float).tiny)
+    stable_from = len(values) - 1
+    for i in range(len(values) - 1, -1, -1):
+        if abs(values[i] - final) <= bound:
+            stable_from = i
+        else:
+            break
+    return stable_from
 
 
 def tuple_watts_strogatz(n: int, k: int, p: float, rng) -> list:

@@ -3,11 +3,14 @@ QuickCheck: Claessen & Hughes 2000).
 
 Every reader either returns a value that it reads back unchanged, or raises
 the error class it was handed, with a message that starts with the name it
-was handed. ``parse_config`` ends every JSON value in a config or a
+was handed; the array reader returns exactly the arrays that fit its shape
+and bounds. ``parse_config`` ends every JSON value in a config or a
 ``ConfigError``, and ``replace`` raises what ``parse_config`` raises for the
-same edit. No fuzzed config is run: one that parses can still ask for
-unbounded memory. Generators, graphs, populations and probe objects are not
-data arguments, and are not fuzzed here.
+same edit. An edge list of arbitrary bytes that asks for a few nodes is a
+graph or a ``GraphError``. No fuzzed config is run: one that parses can
+still ask for unbounded memory. Graphs and populations are not data
+arguments, and are not fuzzed here; a generator argument is checked for
+its type alone.
 """
 
 import json
@@ -16,25 +19,38 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knowflow import (
     CommunityError,
     ConfigError,
+    DiffusionError,
     GraphError,
     Population,
+    Probe,
+    RoleError,
     ScenarioConfig,
+    TimeSeries,
     WeightedGraph,
     WorkforceError,
+    apply_expert,
+    assign_weights,
     fixture_names,
+    generate_watts_strogatz,
+    init_workers,
     jaccard_similarity,
+    knowledge_energy,
     load_fixture,
     parse_config,
+    rank_nodes,
+    read_edge_list,
     stabilization_step,
 )
 from knowflow import _contract, scenario
@@ -91,8 +107,8 @@ values = st.recursive(
 # -- the readers -------------------------------------------------------------------
 
 
-def _bounds(numbers):
-    return st.fixed_dictionaries({}, optional={key: numbers for key in ("lo", "hi", "gt", "lt")})
+def _bounds(numbers, **options):
+    return st.fixed_dictionaries({}, optional={**{key: numbers for key in ("lo", "hi", "gt", "lt")}, **options})
 
 
 int_bounds = _bounds(st.integers(-5, 20))
@@ -110,6 +126,8 @@ list_options = st.fixed_dictionaries(
 )
 ids_options = st.fixed_dictionaries({"below": st.integers(0, 6)}, optional={"empty": st.booleans()})
 choices = st.fixed_dictionaries({}, optional={"choices": st.lists(st.sampled_from("ab"), min_size=1)})
+# A shape gives each axis's length, None for a free axis.
+array_options = _bounds(st.floats(-5.0, 20.0), shape=st.lists(st.none() | st.integers(0, 3), max_size=3).map(tuple))
 # Each reader, and a strategy for the options it takes after (value, path, error).
 READERS = {
     "int": (_contract._as_int, int_bounds),
@@ -120,7 +138,7 @@ READERS = {
     "bool": (_contract._as_bool, st.just({})),
     "str": (_contract._as_str, choices),
     "name": (_contract._as_name, st.just({})),
-    "array": (_contract._as_array, st.just({})),
+    "array": (_contract._as_array, array_options),
 }
 
 
@@ -159,6 +177,30 @@ def test_a_reader_reads_back_what_it_returns_or_names_its_input(reader, value):
 _COMPARE = {"lo": operator.ge, "hi": operator.le, "gt": operator.gt, "lt": operator.lt}
 
 
+def _fits(array, shape=None, **options) -> bool:
+    """``array`` has ``shape`` (None: any length) and, under bounds, only finite entries within them."""
+    if shape is not None and (array.ndim != len(shape) or any(w not in (None, a) for a, w in zip(array.shape, shape))):
+        return False
+    bounds = {key: options[key] for key in _COMPARE if key in options}
+    return not bounds or bool(np.isfinite(array).all() and all(_COMPARE[k](array, b).all() for k, b in bounds.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays | st.lists(st.sampled_from([0.0, 0.5, 1.0, 3, -1.0, np.inf, np.nan]), max_size=4), array_options)
+# Entries beyond a bound on one side only: the least entry alone passes.
+@example([0.5, 3.0], {"hi": 1.0})
+@example([[0.5], [np.inf]], {"lo": 0.0, "shape": (None, 1)})
+def test_an_array_is_read_if_and_only_if_it_fits_its_shape_and_bounds(value, options):
+    try:
+        result = _contract._as_array(value, "x", Rejected, **options)
+    except Rejected as exc:
+        assert NAMED.match(str(exc)), str(exc)
+        numbers = np.asarray(value)
+        assert numbers.dtype.kind not in "biuf" or not _fits(numbers.astype(float), **options), (value, options)
+    else:
+        assert result.dtype == float and _fits(result, **options), (value, options)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-(10**20), 10**20) | st.floats(allow_nan=False, allow_infinity=False), float_bounds)
 def test_bounded_passes_a_number_within_its_bounds_unchanged(value, bounds):
@@ -171,15 +213,21 @@ def test_bounded_passes_a_number_within_its_bounds_unchanged(value, bounds):
         assert all(op(value, bounds[key]) for key, op in _COMPARE.items() if key in bounds)
 
 
+TWO_WORKERS = Population(np.ones((2, 3)), np.ones((2, 3)), [0.5, 0.5], [0.5, 0.5], [0.0, 0.0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(values, values)
 def test_array_arguments_end_in_their_module_error(a, b):
     """An array argument that numpy cannot read as numbers is its module's error, never numpy's."""
     calls = (
         (lambda: jaccard_similarity(a, b), CommunityError),
+        (lambda: knowledge_energy(TWO_WORKERS, 0, a), CommunityError),
         (lambda: stabilization_step(a), ConfigError),
         (lambda: Population(a, b, [0.5], [0.5], [0.0]), WorkforceError),
         (lambda: WeightedGraph(3, a), GraphError),
+        (lambda: TimeSeries([("average_competence", "all")], [0, 1], a), DiffusionError),
+        (lambda: Probe(a, b, len), DiffusionError),
     )
     for call, error in calls:
         try:
@@ -187,6 +235,47 @@ def test_array_arguments_end_in_their_module_error(a, b):
                 call()
         except error:
             pass
+
+
+EDGE_LINES = st.one_of(
+    st.builds("# nodes={}".format, st.integers(-1, 6) | st.sampled_from(["", "x", "1.0", "0x3", "\u0663"])),
+    st.builds(
+        "{},{},{}".format,
+        *[st.integers(-1, 6) | st.sampled_from(["", "1.5", " 2", "1e400", "nan", "x"])] * 2,
+        st.floats(-1.0, 2.0) | st.sampled_from(["", "nan", "inf", "1e400", "1", "x", "0x1p-2"]),
+    ),
+    st.sampled_from(["", "#", "# c", "0,1", "0,1,2,3", "\t"]),
+)
+edge_lists = st.binary(max_size=24) | st.lists(EDGE_LINES, max_size=6).map(lambda rows: "\n".join(rows).encode())
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists)
+def test_an_edge_list_of_any_bytes_is_a_graph_or_a_graph_error(data):
+    with tempfile.TemporaryDirectory() as tmp:  # a drawn header asks for at most 6 nodes, which numpy can allocate
+        path = Path(tmp) / "g.txt"
+        path.write_bytes(data)
+        try:
+            graph = read_edge_list(path)
+        except GraphError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+        else:
+            assert isinstance(graph, WeightedGraph)
+
+
+@pytest.mark.parametrize("rng", [None, 5, np.random.SeedSequence(1)], ids=repr)
+def test_every_rng_argument_is_a_generator(rng):
+    ring = generate_watts_strogatz(4, 2, 0.0, np.random.default_rng(0))
+    calls = (
+        (lambda: generate_watts_strogatz(4, 2, 0.5, rng), GraphError),
+        (lambda: assign_weights(ring, (1.0, 1.0), rng), GraphError),  # a constant range draws nothing
+        (lambda: init_workers(2, 3, (0, 1), 0.5, (0, 1), (0, 1), 0.0, rng), WorkforceError),
+        (lambda: apply_expert(TWO_WORKERS, [], (1.0, 2.0), rng), RoleError),
+        (lambda: rank_nodes(ring, "random", rng), RoleError),
+    )
+    for call, error in calls:
+        with pytest.raises(error, match=f"^{re.escape(f'rng: expected a numpy random Generator, got {rng!r}')}$"):
+            call()
 
 
 # -- configs -----------------------------------------------------------------------

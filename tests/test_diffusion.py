@@ -418,6 +418,31 @@ def test_timeseries_records_and_exports():
     ):
         with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
             TimeSeries(bad, [0], np.zeros((1, len(bad))))
+    # The values are read as a (steps, columns) array of numbers; a list of them is one.
+    assert TimeSeries(columns, [0, 1], [[1.5, 0.0], [1.25, 0.5]]).csv_lines() == ts.csv_lines()
+    for values, message in (
+        (np.zeros((5, 3)), "values: expected shape (2, 2), got (5, 3)"),
+        ([1.5, 0.0], "values: expected shape (2, 2), got (2,)"),
+        ([["1.5", "0.0"], ["1.25", "0.5"]], "values: expected a rectangular array of numbers, got "),
+    ):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(message)}"):
+            TimeSeries(columns, [0, 1], values)
+
+
+def test_a_probe_reads_its_fields():
+    measure = probe_average().measure
+    for args, message in (
+        ((5, "all", measure), "metric: expected a string, got 5"),
+        (("average_competence", None, measure), "scope: expected a string, got None"),
+        (("average_competence", "all", 5), "measure: expected a callable, got 5"),
+    ):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
+            Probe(*args)
+    # A copy with one field changed is read again, as a tracer that wraps ``measure`` makes it.
+    probe = Probe("average_competence", "all", measure)
+    assert replace(probe, measure=len).measure is len
+    with pytest.raises(DiffusionError, match="^measure: expected a callable, got None$"):
+        replace(probe, measure=None)
 
 
 def test_run_records_initial_state_and_counts_steps():

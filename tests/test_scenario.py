@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knowflow import (
     ConfigError,
@@ -35,6 +37,8 @@ from knowflow import (
 from knowflow import scenario
 from knowflow.cli import main
 from knowflow.scenario import _graph_for, _population_for
+
+import oracles
 
 
 def tiny_config(**overrides):
@@ -891,11 +895,23 @@ def test_stabilization_step_finds_the_settled_suffix():
     assert stabilization_step([2.0, 2.0], tolerance=0.05) == 0
 
 
+# Curves that settle, drift or end on a value that is not finite; each value often repeats.
+_curve_values = st.sampled_from([0.0, 1.0, 1.04, -1.0, 1e-320, 1e308, np.inf, -np.inf, np.nan]) | st.floats()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_curve_values, min_size=1, max_size=8), st.sampled_from([0.0, 0.05, 1.0]) | st.floats(0.0, 1e3))
+def test_stabilization_step_matches_the_backward_walk(curve, tolerance):
+    with np.errstate(all="ignore"):  # inf - inf is NaN in either form
+        expected = oracles.loop_stabilization_step(np.array(curve), tolerance)
+        assert stabilization_step(curve, tolerance=tolerance) == expected
+
+
 @pytest.mark.parametrize(
     "curve, tolerance, message",
     [
-        ([], 0.05, "curve: expected a non-empty 1-D sequence, got shape (0,)"),
-        ([[1.0, 2.0], [3.0, 4.0]], 0.05, "curve: expected a non-empty 1-D sequence, got shape (2, 2)"),
+        ([], 0.05, "curve: expected at least one value, got shape (0,)"),
+        ([[1.0, 2.0], [3.0, 4.0]], 0.05, "curve: expected shape (n,), got (2, 2)"),
         (["a"], 0.05, "curve: expected a rectangular array of numbers, got ['a']"),
         ([[1.0], [1.0, 2.0]], 0.05, "curve: expected a rectangular array of numbers, got [[1.0], [1.0, 2.0]]"),
         ([1.0, 2.0], -1, "tolerance: must be >= 0.0, got -1.0"),

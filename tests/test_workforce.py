@@ -123,6 +123,32 @@ def test_population_invariants_enforced():
             Population(*args)
 
 
+ONES, HALF = np.ones((2, 3)), np.full(2, 0.5)
+
+
+@pytest.mark.parametrize(
+    "column, value, message",
+    [
+        (0, np.ones(3), "competences: expected shape (n, n), got (3,)"),
+        (0, np.ones((2, 0)), "competences: expected at least one competence, got shape (2, 0)"),
+        (0, -ONES, "competences: must be >= 0.0, got -1.0"),
+        (0, ONES * np.inf, "competences: expected a finite number, got inf"),
+        (1, np.ones((3, 3)), "masks: expected shape (2, 3), got (3, 3)"),
+        (1, ONES * 0.5, "masks: entries must be 0 or 1, got 0.5"),
+        (1, ONES * np.nan, "masks: entries must be 0 or 1, got nan"),
+        (2, HALF * 3, "cognitive: must be <= 1.0, got 1.5"),
+        (3, np.full(3, 0.5), "social: expected shape (2,), got (3,)"),
+        (4, np.ones(2), "forgetting: must be < 1.0, got 1.0"),
+        (4, [0.5, np.nan], "forgetting: expected a finite number, got nan"),
+    ],
+)
+def test_population_names_the_column_and_the_value_it_rejects(column, value, message):
+    columns = [ONES, ONES, HALF, HALF, HALF]
+    columns[column] = value
+    with pytest.raises(WorkforceError, match=f"^{re.escape(message)}$"):
+        Population(*columns)
+
+
 def test_worker_rows_are_read_only_views():
     pop = make_population()
     for row in (pop.competences[2], pop.masks[2]):
