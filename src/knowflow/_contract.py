@@ -129,22 +129,26 @@ def _as_name(value: Any, path: str, error: type[ValueError]) -> str:
     return value
 
 
-def _as_array(value: Any, path: str, error: type[ValueError], shape: tuple | None = None, **bounds: float) -> np.ndarray:
-    """``value`` as a float array of ``shape`` (None: a free axis) whose entries, given ``bounds``, are finite and
-    within them; numpy must read it as booleans or reals, not as strings, objects or a ragged list."""
+def _as_array(
+    value: Any, path: str, error: type[ValueError], shape: tuple | None = None, integer: bool = False, **bounds: float
+) -> np.ndarray:
+    """``value`` as a float array, or with ``integer`` an integer one, of ``shape`` (None: a free axis) whose entries,
+    given ``bounds``, are finite and within them; numpy must read it as booleans or reals (with ``integer``, as
+    integers), not as strings, objects or a ragged list. An empty array holds none of those."""
     try:
         array = np.asarray(value)
     except ValueError:  # ragged nesting
         array = None
-    if array is None or array.dtype.kind not in "biuf":
-        raise error(f"{path}: expected a rectangular array of numbers, got {value!r}")
-    array = array.astype(float, copy=False)
+    if array is None or (array.size and array.dtype.kind not in ("iu" if integer else "biuf")):
+        raise error(f"{path}: expected a rectangular array of {'integers' if integer else 'numbers'}, got {value!r}")
+    if not (integer and array.size):  # integers are kept as they are; an empty array is an int array
+        array = array.astype(int if integer else float, copy=False)
     if shape is not None and (array.ndim != len(shape) or any(w not in (None, a) for a, w in zip(array.shape, shape))):
         expected = str(shape).replace("None", "n")  # n: any length
         raise error(f"{path}: expected shape {expected}, got {array.shape}")
     if bounds and array.size:  # NaN fails every bound, so the least and the greatest entry speak for all
         for entry in (array.min(), array.max()):
-            _as_float(entry, path, error, **bounds)
+            (_as_int if integer else _as_float)(entry, path, error, **bounds)
     return array
 
 

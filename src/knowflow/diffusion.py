@@ -277,16 +277,16 @@ def collector_probes(collectors: Sequence[int]) -> list[Probe]:
 class TimeSeries:
     """One run's probe values at its recorded steps, in a fixed column order, exportable as CSV.
 
-    ``steps`` and ``columns`` are tuples and ``values`` is read as a (steps,
-    columns) float array.
+    ``columns`` and ``steps`` are tuples, ``steps`` of non-negative ints read as
+    one array, and ``values`` is read as a (steps, columns) float array.
     """
 
     def __init__(self, columns: Sequence[tuple[str, str]], steps: Sequence[int], values: np.ndarray):
         for name, value in (("columns", columns), ("steps", steps)):
-            if not _is_list(value):  # the container only: a run's steps are too many to read one by one
+            if not _is_list(value):
                 raise DiffusionError(f"{name}: expected a list, got {value!r}")
         self.columns = _columns(columns)
-        self.steps = tuple(steps)
+        self.steps = tuple(_as_array(steps, "steps", DiffusionError, (None,), integer=True, lo=0).tolist())
         self.values = _as_array(values, "values", DiffusionError, (len(self.steps), len(self.columns)))
 
     def column(self, metric: str, scope: str = "all") -> np.ndarray:
@@ -368,5 +368,5 @@ def run(
     if not (finite.all() and np.isfinite(state.population.competences).all()):
         first = recorded[int(np.argmin(finite))] if not finite.all() else state.step
         raise DiffusionError(f"knowledge overflowed: a competence or probe value is not finite by step {first}")
-    values.flags.writeable = False
-    return state, [TimeSeries(columns, recorded, v) for v in values]
+    steps_read = np.array(recorded)  # one array read for every run's series
+    return state, [TimeSeries(columns, steps_read, v) for v in _read_only(values)]

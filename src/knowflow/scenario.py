@@ -65,8 +65,9 @@ _ROLE_KEYS = {"boost_range": "expert", "boost_all": "expert", "weight_factor": "
 _STREAMS = {"topology": 0, "weights": 1, "population": 2, "strategy": 3, "boost": 4, "ties": 5}
 
 # Cells (runs x nodes x competences) stepped as one batch. Small runs share a
-# step's fixed cost; a union of large runs was slower and used more memory.
-_BATCH_CELLS = 1 << 13
+# step's fixed cost. 484-node runs go in pairs: a third run per batch raised
+# the peak memory, and seven stepped slower per run than two.
+_BATCH_CELLS = 3 << 12
 
 
 def stream_rng(seed: int, concern: str) -> np.random.Generator:
@@ -450,14 +451,15 @@ def load_config(path: str | Path) -> ScenarioConfig:
 # -- shipped fixtures -----------------------------------------------------------------
 
 
+_FIXTURES = resources.files(__package__) / "fixtures"  # one <name>.json config per shipped fixture
+
+
 def fixture_names() -> list[str]:
-    root = resources.files("knowflow") / "fixtures"
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.name[: -len(".json")] for p in _FIXTURES.iterdir() if p.name.endswith(".json"))
 
 
 def load_fixture(name: str) -> ScenarioConfig:
-    root = resources.files("knowflow") / "fixtures"
-    candidate = root / f"{name}.json"
+    candidate = _FIXTURES / f"{name}.json"
     if not candidate.is_file():
         raise ConfigError(f"unknown fixture {name!r}; available: {', '.join(fixture_names())}")
     return parse_config(json.loads(candidate.read_text()), source=f"fixture:{name}")
@@ -466,12 +468,9 @@ def load_fixture(name: str) -> ScenarioConfig:
 def export_fixtures(out_dir: str | Path) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    root = resources.files("knowflow") / "fixtures"
-    written = []
-    for name in fixture_names():
-        target = out / f"{name}.json"
-        target.write_text((root / f"{name}.json").read_text())
-        written.append(target)
+    written = [out / f"{name}.json" for name in fixture_names()]
+    for target in written:
+        target.write_text((_FIXTURES / target.name).read_text())
     return written
 
 
@@ -661,9 +660,9 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     """Run every (variant, seed) combination and aggregate across seeds.
 
     The variants of a seed share its graph, population and ties. Runs that
-    record the same columns are stepped together, in batches of up to
-    ``_BATCH_CELLS`` cells (runs x nodes x competences), and a batch runs as
-    soon as it is full; a run larger than half the budget goes alone.
+    record the same columns are stepped together, as many as fit in
+    ``_BATCH_CELLS`` cells (runs x nodes x competences) and at least one, as
+    soon as a batch is full. A batch may span seeds: 484-node runs go in pairs.
     """
     seed_list = config.run.seeds if seeds is None else _as_list(seeds, "seeds", item=_ID, unique="seed")
     names = config.role_plan.strategies if config.role_plan is not None else ("default",)

@@ -6,11 +6,12 @@ the error class it was handed, with a message that starts with the name it
 was handed; the array reader returns exactly the arrays that fit its shape
 and bounds. ``parse_config`` ends every JSON value in a config or a
 ``ConfigError``, and ``replace`` raises what ``parse_config`` raises for the
-same edit. An edge list of arbitrary bytes that asks for a few nodes is a
-graph or a ``GraphError``. No fuzzed config is run: one that parses can
-still ask for unbounded memory. Graphs and populations are not data
-arguments, and are not fuzzed here; a generator argument is checked for
-its type alone.
+same edit. ``propose_ties`` ends any overrides in tie records or a
+``ConfigError`` that names one of them. An edge list of arbitrary bytes
+that asks for a few nodes is a graph or a ``GraphError``. No fuzzed config
+is run: one that parses can still ask for unbounded memory. Graphs and
+populations are not data arguments, and are not fuzzed here; a generator
+argument is checked for its type alone.
 """
 
 import json
@@ -49,6 +50,7 @@ from knowflow import (
     knowledge_energy,
     load_fixture,
     parse_config,
+    propose_ties,
     rank_nodes,
     read_edge_list,
     stabilization_step,
@@ -126,8 +128,10 @@ list_options = st.fixed_dictionaries(
 )
 ids_options = st.fixed_dictionaries({"below": st.integers(0, 6)}, optional={"empty": st.booleans()})
 choices = st.fixed_dictionaries({}, optional={"choices": st.lists(st.sampled_from("ab"), min_size=1)})
-# A shape gives each axis's length, None for a free axis.
-array_options = _bounds(st.floats(-5.0, 20.0), shape=st.lists(st.none() | st.integers(0, 3), max_size=3).map(tuple))
+# A shape gives each axis's length, None for a free axis; ``integer`` asks for integers, kept as they are.
+array_options = _bounds(
+    st.floats(-5.0, 20.0), shape=st.lists(st.none() | st.integers(0, 3), max_size=3).map(tuple), integer=st.booleans()
+)
 # Each reader, and a strategy for the options it takes after (value, path, error).
 READERS = {
     "int": (_contract._as_int, int_bounds),
@@ -190,15 +194,24 @@ def _fits(array, shape=None, **options) -> bool:
 # Entries beyond a bound on one side only: the least entry alone passes.
 @example([0.5, 3.0], {"hi": 1.0})
 @example([[0.5], [np.inf]], {"lo": 0.0, "shape": (None, 1)})
+# Integers: a negative one under a bound, floats and booleans that are whole numbers, and no entry at all.
+@example([0, -1], {"integer": True, "lo": 0})
+@example([0.0, 1.0], {"integer": True})
+@example([True], {"integer": True})
+@example([], {"integer": True, "lo": 0, "shape": (None,)})
 def test_an_array_is_read_if_and_only_if_it_fits_its_shape_and_bounds(value, options):
+    integer = options.get("integer", False)
+    kinds = "iu" if integer else "biuf"  # an empty array holds no entry of a wrong kind
     try:
         result = _contract._as_array(value, "x", Rejected, **options)
     except Rejected as exc:
         assert NAMED.match(str(exc)), str(exc)
         numbers = np.asarray(value)
-        assert numbers.dtype.kind not in "biuf" or not _fits(numbers.astype(float), **options), (value, options)
+        wrong_kind = numbers.size and numbers.dtype.kind not in kinds
+        assert wrong_kind or not _fits(numbers.astype(float), **options), (value, options)
     else:
-        assert result.dtype == float and _fits(result, **options), (value, options)
+        assert result.dtype.kind == "f" if not integer else result.dtype.kind in "iu", (value, options)
+        assert _fits(result, **options), (value, options)
 
 
 @settings(max_examples=30, deadline=None)
@@ -227,6 +240,7 @@ def test_array_arguments_end_in_their_module_error(a, b):
         (lambda: Population(a, b, [0.5], [0.5], [0.0]), WorkforceError),
         (lambda: WeightedGraph(3, a), GraphError),
         (lambda: TimeSeries([("average_competence", "all")], [0, 1], a), DiffusionError),
+        (lambda: TimeSeries([("average_competence", "all")], a, np.zeros((2, 1))), DiffusionError),
         (lambda: Probe(a, b, len), DiffusionError),
     )
     for call, error in calls:
@@ -399,6 +413,21 @@ def test_replace_raises_what_parse_config_raises_for_the_same_edit(edit):
         assert changed == (type(spec).__name__ + bare[len(section) :] if bare.startswith(f"{section}: ") else bare)
     else:  # the rules across sections see the edit when the config takes the new section
         assert _outcome(lambda: cfg.replace(**{section: changed})) == parsed
+
+
+OVERRIDES = ("seed", "community_index", "budget")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=dict.fromkeys(OVERRIDES, values | st.integers(0, 3) | st.integers(0, 2**70))))
+def test_propose_ties_ends_any_overrides_in_tie_records_or_an_error_naming_one(overrides):
+    """A None override takes the config's value; any other is read, and a bad one is a ConfigError naming it."""
+    records = _outcome(lambda: propose_ties(FIXTURES["fig9"], **overrides))
+    if isinstance(records, str):
+        named = records.split(":")[0]
+        assert named in OVERRIDES and overrides.get(named) is not None, (overrides, records)
+    else:
+        assert isinstance(records, list) and all(record["mode"] == "algorithm" for record in records), records
 
 
 # Failing configs of the kinds the fuzzing above reports, each cut down to one bad

@@ -427,6 +427,22 @@ def test_timeseries_records_and_exports():
     ):
         with pytest.raises(DiffusionError, match=f"^{re.escape(message)}"):
             TimeSeries(columns, [0, 1], values)
+    # The steps are read as one array of non-negative integers, one per row of values, and kept as Python ints.
+    steps = TimeSeries(columns, np.array([0, 1], dtype=np.uint8), ts.values).steps
+    assert steps == (0, 1) and all(type(t) is int for t in steps)
+    assert TimeSeries(columns, [], np.zeros((0, 2))).steps == ()
+    for bad, message in (
+        (["x", None], "steps: expected a rectangular array of integers, got ['x', None]"),
+        ([0.0, 1.0], "steps: expected a rectangular array of integers, got [0.0, 1.0]"),
+        ([False, True], "steps: expected a rectangular array of integers, got [False, True]"),
+        ([0, -1], "steps: must be >= 0, got -1"),
+        ([[0], [1]], "steps: expected shape (n,), got (2, 1)"),
+        ([0, 1, 2], "values: expected shape (3, 2), got (2, 2)"),
+    ):
+        with pytest.raises(DiffusionError, match=f"^{re.escape(message)}$"):
+            TimeSeries(columns, bad, ts.values)
+    with pytest.raises(DiffusionError, match="^steps: "):
+        TimeSeries([("a", "all")], ["x", None], np.zeros((2, 1))).csv_lines()
 
 
 def test_a_probe_reads_its_fields():

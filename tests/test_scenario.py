@@ -602,17 +602,10 @@ def test_communities_and_ties_are_planned_once_per_seed(monkeypatch, fixture, st
     assert calls["accelerate"] == (3 if fixture == "fig9" else 0)
 
 
-@pytest.mark.parametrize("role", ["expert", "facilitator", "collector"])
-def test_batched_runs_report_the_bytes_of_runs_one_by_one(tmp_path, monkeypatch, role):
-    extra = {"expert": {"boost_range": [10.0, 50.0]}, "facilitator": {"weight_factor": 1.5}, "collector": {}}[role]
-    probes = ["average_competence", {"node": 11}, {"mask": {"name": "m", "competences": [0, 3], "members": [2, 5, 7]}}]
-    data = tiny_config(
-        role_plan={"role": role, "strategies": ["none", "degree", "random"], "count": 3, "step": 4, **extra},
-        run={"steps": 15, "seeds": [1, 2, 3], "probes": probes + (["collector_intake"] if role == "collector" else [])},
-    )
-    cfg = parse_config(data)
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The runs of each state that ``run_experiment`` steps, in order."""
     sizes: list[int] = []
-
     real_run = scenario.run
 
     def sized_run(state, steps, *args, **kwargs):
@@ -620,14 +613,56 @@ def test_batched_runs_report_the_bytes_of_runs_one_by_one(tmp_path, monkeypatch,
         return real_run(state, steps, *args, **kwargs)
 
     monkeypatch.setattr(scenario, "run", sized_run)
-    batched = emit_report(run_experiment(cfg), tmp_path / "batched")
-    assert sum(sizes) == 9 and max(sizes) > 1
-    monkeypatch.setattr(scenario, "_BATCH_CELLS", 1)
-    sizes.clear()
-    alone = emit_report(run_experiment(cfg), tmp_path / "alone")
-    assert sizes == [1] * 9
-    assert [p.name for p in batched] == [p.name for p in alone]
-    assert [p.read_bytes() for p in batched] == [p.read_bytes() for p in alone]
+    return sizes
+
+
+@pytest.mark.parametrize("role", ["expert", "facilitator", "collector"])
+def test_batched_runs_report_the_bytes_of_runs_one_by_one(tmp_path, monkeypatch, batch_sizes, role):
+    extra = {"expert": {"boost_range": [10.0, 50.0]}, "facilitator": {"weight_factor": 1.5}, "collector": {}}[role]
+    probes = ["average_competence", {"node": 11}, {"mask": {"name": "m", "competences": [0, 3], "members": [2, 5, 7]}}]
+    data = tiny_config(
+        role_plan={"role": role, "strategies": ["none", "degree", "random"], "count": 3, "step": 4, **extra},
+        run={"steps": 15, "seeds": [1, 2, 3], "probes": probes + (["collector_intake"] if role == "collector" else [])},
+    )
+    cfg = parse_config(data)
+    batch_seeds: list[set[int]] = []
+    real_batch = scenario._run_batch
+
+    def seeded_batch(config, runs, collectors):
+        batch_seeds.append({run_.seed for run_ in runs})
+        return real_batch(config, runs, collectors)
+
+    monkeypatch.setattr(scenario, "_run_batch", seeded_batch)
+    run_cells = cfg.network.nodes * cfg.population.competences
+    reports = {}
+    # The nine runs in as few batches as their columns allow; two runs a batch, so that a seed's
+    # last run shares a batch with the next seed's first; and every run alone.
+    for label, budget in (("batched", scenario._BATCH_CELLS), ("paired", 2 * run_cells), ("alone", 1)):
+        monkeypatch.setattr(scenario, "_BATCH_CELLS", budget)
+        batch_sizes.clear()
+        batch_seeds.clear()
+        reports[label] = [(p.name, p.read_bytes()) for p in emit_report(run_experiment(cfg), tmp_path / label)]
+        assert sum(batch_sizes) == 9
+        if label == "batched":
+            assert max(batch_sizes) > 2
+        elif label == "paired":
+            assert max(batch_sizes) == 2 and any(len(seeds) == 2 for seeds in batch_seeds), batch_seeds
+        else:
+            assert batch_sizes == [1] * 9
+    assert reports["batched"] == reports["paired"] == reports["alone"]
+
+
+def test_a_fig2_seed_steps_its_variants_in_pairs_and_a_4840_node_run_alone(batch_sizes):
+    """Two 484-node runs fit in ``_BATCH_CELLS``, three do not; a run of 4840 nodes fills it alone."""
+    raw = load_fixture("fig2").to_dict()
+    raw["run"]["steps"] = 1
+    run_experiment(parse_config(raw), seeds=[5])
+    assert batch_sizes == [2, 2, 2, 1]
+    batch_sizes.clear()
+    raw["network"]["nodes"] = 4840
+    raw["role_plan"]["strategies"] = ["none", "degree"]
+    run_experiment(parse_config(raw), seeds=[5])
+    assert batch_sizes == [1, 1]
 
 
 def test_a_batched_facilitator_error_names_the_runs_own_node_ids():
