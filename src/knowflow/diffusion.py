@@ -9,7 +9,6 @@ a fixed fraction each step, whether or not anything arrives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -35,6 +34,13 @@ __all__ = [
 
 class DiffusionError(ValueError):
     """Invalid diffusion parameter or inconsistent simulation state."""
+
+
+# Cells (runs x nodes x competences) stepped as one batch, and stepped cells
+# that ``run`` hands its probes in one call: small runs share a step's and a
+# probe's fixed cost. 484-node runs go in pairs: a third run per batch raised
+# the peak memory, and seven stepped slower per run than two.
+_BATCH_CELLS = 3 << 12
 
 
 @dataclass(frozen=True)
@@ -194,11 +200,12 @@ def step(state: SimulationState, cognitive_gain: bool = True, *, _plan: _RunPlan
 
 @dataclass(frozen=True)
 class Probe:
-    """A named measurement over the simulation state: ``measure`` gives one value per run."""
+    """A named measurement: ``measure`` takes (rows, n, m) competences and (rows, n) collector ledgers,
+    a row being one run at one recorded step, and gives one value per row."""
 
     metric: str
     scope: str
-    measure: Callable[[SimulationState], np.ndarray]
+    measure: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         _as_str(self.metric, "metric", DiffusionError)
@@ -213,7 +220,7 @@ def _means(rows: np.ndarray) -> np.ndarray:
 
 
 def probe_average() -> Probe:
-    return Probe("average_competence", "all", lambda st: _means(st.population.competences.reshape(st.runs, -1)))
+    return Probe("average_competence", "all", lambda competences, _: _means(competences.reshape(len(competences), -1)))
 
 
 # Probe ids are checked against a run's shape on first measure; until then, against what numpy can index.
@@ -226,12 +233,11 @@ def _index(ids: Sequence[int], path: str, empty: bool = False) -> np.ndarray:
 
 
 def _cell_probe(scope: str, members: np.ndarray | None, competences: np.ndarray | None) -> Probe:
-    """Mean competence per run over the chosen members' chosen competences (None: all of them)."""
+    """Mean competence per row over the chosen members' chosen competences (None: all of them)."""
     flat: dict[tuple[int, int], np.ndarray] = {}  # one run's shape -> flat index of the selection in its cells
 
-    def measure(st: SimulationState) -> np.ndarray:
-        matrix = st.population.competences
-        shape = (len(matrix) // st.runs, matrix.shape[1])
+    def measure(matrix: np.ndarray, _: np.ndarray) -> np.ndarray:
+        shape = matrix.shape[1:]
         if shape not in flat:
             n, m = shape
             limits = (("competence", competences, m, "competences"), ("node", members, n, "workers"))
@@ -243,7 +249,7 @@ def _cell_probe(scope: str, members: np.ndarray | None, competences: np.ndarray 
             # Competence-major, the memory order of ``matrix[rows][:, cols]``,
             # so the pairwise sum adds the same values in the same order.
             flat[shape] = np.ravel_multi_index((rows[None, :], cols[:, None]), shape).ravel()
-        return _means(matrix.reshape(st.runs, -1).take(flat[shape], axis=1))
+        return _means(matrix.reshape(len(matrix), -1).take(flat[shape], axis=1))
 
     return Probe("average_competence", scope, measure)
 
@@ -264,13 +270,9 @@ def probe_mask(name: str, competences: Sequence[int], members: Sequence[int] | N
 def collector_probes(collectors: Sequence[int]) -> list[Probe]:
     """Cumulative intake per collector plus their total (scope ``all``)."""
     ids = _index(collectors, "collectors", empty=True)
-
-    def ledgers(st: SimulationState) -> np.ndarray:
-        return st.collector_ledger.reshape(st.runs, -1)
-
-    total = Probe("collector_intake", "all", lambda st: np.add.reduce(ledgers(st).take(ids, axis=1), axis=1))
+    total = Probe("collector_intake", "all", lambda _, ledgers: np.add.reduce(ledgers.take(ids, axis=1), axis=1))
     return [total] + [
-        Probe("collector_intake", f"collector:{c}", lambda st, c=c: ledgers(st)[:, c]) for c in ids.tolist()
+        Probe("collector_intake", f"collector:{c}", lambda _, ledgers, c=c: ledgers[:, c]) for c in ids.tolist()
     ]
 
 
@@ -299,9 +301,17 @@ class TimeSeries:
 
     def csv_lines(self) -> list[str]:
         """A header, then one long-format row per step and column; shortest round-trip floats."""
-        labels = [f"{metric},{scope}" for metric, scope in self.columns]
-        cells = zip(itertools.product(self.steps, labels), self.values.ravel().tolist())  # row-major: step, column
-        return ["step,metric,scope,value"] + [f"{t},{label},{v!r}" for (t, label), v in cells]
+        return self._csv(_csv_template(self.steps, self.columns)).split("\n")[:-1]
+
+    def _csv(self, template: str) -> str:
+        """The CSV text: ``template``, built by ``_csv_template`` for these steps and columns, filled with the values."""
+        return template % tuple(self.values.ravel().tolist())
+
+
+def _csv_template(steps: Sequence[int], columns: Sequence[tuple[str, str]]) -> str:
+    """A series' CSV text with one ``%r`` per value, row-major: step, then column."""
+    labels = [f"{metric},{scope}".replace("%", "%%") for metric, scope in columns]
+    return "".join(["step,metric,scope,value\n", *(f"{t},{label},%r\n" for t in steps for label in labels)])
 
 
 def _columns(columns: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
@@ -329,9 +339,10 @@ def run(
     ``cognitive_gain`` is passed to every ``step``. ``interventions`` maps a
     step index to a state transform applied after the probe record at that
     index, i.e. between steps. The run builds the plan its steps share once,
-    and again right after each intervention. The series are built once
-    recording has finished, over one read-only (runs, steps + 1, probes)
-    array.
+    and again right after each intervention. Each probe measures the recorded
+    states in blocks of up to ``_BATCH_CELLS`` cells, at least one state. The
+    series are built once recording has finished, over one read-only (runs,
+    steps + 1, probes) array.
 
     A step can break one invariant of a valid state: competences may
     overflow to inf, and then to NaN. The loop runs with numpy's overflow
@@ -343,13 +354,27 @@ def run(
     cognitive_gain = _as_bool(cognitive_gain, "cognitive_gain", DiffusionError)
     columns = _columns([(p.metric, p.scope) for p in probes])
     actions = dict(interventions) if interventions else {}
-    values = np.empty((state.runs, steps + 1, len(probes)))
+    values = np.empty((len(probes), (steps + 1) * state.runs))  # each probe's rows: recorded state, then run
     recorded: list[int] = []
+    block: list[SimulationState] = []
+    depth = max(1, _BATCH_CELLS // state.population.competences.size)
 
     def record(st: SimulationState) -> None:
-        for j, p in enumerate(probes):
-            values[:, len(recorded), j] = p.measure(st)
+        """Adds ``st`` to the block; once the block is full or ``st`` is the last, each probe measures its rows."""
         recorded.append(st.step)
+        block.append(st)
+        if len(block) < depth and len(recorded) <= steps:
+            return
+        rows, stop = len(block) * st.runs, len(recorded) * st.runs
+        if len(block) == 1:  # a block of one state is read in place
+            competences, ledgers = st.population.competences, st.collector_ledger
+        else:
+            competences = _read_only(np.concatenate([s.population.competences for s in block]))
+            ledgers = _read_only(np.concatenate([s.collector_ledger for s in block]))
+        competences, ledgers = competences.reshape(rows, -1, competences.shape[1]), ledgers.reshape(rows, -1)
+        for j, p in enumerate(probes):
+            values[j, stop - rows : stop] = p.measure(competences, ledgers)
+        block.clear()
 
     with np.errstate(over="ignore", invalid="ignore"):
         record(state)
@@ -364,9 +389,10 @@ def run(
                 plan = _RunPlan(state, cognitive_gain)
             state = step(state, cognitive_gain, _plan=plan)
             record(state)
-    finite = np.isfinite(values).all(axis=(0, 2))
+    series = _read_only(values).reshape(len(probes), steps + 1, state.runs).T  # (runs, steps + 1, probes) views
+    finite = np.isfinite(series).all(axis=(0, 2))
     if not (finite.all() and np.isfinite(state.population.competences).all()):
         first = recorded[int(np.argmin(finite))] if not finite.all() else state.step
         raise DiffusionError(f"knowledge overflowed: a competence or probe value is not finite by step {first}")
     steps_read = np.array(recorded)  # one array read for every run's series
-    return state, [TimeSeries(columns, steps_read, v) for v in _read_only(values)]
+    return state, [TimeSeries(columns, steps_read, v) for v in series]

@@ -53,7 +53,8 @@ class WeightedGraph:
     __slots__ = ("_n", "_senders", "_receivers", "_weights", "_indptr", "_centralities")
 
     def __init__(self, node_count: int, edges: Iterable[tuple[int, int, float]] = ()):
-        n = _as_int(node_count, "node_count", GraphError, lo=0)
+        # ``_freeze``'s receiver-major key is below n * n, which must fit an intp.
+        n = _as_int(node_count, "node_count", GraphError, lo=0, hi=math.isqrt(np.iinfo(np.intp).max))
         try:
             edges = list(edges)
         except TypeError:

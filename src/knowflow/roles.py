@@ -99,14 +99,14 @@ def apply_expert(
     lo, hi = _as_pair(boost_range, "boost_range", RoleError, lo=0.0)
     boost_all = _as_bool(boost_all, "boost_all", RoleError)
     rng = _as_rng(rng, "rng", RoleError)
+    rows = np.array(_as_ids(nodes, "nodes", RoleError, len(workers), empty=True), dtype=np.intp)
+    cells = np.ones((rows.size, workers.n_competences), dtype=bool) if boost_all else workers.masks[rows] == 1.0
+    drawn = workers.competences[rows]
+    drawn[cells] = rng.uniform(lo, hi, size=np.count_nonzero(cells))  # node order, then competence order
+    # A node named twice keeps its last draw: each node's row is written once, from its last mention.
+    last = rows.size - 1 - np.unique(rows[::-1], return_index=True)[1]
     competences = workers.competences.copy()
-    for v in _as_ids(nodes, "nodes", RoleError, len(workers), empty=True):
-        if boost_all:
-            idx = np.arange(workers.n_competences)
-        else:
-            idx = np.flatnonzero(workers.masks[v] == 1.0)
-        if idx.size:
-            competences[v, idx] = rng.uniform(lo, hi, size=idx.size)
+    competences[rows[last]] = drawn[last]
     competences.flags.writeable = False  # a fresh copy: the new population keeps it
     # The input's own columns plus draws inside the range: valid, unless the input's competences
     # already overflowed, which ``run`` reports with the step it happened at.

@@ -20,7 +20,7 @@ import hashlib
 import json
 import logging
 from dataclasses import replace as dc_replace
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
@@ -28,7 +28,7 @@ from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import _contract
+from . import _contract, diffusion
 from .community import Community, _insert_tie, accelerate_loop, detect_communities, transfer_efficiency
 from .diffusion import Probe, SimulationState, TimeSeries, collector_probes, probe_average, probe_mask, probe_node, run
 from .netgraph import GraphError, WeightedGraph, assign_weights, generate_watts_strogatz
@@ -63,11 +63,6 @@ _ROLE_KEYS = {"boost_range": "expert", "boost_all": "expert", "weight_factor": "
 
 # One independent random stream per concern, all derived from the master seed.
 _STREAMS = {"topology": 0, "weights": 1, "population": 2, "strategy": 3, "boost": 4, "ties": 5}
-
-# Cells (runs x nodes x competences) stepped as one batch. Small runs share a
-# step's fixed cost. 484-node runs go in pairs: a third run per batch raised
-# the peak memory, and seven stepped slower per run than two.
-_BATCH_CELLS = 3 << 12
 
 
 def stream_rng(seed: int, concern: str) -> np.random.Generator:
@@ -660,9 +655,9 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     """Run every (variant, seed) combination and aggregate across seeds.
 
     The variants of a seed share its graph, population and ties. Runs that
-    record the same columns are stepped together, as many as fit in
-    ``_BATCH_CELLS`` cells (runs x nodes x competences) and at least one, as
-    soon as a batch is full. A batch may span seeds: 484-node runs go in pairs.
+    record the same columns are stepped together, as many as fit in ``diffusion._BATCH_CELLS``
+    cells (runs x nodes x competences) and at least one, as soon as a batch is
+    full. A batch may span seeds: 484-node runs go in pairs.
     """
     seed_list = config.run.seeds if seeds is None else _as_list(seeds, "seeds", item=_ID, unique="seed")
     names = config.role_plan.strategies if config.role_plan is not None else ("default",)
@@ -670,7 +665,7 @@ def run_experiment(config: ScenarioConfig, seeds: Sequence[int] | None = None) -
     role_nodes: dict[str, dict[int, tuple[int, ...] | None]] = {name: {} for name in names}
     ties: dict[int, list[dict]] = {}
     pending: dict[tuple[int, ...], list[_Run]] = {}  # by collector ids: runs that record the same columns
-    size = max(1, _BATCH_CELLS // (config.network.nodes * config.population.competences))
+    size = max(1, diffusion._BATCH_CELLS // (config.network.nodes * config.population.competences))
 
     def flush(collectors: tuple[int, ...]) -> None:
         batch = pending.pop(collectors)
@@ -748,11 +743,12 @@ def emit_report(
     name = report.config.name
 
     if "csv" in fmts:
+        template = cache(diffusion._csv_template)  # the seeds' series share one, the aggregates another
         for vname, result in report.variants.items():
             tables = [(f"seed{s}", result.series[s]) for s in result.seeds] + [("aggregate", result.aggregate)]
             for label, table in tables:
                 path = out / f"{name}__{vname}__{label}.csv"
-                path.write_text("\n".join(table.csv_lines()) + "\n")
+                path.write_text(table._csv(template(table.steps, table.columns)))
                 written.append(path)
 
     if "json" in fmts:

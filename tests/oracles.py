@@ -3,9 +3,10 @@
 The graph metrics work by exhaustive enumeration over simple paths or edge
 subsets. Path costs accumulate left to right, matching how a relaxation-based
 shortest-path search composes the same sums. The two-sweep centralities are
-the package's former implementation, kept as its bit-exact reference. The
-diffusion reference is the literal per-worker composition of broadcast,
-transmission and assimilation that the vectorized engine must reproduce.
+the package's former implementation, kept as its bit-exact reference, and so
+are the row-by-row CSV writer and the per-node expert boost. The diffusion
+reference is the literal per-worker composition of broadcast, transmission
+and assimilation that the vectorized engine must reproduce.
 
 Nothing here imports from the package under test: the diffusion reference
 reads graphs, populations and states through their public attributes only.
@@ -274,6 +275,23 @@ def loop_stabilization_step(values: np.ndarray, tolerance: float) -> int:
         else:
             break
     return stable_from
+
+
+def row_csv_lines(series) -> list[str]:
+    """``TimeSeries.csv_lines`` written one f-string per row, as it was before the CSV template."""
+    labels = [f"{metric},{scope}" for metric, scope in series.columns]
+    cells = zip(itertools.product(series.steps, labels), series.values.ravel().tolist())  # row-major: step, column
+    return ["step,metric,scope,value"] + [f"{t},{label},{v!r}" for (t, label), v in cells]
+
+
+def loop_apply_expert(workers, nodes, boost_range, rng, boost_all: bool = False) -> np.ndarray:
+    """``apply_expert``'s competences, one draw per node in turn: a node named twice is drawn twice, the last kept."""
+    competences = workers.competences.copy()
+    for v in nodes:
+        idx = np.arange(workers.competences.shape[1]) if boost_all else np.flatnonzero(workers.masks[v] == 1.0)
+        if idx.size:
+            competences[v, idx] = rng.uniform(*boost_range, size=idx.size)
+    return competences
 
 
 def tuple_watts_strogatz(n: int, k: int, p: float, rng) -> list:

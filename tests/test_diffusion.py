@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from knowflow import (
@@ -33,7 +33,8 @@ from knowflow import (
     run_experiment,
     step,
 )
-from oracles import KnowledgeResource, assimilate, create_resource, reference_step, transmit, worker
+from knowflow import diffusion
+from oracles import KnowledgeResource, assimilate, create_resource, reference_step, row_csv_lines, transmit, worker
 
 
 def pair_state(c_a, c_b, *, weight=0.5, social=(0.5, 0.5), cognitive=(1.0, 1.0),
@@ -57,6 +58,12 @@ def random_state(seed, n=30, k=4, p=0.3, density=0.6, forgetting=0.006):
     g = WeightedGraph(n, [(u, v, float(rng.uniform(0.1, 1.0))) for u, v, _ in lattice.edges()])
     pop = init_workers(n, 8, (0.0, 10.0), density, (0.2, 0.9), (0.2, 0.9), forgetting, rng)
     return SimulationState.batch([(g, pop)])
+
+
+def measured(probe: Probe, state: SimulationState) -> np.ndarray:
+    """The probe over one state's rows: one row per run."""
+    competences, ledger = state.population.competences, state.collector_ledger
+    return probe.measure(competences.reshape(state.runs, -1, competences.shape[1]), ledger.reshape(state.runs, -1))
 
 
 # -- kernels -------------------------------------------------------------------
@@ -185,21 +192,36 @@ def _kept(st_: SimulationState) -> tuple[SimulationState, np.ndarray, np.ndarray
     return st_, st_.population.competences.copy(), st_.collector_ledger.copy()
 
 
-def test_states_stay_unchanged_after_later_steps():
-    # Later steps reuse work buffers; no state handed out may change or share them.
+def test_states_stay_unchanged_after_later_steps(monkeypatch):
+    # Later steps reuse work buffers; no state handed out may change or share them,
+    # and no block of rows handed to a probe may change or share a later block's memory.
     start = apply_collector(random_state(7), [2, 7])
     stepped = [_kept(start)]
     for _ in range(4):
         stepped.append(_kept(step(stepped[-1][0])))
-    probed = []
-    run(start, 4, [Probe("average_competence", "all", lambda st_: probed.append(_kept(st_)) or 0.0)])
-    for kept in (stepped, probed):
-        assert len(kept) == 5
-        for i, (st_, competences, ledger) in enumerate(kept):
-            assert np.array_equal(st_.population.competences, competences)
-            assert np.array_equal(st_.collector_ledger, ledger)
-            for later, _, _ in kept[i + 1:]:
-                assert not np.shares_memory(st_.population.competences, later.population.competences)
+    for i, (st_, competences, ledger) in enumerate(stepped):
+        assert np.array_equal(st_.population.competences, competences)
+        assert np.array_equal(st_.collector_ledger, ledger)
+        for later, _, _ in stepped[i + 1:]:
+            assert not np.shares_memory(st_.population.competences, later.population.competences)
+    for depth, sizes in ((1, [1] * 5), (2, [2, 2, 1]), (5, [5])):
+        monkeypatch.setattr(diffusion, "_BATCH_CELLS", depth * start.population.competences.size)
+        blocks = []
+
+        def keep(competences, ledgers):
+            blocks.append((competences, ledgers, competences.copy(), ledgers.copy()))
+            return np.zeros(len(competences))
+
+        run(start, 4, [Probe("average_competence", "all", keep)])
+        assert [len(block[0]) for block in blocks] == sizes
+        rows = [(c[i], ledger[i]) for c, ledger, _, _ in blocks for i in range(len(c))]
+        assert len(rows) == 5
+        for (competences, ledger), (_, expected, expected_ledger) in zip(rows, stepped):
+            assert np.array_equal(competences, expected) and np.array_equal(ledger, expected_ledger)
+        for b, (competences, ledgers, kept_competences, kept_ledgers) in enumerate(blocks):
+            assert np.array_equal(competences, kept_competences) and np.array_equal(ledgers, kept_ledgers)
+            for later in blocks[b + 1:]:
+                assert not np.shares_memory(competences, later[0]) and not np.shares_memory(ledgers, later[1])
 
 
 # -- collectors --------------------------------------------------------------------
@@ -266,11 +288,11 @@ def test_collector_ledger_bytes_are_pinned():
 def test_probe_values():
     state = random_state(5)
     pop = state.population
-    assert probe_average().measure(state).item() == pytest.approx(pop.competences.mean())
-    assert probe_node(3).measure(state).item() == pytest.approx(pop.competences[3].mean())
+    assert measured(probe_average(), state).item() == pytest.approx(pop.competences.mean())
+    assert measured(probe_node(3), state).item() == pytest.approx(pop.competences[3].mean())
     p = probe_mask("core", [1, 4], members=[0, 2, 6])
     assert p.scope == "mask:core"
-    assert p.measure(state).item() == pytest.approx(pop.competences[[0, 2, 6]][:, [1, 4]].mean())
+    assert measured(p, state).item() == pytest.approx(pop.competences[[0, 2, 6]][:, [1, 4]].mean())
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,9 +307,9 @@ def test_probes_equal_ndarray_mean_bit_for_bit(seed, n, m, all_members):
     comps = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
     members = None if all_members else sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
     expected = c[:, comps].mean() if members is None else c[members][:, comps].mean()
-    assert probe_mask("x", comps, members).measure(state).item() == float(expected)
-    assert probe_average().measure(state).item() == float(c.mean())
-    assert probe_node(n - 1).measure(state).item() == float(c[n - 1].mean())
+    assert measured(probe_mask("x", comps, members), state).item() == float(expected)
+    assert measured(probe_average(), state).item() == float(c.mean())
+    assert measured(probe_node(n - 1), state).item() == float(c[n - 1].mean())
 
 
 def test_probes_reject_out_of_range_ids():
@@ -298,17 +320,17 @@ def test_probes_reject_out_of_range_ids():
         with pytest.raises(DiffusionError, match=f"^{re.escape(f'node: expected an integer, got {node!r}')}$"):
             probe_node(node)
     with pytest.raises(DiffusionError, match="node id 9 .* 6 workers"):
-        probe_node(9).measure(state)
+        measured(probe_node(9), state)
     with pytest.raises(DiffusionError, match=re.escape("competences[0]: must be >= 0, got -2")):
         probe_mask("x", [-2, 1])
     with pytest.raises(DiffusionError, match=re.escape("members[1]: must be >= 0, got -1")):
         probe_mask("x", [1], members=[0, -1])
     with pytest.raises(DiffusionError, match="competence id 8 .* 8 competences"):
-        probe_mask("x", [1, 8]).measure(state)
+        measured(probe_mask("x", [1, 8]), state)
     with pytest.raises(DiffusionError, match="node id 6 .* 6 workers"):
-        probe_mask("x", [1], members=[2, 6]).measure(state)
+        measured(probe_mask("x", [1], members=[2, 6]), state)
     expected = float(state.population.competences[5].mean())
-    assert probe_node(5).measure(state).item() == probe_node(np.int64(5)).measure(state).item() == expected
+    assert measured(probe_node(5), state).item() == measured(probe_node(np.int64(5)), state).item() == expected
 
 
 def test_mask_probes_reject_ids_that_are_not_integers():
@@ -323,8 +345,8 @@ def test_mask_probes_reject_ids_that_are_not_integers():
     for ids in (b"\x00\x01", bytearray(b"\x00\x01")):  # a byte string is not a list of ids
         with pytest.raises(DiffusionError, match="^competences: expected a non-empty list$"):
             probe_mask("m", ids)
-    exact = probe_mask("x", [1, 4], members=[0, 5]).measure(state).item()
-    assert probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))).measure(state).item() == exact
+    exact = measured(probe_mask("x", [1, 4], members=[0, 5]), state).item()
+    assert measured(probe_mask("x", np.array([4, 1]), members=(np.int64(5), np.int32(0))), state).item() == exact
 
 
 def test_mask_probes_reject_repeated_ids():
@@ -333,7 +355,7 @@ def test_mask_probes_reject_repeated_ids():
         probe_mask("x", [0], members=[0, 0, 1])
     with pytest.raises(DiffusionError, match=re.escape("competences[2]: duplicate id 2; entries must be unique")):
         probe_mask("x", [2, 0, np.int64(2)])
-    distinct = probe_mask("x", [0], members=[0, 1]).measure(state).item()
+    distinct = measured(probe_mask("x", [0], members=[0, 1]), state).item()
     assert distinct == float(state.population.competences[[0, 1], 0].mean())
 
 
@@ -361,8 +383,8 @@ def test_collector_probes_total_is_sum_of_parts():
     for _ in range(10):
         state = step(state)
     probes = collector_probes([1, 3, 8])
-    total = probes[0].measure(state).item()
-    parts = [p.measure(state).item() for p in probes[1:]]
+    total = measured(probes[0], state).item()
+    parts = [measured(p, state).item() for p in probes[1:]]
     assert total == pytest.approx(sum(parts))
     assert [p.scope for p in probes] == ["all", "collector:1", "collector:3", "collector:8"]
 
@@ -445,6 +467,27 @@ def test_timeseries_records_and_exports():
         TimeSeries([("a", "all")], ["x", None], np.zeros((2, 1))).csv_lines()
 
 
+_LABEL = st.text(st.sampled_from("ab%{},:\n"), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.tuples(_LABEL, _LABEL), unique=True, max_size=3),
+    st.integers(0, 4),
+    st.lists(st.sampled_from([-0.0, 0.0, 5e-324, 1e300, -1.5, 0.1, 1 / 3, np.inf, np.nan]) | st.floats(), min_size=12),
+)
+@example([("a%s", "%%"), ("{0}", "a,b")], 2, [-0.0, 5e-324, 1e300, 0.1] * 3)
+@example([("average_competence", "all")], 0, [0.0] * 12)
+def test_the_csv_template_writes_the_bytes_of_the_row_loop(columns, steps, pool):
+    values = np.array(pool[: steps * len(columns)]).reshape(steps, len(columns))
+    series = TimeSeries(columns, list(range(0, 3 * steps, 3)), values)
+    expected = "\n".join(row_csv_lines(series)) + "\n"
+    assert series._csv(diffusion._csv_template(series.steps, series.columns)) == expected
+    assert "\n".join(series.csv_lines()) + "\n" == expected
+    if not any("\n" in label for column in columns for label in column):  # a line break in a label splits its row
+        assert series.csv_lines() == row_csv_lines(series)
+
+
 def test_a_probe_reads_its_fields():
     measure = probe_average().measure
     for args, message in (
@@ -474,7 +517,7 @@ def test_run_records_initial_state_and_counts_steps():
     assert len(empty) == 1
     with pytest.raises(DiffusionError):
         run(state, -1, [probe_average()])
-    unread = Probe("average_competence", "all", lambda st_: pytest.fail("measured before the columns were checked"))
+    unread = Probe("average_competence", "all", lambda *_: pytest.fail("measured before the columns were checked"))
     with pytest.raises(DiffusionError, match="duplicate"):
         run(state, 3, [unread, unread])
 
@@ -578,21 +621,66 @@ def test_a_batch_equals_its_runs_one_by_one_bit_for_bit(seed, runs, n, m, at, ga
         assert {c - r * n for c in final.collectors if r * n <= c < (r + 1) * n} == final_r.collectors
 
 
+def _outcome(state, probes, gain, interventions):
+    """A run's series and final state as bytes, or the message of the error that ended it."""
+    try:
+        final, series = run(state, 10, probes, gain, interventions)
+    except DiffusionError as exc:
+        return str(exc)
+    final_bytes = (final.population.competences.tobytes(), final.collector_ledger.tobytes(), final.collectors)
+    return [(s.steps, s.columns, s.values.tobytes(), s.csv_lines()) for s in series], final_bytes
+
+
+@pytest.mark.parametrize("role", ["expert", "facilitator", "collector"])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 8), st.integers(1, 5), st.sampled_from((0, 4, 6)),
+       st.booleans(), st.booleans())
+def test_the_block_depth_does_not_change_the_bytes(role, seed, runs, n, m, at, gain, overflow):
+    # Blocks of 1, 2 and 3 of the 11 recorded states, and one block of all of them: the
+    # intervention after step ``at`` falls inside a block of 2 and of 3. A facilitated tie
+    # of weight up to 1e300 makes a run overflow within a few steps, often in mid-block.
+    rng = np.random.default_rng(seed)
+    members = [dense_run(rng, n, m) for _ in range(runs)]
+    if overflow:
+        graph, pop = members[-1]
+        members[-1] = (apply_facilitator(graph, [0], 1e300), pop)
+    probes = [
+        probe_average(),
+        probe_node(n - 1),
+        probe_mask("x", sorted({0, m - 1}), members=sorted({0, n // 2})),
+        *collector_probes(range(0, n, 2)),
+    ]
+    acts = [_role_act(role, [0, n - 1], r * n, seed + r) for r in range(runs)]
+
+    def act_all(st_: SimulationState) -> SimulationState:
+        for act in acts:
+            st_ = act(st_)
+        return st_
+
+    state = SimulationState.batch(members)
+    outcomes = []
+    for depth in (1, 2, 3, 11):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffusion, "_BATCH_CELLS", depth * state.population.competences.size)
+            outcomes.append(_outcome(state, probes, gain, {at: act_all}))
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
 def test_probes_in_a_batch_read_and_check_ids_per_run():
     a, b = random_state(5, n=6), random_state(6, n=6)
     batch = SimulationState.batch([(a.graph, a.population), (b.graph, b.population)])
     # Node 6 of a 12-row union is run 1's node 0; a probe must refuse it, not read it.
     with pytest.raises(DiffusionError, match="node id 6 is out of range for 6 workers"):
-        probe_node(6).measure(batch)
+        measured(probe_node(6), batch)
     with pytest.raises(DiffusionError, match="node id 6 is out of range for 6 workers"):
-        probe_mask("x", [1], members=[2, 6]).measure(batch)
+        measured(probe_mask("x", [1], members=[2, 6]), batch)
     with pytest.raises(DiffusionError, match="competence id 8 is out of range for 8 competences"):
-        probe_mask("x", [1, 8]).measure(batch)
+        measured(probe_mask("x", [1, 8]), batch)
     rows = [a.population.competences, b.population.competences]
-    assert probe_node(5).measure(batch).tolist() == [float(c[5].mean()) for c in rows]
-    masked = probe_mask("x", [1, 4], members=[0, 5]).measure(batch)
+    assert measured(probe_node(5), batch).tolist() == [float(c[5].mean()) for c in rows]
+    masked = measured(probe_mask("x", [1, 4], members=[0, 5]), batch)
     assert masked.tolist() == [float(c[[0, 5]][:, [1, 4]].mean()) for c in rows]
-    assert probe_average().measure(batch).tolist() == [float(c.mean()) for c in rows]
+    assert measured(probe_average(), batch).tolist() == [float(c.mean()) for c in rows]
     c = random_state(7, n=7)
     with pytest.raises(DiffusionError, match="runs of 6 workers x 8 competences only"):
         SimulationState.batch([(a.graph, a.population), (c.graph, c.population)])
@@ -644,7 +732,7 @@ def test_an_experiment_reports_arrays_are_read_only():
     assert [path for path, array in found.items() if array.flags.writeable] == []
 
 
-def test_a_run_that_overflows_fails_naming_the_first_step_with_a_value_that_is_not_finite():
+def test_a_run_that_overflows_fails_naming_the_first_step_with_a_value_that_is_not_finite(monkeypatch):
     # 0.5 * 4 * 1e300 reaches worker 1 at step 1; twice that times 1e300 overflows worker 0 at step 2.
     g = add_edge(WeightedGraph(3), 0, 1, 1e300)
     pop = Population(np.array([[4.0], [1.0], [1.0]]), np.ones((3, 1)), np.ones(3), np.full(3, 0.5), np.zeros(3))
@@ -653,8 +741,12 @@ def test_a_run_that_overflows_fails_naming_the_first_step_with_a_value_that_is_n
     boost = {3: lambda st_: replace(st_, population=apply_expert(st_.population, [2], (1.0, 2.0), np.random.default_rng(0)))}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy's overflow warnings stay inside the run
-        with pytest.raises(DiffusionError, match="not finite by step 2$"):
-            run(state, 5, [probe_average()])
+        # Step 2 opens a block of 2, ends one of 3, sits inside one of 4 and in the one block of all 6 states.
+        for depth in (1, 2, 3, 4, 6):
+            monkeypatch.setattr(diffusion, "_BATCH_CELLS", depth * 3)
+            with pytest.raises(DiffusionError, match="not finite by step 2$"):
+                run(state, 5, [probe_average()])
+        monkeypatch.undo()
         # An intervention after the overflow, which rebuilds the plan or the population, changes nothing.
         for intervention in (facilitate, boost):
             with pytest.raises(DiffusionError, match="not finite by step 2$"):

@@ -954,6 +954,20 @@ def test_edge_list_diagnostics(tmp_path):
         read_edge_list(p)
 
 
+def test_a_node_count_whose_square_overflows_an_index_is_refused(tmp_path):
+    # The receiver-major key ``receiver * n + sender`` must fit an intp. Every
+    # count here is above that bound, so it is refused before any array is built.
+    limit = math.isqrt(np.iinfo(np.intp).max)
+    p = tmp_path / "big.txt"
+    for count in (limit + 1, 2**62, 10**15, 10**20):
+        message = f"node_count: must be <= {limit}, got {count}"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            WeightedGraph(count, [(0, 1, 1.0)])
+        p.write_text(f"# nodes={count}\n0,1,1.0\n")
+        with pytest.raises(GraphError, match=f"^{re.escape(f'{p}: {message}')}$"):
+            read_edge_list(p)
+
+
 def test_edge_lists_take_the_ascii_numerals_that_write_edge_list_writes(tmp_path):
     p = tmp_path / "g.txt"
     p.write_text("# nodes= 4 \n 0 , 1 , 1.5 \n+1,2,2.\n2,3,.25\n0,3,1e-3\n")

@@ -28,6 +28,7 @@ from knowflow import (
     weighted_betweenness_all,
     weighted_closeness_all,
 )
+from oracles import loop_apply_expert
 
 
 def star(n=4):
@@ -179,6 +180,28 @@ def test_apply_expert_validation():
         apply_expert(pop, [0], (5.0, 1.0), np.random.default_rng(0))
     with pytest.raises(RoleError):
         apply_expert(pop, [99], (1.0, 2.0), np.random.default_rng(0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 6), st.lists(st.integers(0, 20), max_size=8), st.booleans())
+def test_apply_expert_draws_what_a_draw_per_node_draws(seed, n, m, picks, boost_all):
+    # One draw over the selected cells, in node then competence order, gives each
+    # node the draws its own call gave; a node named twice keeps its last draw.
+    pop = init_workers(n, m, (0.0, 10.0), 0.5, (0.2, 0.9), (0.2, 0.9), 0.006, np.random.default_rng(seed))
+    nodes = [v % n for v in picks]
+    rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    drawn = apply_expert(pop, nodes, (10.0, 50.0), rng, boost_all)
+    assert drawn.competences.tobytes() == loop_apply_expert(pop, nodes, (10.0, 50.0), oracle_rng, boost_all).tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state  # as many draws as the loop's
+
+
+def test_apply_expert_keeps_a_repeated_nodes_last_draw():
+    pop = small_population()
+    out = apply_expert(pop, [1, 3, 1], (10.0, 50.0), np.random.default_rng(2), boost_all=True)
+    once = apply_expert(pop, [1, 3], (10.0, 50.0), np.random.default_rng(2), boost_all=True)
+    assert np.array_equal(out.competences[3], once.competences[3])
+    assert not np.array_equal(out.competences[1], once.competences[1])
+    assert np.array_equal(out.competences, loop_apply_expert(pop, [1, 3, 1], (10.0, 50.0), np.random.default_rng(2), True))
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ files, and the command line interface."""
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -34,7 +35,7 @@ from knowflow import (
     stream_rng,
     transfer_efficiency,
 )
-from knowflow import scenario
+from knowflow import diffusion, scenario
 from knowflow.cli import main
 from knowflow.scenario import _graph_for, _population_for
 
@@ -637,8 +638,8 @@ def test_batched_runs_report_the_bytes_of_runs_one_by_one(tmp_path, monkeypatch,
     reports = {}
     # The nine runs in as few batches as their columns allow; two runs a batch, so that a seed's
     # last run shares a batch with the next seed's first; and every run alone.
-    for label, budget in (("batched", scenario._BATCH_CELLS), ("paired", 2 * run_cells), ("alone", 1)):
-        monkeypatch.setattr(scenario, "_BATCH_CELLS", budget)
+    for label, budget in (("batched", diffusion._BATCH_CELLS), ("paired", 2 * run_cells), ("alone", 1)):
+        monkeypatch.setattr(diffusion, "_BATCH_CELLS", budget)
         batch_sizes.clear()
         batch_seeds.clear()
         reports[label] = [(p.name, p.read_bytes()) for p in emit_report(run_experiment(cfg), tmp_path / label)]
@@ -990,6 +991,24 @@ def test_emit_report_writes_deterministic_files(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_emit_report_fills_one_csv_template_per_steps_and_columns(tmp_path, monkeypatch):
+    # The variants' per-seed series share one template and their aggregates another;
+    # every file holds the bytes of the row-by-row writer.
+    role_plan = {"role": "expert", "strategies": ["none", "degree"], "count": 2, "boost_range": [10.0, 50.0]}
+    probes = ["average_competence", {"mask": {"name": "m", "competences": [1]}}]
+    report = run_experiment(parse_config(tiny_config(role_plan=role_plan, run={"steps": 6, "seeds": [1, 2], "probes": probes})))
+    built = []
+    template = diffusion._csv_template
+    monkeypatch.setattr(diffusion, "_csv_template", lambda *key: built.append(key) or template(*key))
+    written = emit_report(report, tmp_path, formats=["csv"])
+    assert len(written) == 6 and len(built) == 2
+    for path in written:
+        result = report.variants[path.stem.split("__")[1]]
+        label = path.stem.split("__")[2]
+        table = result.aggregate if label == "aggregate" else result.series[int(label.removeprefix("seed"))]
+        assert path.read_text() == "\n".join(oracles.row_csv_lines(table)) + "\n"
+
+
 def test_a_variants_series_and_aggregate_are_values():
     # Both seeds run in one batch, whose series once shared one mutable list of steps with the aggregate.
     result = run_experiment(parse_config(tiny_config())).variants["default"]
@@ -1277,6 +1296,14 @@ def test_cli_rank_takes_only_ascii_numerals(tmp_path, capsys, text, line):
     assert main(["rank", str(graph), "--strategy", "degree"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(graph) in err and f"line {line}" in err
+
+
+def test_cli_rank_refuses_a_node_count_beyond_the_index_range(tmp_path, capsys):
+    graph = tmp_path / "g.txt"
+    graph.write_text(f"# nodes={10**20}\n0,1,1.0\n")
+    assert main(["rank", str(graph), "--strategy", "degree"]) == 3
+    limit = math.isqrt(np.iinfo(np.intp).max)
+    assert capsys.readouterr().err == f"error: {graph}: node_count: must be <= {limit}, got {10**20}\n"
 
 
 def test_cli_rank_random_is_seeded(tmp_path, capsys):
